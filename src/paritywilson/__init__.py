@@ -61,8 +61,11 @@ from .spectral import (
 )
 from .expand import (
     CoefficientTable,
+    DiscreteMeasure,
     QuadratureConfig,
     auto_cutoff,
+    discrete_measure,
+    family_values,
     inner_product,
     integrate_semiinfinite,
     parity_coefficients,

@@ -45,6 +45,7 @@ class RunConfig:
     x_max: float | None = None
     max_panels: int = 4000
     format: str = "json"
+    format_requested: bool = False  # by --format or the config file
     out_dir: str | None = None
 
     def quadrature(self) -> expand.QuadratureConfig:
@@ -80,12 +81,14 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "config", None):
         for key, val in load_config(args.config).items():
             setattr(cfg, key, val)
+            cfg.format_requested |= key == "format"
     for key in ("rel_tol", "abs_tol", "panel_order", "x_max", "max_panels"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "format", None):
         cfg.format = args.format
+        cfg.format_requested = True
     if cfg.out_dir is None:
         cfg.out_dir = os.environ.get(OUT_DIR_ENV)
     return cfg
@@ -326,7 +329,11 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     n_fail = len(report.failed)
     lines.append(f"# {len(report.results)} checks, {n_fail} failed")
     text = "\n".join(lines) + "\n"
-    if cfg.format == "json" and getattr(args, "out", None):
+    # JSON goes to --out with the text summary on stdout, or alone to
+    # stdout when asked for without --out; otherwise the text report
+    out = getattr(args, "out", None)
+    as_json = cfg.format == "json" and bool(out or cfg.format_requested)
+    if as_json:
         payload = [{"check": r.check_id, "anchor": r.anchor, "status": r.status,
                     "measured": r.measured if isinstance(r.measured, str)
                     else _fmt_float(r.measured),
@@ -334,8 +341,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                     else _fmt_float(r.threshold),
                     "note": r.note} for r in report.results]
         _emit(_json(payload), args, cfg)
-        sys.stdout.write(text)
-    else:
+    if out or not as_json:
         sys.stdout.write(text)
     return report.exit_code
 

@@ -1,10 +1,28 @@
 """Semi-infinite quadrature and weighted expansions in the monic families.
 
-Certified adaptive Gauss-Legendre quadrature on (0, inf) for integrands
-with exponential decay, inner products under the family measures
-(continuous density plus the Case B point masses), basis projections, the
-parity-reconstruction coefficients c_n, and weighted-L2 reconstruction
-residuals.
+Two quadrature machines live here.  ``integrate_semiinfinite`` is certified
+adaptive Gauss-Legendre quadrature on (0, inf) for integrands with
+exponential decay: adaptive paneling on [0, X] plus an analytic tail bound.
+It is the independent oracle and the fallback.  ``discrete_measure`` is one
+shared discretization of each family measure, on which inner products,
+basis projections, all three routes to the parity-reconstruction
+coefficients c_n, the weighted-L2 reconstruction residuals and the
+Stieltjes orthogonalization become weighted dot products.
+
+A measure is built once per (family, QuadratureConfig, degree bound), the
+bound rounded up to a power of two (at least 8), so that no result depends
+on which calls ran before it.  Its panels are chosen by the adaptive panel
+loop, started from panels graded towards the origin and refined to the
+roundoff floor, on the family's hardest polynomial integrand
+w * sum_k P_k^2 / ||P_k||^2 (k up to the bound).  The measure
+holds the panel_order- and 2*panel_order-point Gauss-Legendre weights of
+every panel, the density at the nodes, the Case B point masses, and the
+values of P_0..P_bound there, run forward in float through the three-term
+recurrence (``family_values``).  Polynomial factors are expanded exactly in
+the family basis.  Every integral still returns its own error estimate:
+the per-panel difference of the two rules, the analytic tail bound beyond
+the cutoff and a roundoff allowance.  An integral that misses its budget is
+recomputed by ``integrate_semiinfinite``.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -13,6 +31,7 @@ pointwise claim is made.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,19 +40,27 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence
-from .numcore import RationalPolynomial, ensure_finite, poly_eval
+from .numcore import RationalPolynomial, ensure_finite
 from .wilson import (
     CASE_A,
     CASE_B,
-    WeightFunction,
+    TWO_PI,
+    PointMass,
     WilsonFamily,
+    _sinh_over_cosh_cubed,
     family_weight,
-    monic_from_recurrence,
     norm_closed_form,
     printed_norm_rhs,
+    standard_recurrence_terms,
 )
 
-TWO_PI = 2.0 * math.pi
+EPSILON = 2.3e-16
+# relative roundoff floor of a panel sum: near-zero integrals of
+# large-magnitude integrands (orthogonality cross terms) cannot do better
+ROUNDOFF = 100.0 * EPSILON
+MEASURE_MIN_DEGREE = 8
+MEASURE_PANEL_WIDTH = 8.0
+PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
 
 
 @dataclass(frozen=True)
@@ -65,38 +92,47 @@ def _nodes(order: int):
     return _NODE_CACHE[order]
 
 
-def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
-    y = f(x)
-    return np.asarray(y)
-
-
 def _panel_pair(f, lo, hi, order):
     vals = []
     for q in (order, 2 * order):
         xs, ws = _nodes(q)
         xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xs
-        fv = _eval_vec(f, xm)
-        vals.append(0.5 * (hi - lo) * np.sum(ws * fv))
+        vals.append(0.5 * (hi - lo) * np.sum(ws * np.asarray(f(xm))))
     coarse, fine = vals
     return fine, abs(fine - coarse)
 
 
+def _exp(e: float) -> float:
+    return math.inf if e > 709.0 else math.exp(e)
+
+
 def tail_bound(c: float, growth_degree: int, decay_rate: float, x: float) -> float:
-    """Exact bound C * integral_x^inf t^p e^{-lam t} dt for integer p."""
+    """Exact bound C * integral_x^inf t^p e^{-lam t} dt for integer p,
+    summed in logarithms so that large p and x cannot overflow."""
     p, lam = growth_degree, decay_rate
-    total = 0.0
-    for k in range(p + 1):
-        total += (math.factorial(p) / math.factorial(p - k)) * x ** (p - k) / lam ** (k + 1)
-    return c * math.exp(-lam * x) * total
+    if c <= 0.0:
+        return 0.0
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
+            + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
+    top = max(logs)
+    return _exp(math.log(c) - lam * x + top + math.log(sum(math.exp(v - top) for v in logs)))
+
+
+def _growth_constant(probes, values, growth_degree: int, decay_rate: float) -> float:
+    """2 max |f(probe)| / (probe^p e^{-lam probe}), in logarithms."""
+    c = 0.0
+    for probe, v in zip(probes, values):
+        v = abs(complex(v))
+        if v > 0.0 and probe > 0.0:
+            c = max(c, _exp(math.log(v) - growth_degree * math.log(probe) + decay_rate * probe))
+    return 2.0 * c
 
 
 def _measure_growth_constant(f, x: float, growth_degree: int, decay_rate: float) -> float:
-    c = 0.0
-    for probe in (0.7 * x, 0.85 * x, x):
-        envelope = probe ** growth_degree * math.exp(-decay_rate * probe)
-        if envelope > 0:
-            c = max(c, float(abs(complex(np.asarray(f(np.array([probe])))[0]))) / envelope)
-    return 2.0 * c
+    probes = [k * x for k in PROBES]
+    values = [np.asarray(f(np.array([probe])))[0] for probe in probes]
+    return _growth_constant(probes, values, growth_degree, decay_rate)
 
 
 def auto_cutoff(poly_degree_in_x: int) -> float:
@@ -105,6 +141,58 @@ def auto_cutoff(poly_degree_in_x: int) -> float:
     x^d, so max(15, (d+6) ln(10)/(2 pi) + 5) keeps the tail below 1e-16
     relative."""
     return max(15.0, (poly_degree_in_x + 6) * math.log(10.0) / TWO_PI + 5.0)
+
+
+def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int):
+    """(X, tail bound beyond X): X from the config, or the first of
+    auto_cutoff, +5, +10, ... whose tail bound is below abs_tol/4."""
+    x_max = cfg.x_max
+    if x_max is None:
+        x_max = auto_cutoff(growth_degree)
+        while True:
+            c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
+            if tail_bound(c, growth_degree, decay_rate, x_max) < 0.25 * cfg.abs_tol or x_max > 300.0:
+                break
+            x_max += 5.0
+    c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
+    return x_max, tail_bound(c, growth_degree, decay_rate, x_max)
+
+
+def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
+                     edges: np.ndarray | None = None) -> list:
+    """The adaptive panel loop: starting from ``edges`` (default: unit
+    panels on [0, x_max]), the panel with the largest |fine - coarse| is
+    halved until the summed differences are within half the budget
+    max(abs_tol, rel_tol |total|, roundoff floor).  Returns
+    [err, lo, hi, value] per panel, by lo."""
+    if edges is None:
+        edges = np.linspace(0.0, x_max, int(math.ceil(x_max)) + 1)
+    panels = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _panel_pair(f, lo, hi, cfg.panel_order)
+        panels.append([err, lo, hi, val])
+    while True:
+        total = sum(p[3] for p in panels)
+        err_sum = sum(p[0] for p in panels)
+        budget = max(cfg.abs_tol, rel_tol * abs(total),
+                     ROUNDOFF * sum(abs(p[3]) for p in panels))
+        if err_sum <= 0.5 * budget:
+            break
+        panels.sort(key=lambda p: (-p[0], p[1]))
+        if len(panels) >= cfg.max_panels:
+            worst, lo, hi, _ = panels[0]
+            raise NoConvergence(
+                f"adaptive quadrature exceeded {cfg.max_panels} panels: err_sum "
+                f"{err_sum:.3e} against budget/2 {0.5 * budget:.3e} (budget "
+                f"{budget:.3e}, total {abs(total):.3e}); worst panel "
+                f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
+        _, lo, hi, _ = panels.pop(0)
+        mid = 0.5 * (lo + hi)
+        for a, b in ((lo, mid), (mid, hi)):
+            val, err = _panel_pair(f, a, b, cfg.panel_order)
+            panels.append([err, a, b, val])
+    panels.sort(key=lambda p: p[1])
+    return panels
 
 
 def integrate_semiinfinite(f: Callable, cfg: QuadratureConfig | None = None,
@@ -120,40 +208,8 @@ def integrate_semiinfinite(f: Callable, cfg: QuadratureConfig | None = None,
     and is designed to stay above the true error.
     """
     cfg = cfg or QuadratureConfig()
-    x_max = cfg.x_max
-    if x_max is None:
-        x_max = auto_cutoff(growth_degree)
-        while True:
-            c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
-            if tail_bound(c, growth_degree, decay_rate, x_max) < 0.25 * cfg.abs_tol or x_max > 300.0:
-                break
-            x_max += 5.0
-    c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
-    tail = tail_bound(c, growth_degree, decay_rate, x_max)
-
-    edges = np.linspace(0.0, x_max, int(math.ceil(x_max)) + 1)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel_pair(f, lo, hi, cfg.panel_order)
-        panels.append([err, lo, hi, val])
-    while True:
-        total = sum(p[3] for p in panels)
-        err_sum = sum(p[0] for p in panels)
-        # the roundoff floor keeps near-zero integrals of large-magnitude
-        # integrands (orthogonality cross terms) from refining forever
-        floor = 100.0 * 2.3e-16 * sum(abs(p[3]) for p in panels)
-        budget = max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
-        if err_sum <= 0.5 * budget:
-            break
-        if len(panels) >= cfg.max_panels:
-            raise NoConvergence(f"adaptive quadrature exceeded {cfg.max_panels} panels")
-        panels.sort(key=lambda p: (-p[0], p[1]))
-        err, lo, hi, _ = panels.pop(0)
-        mid = 0.5 * (lo + hi)
-        for a, b in ((lo, mid), (mid, hi)):
-            val, err = _panel_pair(f, a, b, cfg.panel_order)
-            panels.append([err, a, b, val])
-    panels.sort(key=lambda p: p[1])
+    x_max, tail = _cutoff(f, cfg, decay_rate, growth_degree)
+    panels = _adaptive_panels(f, cfg, x_max, cfg.rel_tol)
     total = sum(p[3] for p in panels)
     err_sum = sum(p[0] for p in panels)
     roundoff = 1e-15 * sum(abs(p[3]) for p in panels) * math.sqrt(len(panels))
@@ -162,62 +218,298 @@ def integrate_semiinfinite(f: Callable, cfg: QuadratureConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
+# the families in float: one evaluator, the three-term recurrence
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _recurrence_term(family: WilsonFamily, n: int):
+    """Exact (beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2}
+    (gamma_1 multiplies P_{-1} = 0)."""
+    if family.symbolic:
+        raise ValueError("float evaluation needs a numeric B")
+    return standard_recurrence_terms(family, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _float_recurrence(family: WilsonFamily, n_max: int):
+    """(beta_1..beta_{n+1}, sqrt(gamma_1)..sqrt(gamma_{n+1}), scale_0..scale_n)
+    in float, scale_k = sqrt(gamma_2 ... gamma_{k+1})."""
+    if family.case == CASE_B:
+        family.require_nondegenerate(n_max)
+    terms = [_recurrence_term(family, n) for n in range(1, n_max + 2)]
+    beta = np.array([float(b) for b, _ in terms])
+    root = np.sqrt(np.array([float(g) for _, g in terms]))
+    scale = np.concatenate(([1.0], np.cumprod(root[1:])))
+    for array in (beta, root, scale):
+        array.flags.writeable = False  # cached
+    return beta, root, scale
+
+
+def family_values(family: WilsonFamily, n_max: int, u):
+    """P_0..P_{n_max} at the squared abscissae ``u`` in float, run forward
+    through the three-term recurrence (Gautschi 2004, sec. 2.1), which
+    stays well conditioned where Horner on the monomial coefficients loses
+    digits.
+
+    Returns (values, scale): P_k(u) = scale[k] * values[k], with scale[k] =
+    sqrt(gamma_2 ... gamma_{k+1}), the norm ratio ||P_k|| / ||P_0|| of a
+    positive measure, so the rows stay of unit order where the measure
+    lives.
+    """
+    beta, root, scale = _float_recurrence(family, n_max)
+    u = np.asarray(u, dtype=float)
+    values = np.empty((n_max + 1,) + u.shape)
+    values[0] = 1.0
+    for n in range(1, n_max + 1):
+        prev = (u + beta[n - 1]) * values[n - 1]
+        if n >= 2:
+            prev -= root[n - 1] * values[n - 2]
+        values[n] = prev / root[n]
+    return values, scale
+
+
+@functools.lru_cache(maxsize=1024)
+def _basis_coefficients(family: WilsonFamily, poly: RationalPolynomial) -> tuple:
+    """Exact a_k with poly = sum_k a_k P_k: Horner in the family basis,
+    using u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}."""
+    a: list = []
+    for c in reversed(poly.coeffs):
+        new = [Fraction(0)] * (len(a) + 1)
+        for k, ak in enumerate(a):
+            beta, gamma = _recurrence_term(family, k + 1)
+            new[k + 1] += ak
+            new[k] -= beta * ak
+            if k >= 1:
+                new[k - 1] += gamma * ak
+        new[0] += c
+        a = new
+    return tuple(a)
+
+
+def _scaled_basis(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
+    """Basis coefficients of poly against the scaled value rows."""
+    a = _basis_coefficients(family, poly)
+    if not a:
+        return np.zeros(1)
+    _, _, scale = _float_recurrence(family, len(a) - 1)
+    return np.array([float(c) for c in a]) * scale[: len(a)]
+
+
+def _basis_function(family: WilsonFamily, coeffs: np.ndarray):
+    """x -> sum_k coeffs[k] values_k(x^2), a polynomial in the family basis
+    as a factor of a fallback integrand."""
+    def f(x):
+        return coeffs @ family_values(family, coeffs.size - 1, x * x)[0]
+    return f
+
+
+# ---------------------------------------------------------------------------
+# the shared discrete measure
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class DiscreteMeasure:
+    """A family measure discretized for polynomial integrands of degree up
+    to 2 * ``degree`` in the squared variable.
+
+    The points ``x`` come in blocks of 3 * panel_order: per panel the
+    panel_order coarse nodes, then the 2 * panel_order fine nodes.  A last
+    block holds the tail-envelope probes 0.7, 0.85 and 1 times ``x_max``
+    (padded with ``x_max``) and has zero weight.  ``weights`` (one row per
+    block) are the Gauss-Legendre weights scaled to each panel, without
+    the density; ``density`` is the continuous density at ``x``, and
+    ``values[k]`` is P_k / scale[k] there.
+    """
+
+    family: WilsonFamily
+    cfg: QuadratureConfig
+    degree: int
+    x_max: float
+    x: np.ndarray
+    weights: np.ndarray
+    density: np.ndarray
+    values: np.ndarray
+    scale: np.ndarray
+    masses: tuple[PointMass, ...]
+
+    @property
+    def panels(self) -> int:
+        return self.weights.shape[0] - 1
+
+    def fine_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights times density) of the fine rule on all panels."""
+        k = self.cfg.panel_order
+        blocks = slice(0, self.panels), slice(k, 3 * k)
+        x = self.x.reshape(-1, 3 * k)[blocks]
+        return x.ravel(), (self.weights[blocks] * self.density.reshape(-1, 3 * k)[blocks]).ravel()
+
+    def sums(self, rows: np.ndarray, growth_degrees, factor: np.ndarray | None = None,
+             row_scale: np.ndarray | None = None):
+        """Certified integrals of the integrands row * factor * row_scale,
+        each row sampled at ``x`` (the density included in ``factor`` or the
+        rows where it belongs).
+
+        Returns (values, error estimates, within budget).  The estimate is
+        the summed per-panel |fine - coarse|, plus the tail bound for the
+        row's growth degree, plus a roundoff allowance that also covers the
+        recurrence values, whose relative error grows about linearly with
+        the degree (EPSILON per unit of growth degree).  A row is within
+        budget when its panel differences are at most half of max(abs_tol,
+        rel_tol |value|, roundoff floor) and, with an automatic cutoff, its
+        tail at most a quarter of it.  On panels this wide the roundoff
+        scale is the sum of |weight * integrand| over the fine nodes, not
+        of |panel value|, which cancels within a panel for oscillating
+        integrands.
+        """
+        cfg, k = self.cfg, self.cfg.panel_order
+        rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
+        w = self.weights if factor is None else self.weights * factor.reshape(-1, 3 * k)
+        coarse = np.einsum("rpk,pk->rp", rows[..., :k], w[:, :k])
+        fine = np.einsum("rpk,pk->rp", rows[..., k:], w[:, k:])
+        magnitude = np.einsum("rpk,pk->r", np.abs(rows[..., k:]), np.abs(w[:, k:]))
+        probes = rows[:, -1, :3] * (1.0 if factor is None else factor[-3 * k:][:3])
+        if row_scale is not None:
+            coarse, fine = coarse * row_scale[:, None], fine * row_scale[:, None]
+            magnitude = magnitude * np.abs(row_scale)
+            probes = probes * row_scale[:, None]
+        total = fine.sum(axis=-1)
+        err = np.abs(fine - coarse).sum(axis=-1)
+        budget = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total)),
+                            ROUNDOFF * magnitude)
+        at = self.x[-3 * k:][:3]
+        tails = np.array([tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, self.x_max)
+                          for v, p in zip(probes, growth_degrees)])
+        ok = err <= 0.5 * budget
+        if cfg.x_max is None:
+            ok &= tails <= 0.25 * budget
+        roundoff = magnitude * (1e-15 * math.sqrt(self.panels)
+                                + EPSILON * np.asarray(growth_degrees))
+        return total, err + tails + roundoff, ok
+
+
+def _graded_edges(x_max: float) -> np.ndarray:
+    """Initial measure panels: widths 1/2, 1, 2, 4, then MEASURE_PANEL_WIDTH.
+    The densities' poles and near-poles sit on the imaginary axis within
+    about 1/2 of the origin, so the panels there must be as short as their
+    distance to it; further out the rules resolve wide panels."""
+    edges, width = [0.0], 0.5
+    while edges[-1] + width < x_max:
+        edges.append(edges[-1] + width)
+        width = min(2.0 * width, MEASURE_PANEL_WIDTH)
+    return np.array(edges + [x_max])
+
+
+@functools.lru_cache(maxsize=32)
+def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
+    weight = family_weight(family)
+
+    def hardest(x):
+        values, _ = family_values(family, degree, x * x)
+        return weight.evaluate(x) * np.sum(values * values, axis=0)
+
+    try:
+        x_max, _ = _cutoff(hardest, cfg, weight.decay_rate, 4 * degree)
+        panels = _adaptive_panels(hardest, cfg, x_max, rel_tol=0.0,
+                                  edges=_graded_edges(x_max))
+    except NoConvergence:
+        return None
+    (xc, wc), (xf, wf) = _nodes(cfg.panel_order), _nodes(2 * cfg.panel_order)
+    lo = np.array([p[1] for p in panels])[:, None]
+    hi = np.array([p[2] for p in panels])[:, None]
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.concatenate((xc, xf))
+    probes = np.full(3 * cfg.panel_order, x_max)
+    probes[:3] = [k * x_max for k in PROBES]
+    x = np.concatenate((nodes.ravel(), probes))
+    weights = np.zeros((len(panels) + 1, 3 * cfg.panel_order))
+    weights[:-1] = 0.5 * (hi - lo) * np.concatenate((wc, wf))
+    values, scale = family_values(family, degree, x * x)
+    density = weight.evaluate(x)
+    for array in (x, weights, density, values):
+        array.flags.writeable = False  # shared by every caller
+    return DiscreteMeasure(family=family, cfg=cfg, degree=degree, x_max=x_max, x=x,
+                           weights=weights, density=density, values=values,
+                           scale=scale, masses=weight.point_masses)
+
+
+def discrete_measure(family: WilsonFamily, degree: int,
+                     cfg: QuadratureConfig | None = None) -> DiscreteMeasure | None:
+    """The shared measure serving polynomial degrees <= ``degree``: cached
+    per (family, cfg, bound), bound = the power of two >= max(degree, 8)
+    (the 32 most recently used; a rebuilt measure is identical).
+    None when its panel loop exceeds max_panels; callers then integrate
+    adaptively."""
+    bound = max(MEASURE_MIN_DEGREE, 1 << max(degree - 1, 0).bit_length())
+    return _build_measure(family, cfg or QuadratureConfig(), bound)
+
+
+def _integrals(measure, sums_args, growth_degrees, fallback) -> list:
+    """(value, error) per integrand row: from ``measure.sums(*sums_args(m),
+    growth_degrees)`` where it meets its budget, else from ``fallback(i)``
+    (the adaptive quadrature)."""
+    if measure is None:
+        return [fallback(i) for i in range(len(growth_degrees))]
+    rows, factor, row_scale = sums_args(measure)
+    total, err, ok = measure.sums(rows, growth_degrees, factor, row_scale)
+    return [(total[i], err[i]) if ok[i] else fallback(i) for i in range(len(growth_degrees))]
+
+
+def _fallback_cfg(cfg: QuadratureConfig, degree: int) -> QuadratureConfig:
+    return cfg if cfg.x_max is not None else replace(cfg, x_max=auto_cutoff(degree))
+
+
+# ---------------------------------------------------------------------------
 # inner products under a family measure
 # ---------------------------------------------------------------------------
 
-def _cont_factor(obj) -> Callable[[np.ndarray], np.ndarray]:
-    """As a factor of the continuous integrand: polynomials are evaluated
-    at the squared abscissa, callables at the abscissa itself."""
-    if isinstance(obj, RationalPolynomial):
-        coeffs = obj.float_coeffs()
+class _Factor:
+    """One factor of an integrand: a polynomial in the squared variable,
+    expanded exactly in the family basis, or a callable of the abscissa
+    with its continuation t -> f(i t) to the point masses."""
 
-        def pv(x):
-            u = x * x
-            acc = np.zeros_like(u)
-            for cc in reversed(coeffs):
-                acc = acc * u + cc
-            return acc
-        return pv
-    return obj
+    def __init__(self, family: WilsonFamily, obj, masses: tuple[PointMass, ...],
+                 at_masses: Callable | None):
+        if isinstance(obj, RationalPolynomial):
+            self.coeffs = _scaled_basis(family, obj)
+            self.degree = self.coeffs.size - 1
+            self.x_degree = 2 * max(obj.degree, 0)
+            self.function = _basis_function(family, self.coeffs)
+            ys = np.array([pm.y for pm in masses])
+            self.mass_values = self.coeffs @ family_values(family, self.degree, ys)[0]
+        else:
+            if masses and at_masses is None:
+                raise ValueError("callable factor needs values at the point masses "
+                                 "(its continuation to x = i t)")
+            self.coeffs, self.degree, self.x_degree, self.function = None, 0, 0, obj
+            self.mass_values = [at_masses(pm.t) for pm in masses]
 
-
-def _mass_values(obj, weight: WeightFunction, provided):
-    """Values of a factor at the point masses (squared argument y < 0)."""
-    if not weight.point_masses:
-        return []
-    if isinstance(obj, RationalPolynomial):
-        return [poly_eval(obj, pm.y) for pm in weight.point_masses]
-    if provided is None:
-        raise ValueError("callable factor needs values at the point masses "
-                         "(its continuation to x = i t)")
-    return [provided(pm.t) for pm in weight.point_masses]
-
-
-def _poly_degree_x(obj, default: int) -> int:
-    if isinstance(obj, RationalPolynomial):
-        return 2 * max(obj.degree, 0)
-    return default
+    def on(self, measure: DiscreteMeasure) -> np.ndarray:
+        if self.coeffs is None:
+            return np.asarray(self.function(measure.x))
+        return self.coeffs @ measure.values[: self.coeffs.size]
 
 
 def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = None,
                   p_at_masses: Callable | None = None,
                   q_at_masses: Callable | None = None):
     """<p, q> under the family measure: continuous weighted integral plus
-    the Case B point-mass terms.  Polynomial factors are exact at the mass
-    points; callable factors must supply their continuation t -> f(i t)
-    when masses are present.  Returns (value, error_estimate)."""
+    the Case B point-mass terms.  Polynomial factors are exact in the
+    family basis; callable factors must supply their continuation
+    t -> f(i t) when masses are present.  Returns (value, error_estimate)."""
     weight = family_weight(family)
     cfg = cfg or QuadratureConfig()
-    pf, qf = _cont_factor(p), _cont_factor(q)
-    degree = _poly_degree_x(p, 0) + _poly_degree_x(q, 0)
-    if cfg.x_max is None:
-        cfg = replace(cfg, x_max=auto_cutoff(degree))
-    val, err = integrate_semiinfinite(
-        lambda x: weight.evaluate(x) * pf(x) * qf(x), cfg,
-        decay_rate=weight.decay_rate, growth_degree=degree)
-    pv = _mass_values(p, weight, p_at_masses)
-    qv = _mass_values(q, weight, q_at_masses)
-    for pm, a, b in zip(weight.point_masses, pv, qv):
+    pf = _Factor(family, p, weight.point_masses, p_at_masses)
+    qf = _Factor(family, q, weight.point_masses, q_at_masses)
+    degree = pf.x_degree + qf.x_degree
+    measure = discrete_measure(family, max(pf.degree, qf.degree), cfg)
+
+    def fallback(_):
+        return integrate_semiinfinite(
+            lambda x: weight.evaluate(x) * pf.function(x) * qf.function(x),
+            _fallback_cfg(cfg, degree), decay_rate=weight.decay_rate, growth_degree=degree)
+
+    [(val, err)] = _integrals(measure, lambda m: (pf.on(m), m.density * qf.on(m), None),
+                              [degree], fallback)
+    for pm, a, b in zip(weight.point_masses, pf.mass_values, qf.mass_values):
         term = pm.mass * complex(a) * complex(b)
         val = val + term
         err += 1e-15 * abs(term)
@@ -250,17 +542,56 @@ class CoefficientTable:
         raise KeyError(n)
 
 
+def _basis_rows(family: WilsonFamily, measure: DiscreteMeasure | None, first: int,
+                last: int, factor: Callable, growth: Callable[[int], int],
+                cfg: QuadratureConfig, on_measure: Callable | None = None) -> list:
+    """(value, error) of integral_0^inf factor(x) P_n(x^2) dx for
+    n = first..last: the value rows against factor(x) (or on_measure(m))
+    on the measure, the adaptive quadrature for any row that misses its
+    budget."""
+    def rows(m):
+        at = factor(m.x) if on_measure is None else on_measure(m)
+        return m.values[first:last + 1], at, m.scale[first:last + 1]
+
+    def fallback(i):
+        n = first + i
+        unit = np.zeros(n + 1)
+        unit[n] = _float_recurrence(family, n)[2][n]
+        pn = _basis_function(family, unit)
+        return integrate_semiinfinite(lambda x: factor(x) * pn(x),
+                                      _fallback_cfg(cfg, growth(n)), growth_degree=growth(n))
+
+    return _integrals(measure, rows, [growth(n) for n in range(first, last + 1)], fallback)
+
+
+def _mass_rows(family: WilsonFamily, n_max: int) -> np.ndarray:
+    """P_n at the point masses, one row per n = 0..n_max."""
+    masses = family_weight(family).point_masses
+    values, scale = family_values(family, n_max, np.array([pm.y for pm in masses]))
+    return scale[:, None] * values
+
+
 def project(f_target, family: WilsonFamily, n_max: int,
             cfg: QuadratureConfig | None = None,
             f_at_masses: Callable | None = None) -> CoefficientTable:
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
-    n = 0..n_max under the family measure.  Denominators use the
-    closed-form norms."""
-    table = monic_from_recurrence(family, max(n_max, 1))
+    n = 0..n_max under the family measure, all numerators from one pass
+    over the shared measure.  Denominators use the closed-form norms."""
+    weight = family_weight(family)
+    cfg = cfg or QuadratureConfig()
+    target = _Factor(family, f_target, weight.point_masses, f_at_masses)
+    measure = discrete_measure(family, max(n_max, target.degree), cfg)
+    nums = _basis_rows(family, measure, 0, n_max,
+                       lambda x: weight.evaluate(x) * target.function(x),
+                       lambda n: target.x_degree + 2 * n, cfg,
+                       on_measure=lambda m: m.density * target.on(m))
+    at_masses = _mass_rows(family, n_max)
     entries = []
-    for n in range(n_max + 1):
-        num, err = inner_product(family, f_target, table[n], cfg,
-                                 p_at_masses=f_at_masses)
+    for n, (num, err) in enumerate(nums):
+        for pm, fv, pv in zip(weight.point_masses, target.mass_values, at_masses[n]):
+            term = pm.mass * complex(fv) * complex(pv)
+            num = num + term
+            err += 1e-15 * abs(term)
         norm = float(norm_closed_form(family, n))
         entries.append((n, complex(num) / norm, err / abs(norm)))
     return CoefficientTable(family.case, family.b, "projection", tuple(entries))
@@ -276,17 +607,10 @@ def parity_target(case: str):
     return (lambda x: np.exp(-np.pi * x) + 0j), (lambda t: complex(np.exp(-1j * np.pi * t)))
 
 
-def _case_a_moment_integrand(poly: RationalPolynomial):
-    coeffs = poly.float_coeffs()
-
-    def f(x):
-        u = x * x
-        acc = np.zeros_like(u)
-        for cc in reversed(coeffs):
-            acc = acc * u + cc
-        core = x * (1.0 + 4.0 * u) * np.sinh(np.pi * x) / np.cosh(np.pi * x) ** 3
-        return core * (np.exp(-np.pi * x) + 1j) * acc
-    return f
+def _case_a_moment(x):
+    """The Case A closed-formula integrand without its polynomial:
+    x (1 + 4x^2) sinh(pi x) / cosh(pi x)^3 (e^{-pi x} + i)."""
+    return x * (1.0 + 4.0 * x * x) * _sinh_over_cosh_cubed(x) * (np.exp(-np.pi * x) + 1j)
 
 
 def parity_coefficients(family: WilsonFamily, n_max: int,
@@ -302,7 +626,8 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     reference).  Case B: all c_n from the closed formula under the full
     measure; "printed" drops the point-mass terms (continuous integral
     only, as literally printed).  "projection" computes both cases by
-    generic orthogonal projection of the reconstruction target.
+    generic orthogonal projection of the reconstruction target.  Each route
+    takes all its integrals in one pass over the shared measure.
     """
     if family.case == CASE_B:
         if family.b is None:
@@ -327,37 +652,31 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     if route not in ("closed_form", "printed"):
         raise ValueError(f"unknown route {route!r}")
 
-    table = monic_from_recurrence(family, max(n_max, 1))
+    cfg = cfg or QuadratureConfig()
     entries = []
     if family.case == CASE_A:
         entries.append((0, -1j, 0.0))
-        for n in range(1, n_max + 1):
-            poly = table[n - 1]
-            use_cfg = cfg or QuadratureConfig()
-            if use_cfg.x_max is None:
-                use_cfg = replace(use_cfg, x_max=auto_cutoff(2 * (n - 1) + 3))
-            integral, err = integrate_semiinfinite(
-                _case_a_moment_integrand(poly), use_cfg,
-                growth_degree=2 * (n - 1) + 3)
+        if n_max >= 1:
+            measure = discrete_measure(family, n_max - 1, cfg)
+            integrals = _basis_rows(family, measure, 0, n_max - 1, _case_a_moment,
+                                    lambda k: 2 * k + 3, cfg)
             norm = printed_norm_rhs if route == "printed" else norm_closed_form
-            const = math.pi ** 2 * (-1) ** n / float(norm(family, n - 1))
-            entries.append((n, const * integral, abs(const) * err))
+            for n, (integral, err) in enumerate(integrals, start=1):
+                const = math.pi ** 2 * (-1) ** n / float(norm(family, n - 1))
+                entries.append((n, complex(const * integral), abs(const) * err))
     else:
         weight = family_weight(family)
-        for n in range(n_max + 1):
-            poly = table[n]
-            pf = _cont_factor(poly)
-            use_cfg = cfg or QuadratureConfig()
-            if use_cfg.x_max is None:
-                use_cfg = replace(use_cfg, x_max=auto_cutoff(2 * n + 1))
-            integral, err = integrate_semiinfinite(
-                lambda x, pf=pf: weight.evaluate(x) * np.exp(-np.pi * x) * pf(x),
-                use_cfg, growth_degree=2 * n + 1)
+        measure = discrete_measure(family, n_max, cfg)
+        integrals = _basis_rows(family, measure, 0, n_max,
+                                lambda x: weight.evaluate(x) * np.exp(-np.pi * x),
+                                lambda n: 2 * n + 1, cfg)
+        at_masses = _mass_rows(family, n_max)
+        for n, (integral, err) in enumerate(integrals):
             if route == "closed_form":
-                for pm in weight.point_masses:
-                    integral += pm.mass * complex(np.exp(-1j * np.pi * pm.t)) * poly_eval(poly, pm.y)
+                for pm, pv in zip(weight.point_masses, at_masses[n]):
+                    integral = integral + pm.mass * complex(np.exp(-1j * np.pi * pm.t)) * pv
             const = (-1) ** n / float(norm_closed_form(family, n))
-            entries.append((n, const * integral, abs(const) * err))
+            entries.append((n, complex(const * integral), abs(const) * err))
     return CoefficientTable(family.case, family.b, route, tuple(entries))
 
 
@@ -369,38 +688,38 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
 
     Case A pairs c_{n+1} with the degree-n member (the index offset is
     encoded here and in parity_coefficients only); Case B pairs c_n with
-    degree n.  The residual sequence of an orthogonal projection is
+    degree n.  All partial sums S_N come from one cumulative sum over the
+    shared measure.  The residual sequence of an orthogonal projection is
     nonincreasing up to quadrature error.
     """
     if table is None:
         table = parity_coefficients(family, n_trunc + (1 if family.case == CASE_A else 0), cfg)
+    cfg = cfg or QuadratureConfig()
     weight = family_weight(family)
     f_target, f_masses = parity_target(family.case)
-    polys = monic_from_recurrence(family, n_trunc)
-    pvals = [_cont_factor(polys[n]) for n in range(n_trunc + 1)]
+    offset = 1 if family.case == CASE_A else 0
+    signed = np.array([(-1) ** n * table.coefficient(n + offset) for n in range(n_trunc + 1)],
+                      dtype=complex)
+    measure = discrete_measure(family, n_trunc, cfg)
 
-    def signed_coeff(n: int) -> complex:
-        if family.case == CASE_A:
-            return (-1) ** n * table.coefficient(n + 1)
-        return (-1) ** n * table.coefficient(n)
+    def rows(m):
+        partial = (signed * m.scale[: n_trunc + 1])[:, None] * m.values[: n_trunc + 1]
+        np.cumsum(partial, axis=0, out=partial)
+        partial -= f_target(m.x)
+        return partial.real ** 2 + partial.imag ** 2, m.density, None
 
+    def fallback(N):
+        partial = _basis_function(family, signed[: N + 1] * _float_recurrence(family, N)[2])
+        return integrate_semiinfinite(
+            lambda x: weight.evaluate(x) * np.abs(f_target(x) - partial(x)) ** 2,
+            _fallback_cfg(cfg, 4 * n_trunc), growth_degree=4 * N)
+
+    integrals = _integrals(measure, rows, [4 * N for N in range(n_trunc + 1)], fallback)
+    at_masses = np.cumsum(signed[:, None] * _mass_rows(family, n_trunc), axis=0)
     residuals = []
-    use_cfg = cfg or QuadratureConfig()
-    if use_cfg.x_max is None:
-        use_cfg = replace(use_cfg, x_max=auto_cutoff(4 * n_trunc))
-    for N in range(n_trunc + 1):
-        coeffs = [signed_coeff(n) for n in range(N + 1)]
-
-        def integrand(x):
-            s = np.zeros(np.shape(x), dtype=complex)
-            for n, c in enumerate(coeffs):
-                s = s + c * pvals[n](x)
-            return weight.evaluate(x) * np.abs(f_target(x) - s) ** 2
-
-        val, _ = integrate_semiinfinite(integrand, use_cfg, growth_degree=4 * N)
+    for N, (val, _) in enumerate(integrals):
         total = float(np.real(val))
-        for pm in weight.point_masses:
-            s = sum(c * poly_eval(polys[n], pm.y) for n, c in enumerate(coeffs))
+        for pm, s in zip(weight.point_masses, at_masses[N]):
             total += pm.mass * abs(f_masses(pm.t) - s) ** 2
         residuals.append(math.sqrt(max(total, 0.0)))
     return tuple(residuals)
@@ -410,25 +729,20 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
 # numeric orthogonalization (the third construction route)
 # ---------------------------------------------------------------------------
 
-def stieltjes_monic_table(family: WilsonFamily, n_max: int,
-                          panel_order: int = 40) -> list[np.ndarray]:
+def stieltjes_monic_table(family: WilsonFamily, n_max: int) -> list[np.ndarray]:
     """Monic orthogonal polynomials of the family measure built by
     sequential orthogonalization of 1, u, u^2, ... (Stieltjes recurrence
     with quadrature inner products): the measure-level oracle against the
-    exact construction routes.  Returns float coefficient arrays."""
-    weight = family_weight(family)
-    x_max = auto_cutoff(4 * n_max + 2)
-    xs_all, ws_all = [], []
-    nodes, wts = _nodes(panel_order)
-    edges = np.arange(0.0, x_max + 0.5, 0.5)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs_all.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes)
-        ws_all.append(0.5 * (hi - lo) * wts)
-    xs = np.concatenate(xs_all)
-    ws = np.concatenate(ws_all) * weight.evaluate(xs)
+    exact construction routes.  Uses only the nodes, the fine-rule weights
+    and the point masses of the shared measure, never its recurrence
+    values.  Returns float coefficient arrays."""
+    measure = discrete_measure(family, n_max)
+    if measure is None:
+        raise NoConvergence(f"no discrete measure for {family.label()} at degree {n_max}")
+    xs, ws = measure.fine_rule()
     u = xs * xs
-    mass_u = np.array([pm.y for pm in weight.point_masses])
-    mass_w = np.array([pm.mass for pm in weight.point_masses])
+    mass_u = np.array([pm.y for pm in measure.masses])
+    mass_w = np.array([pm.mass for pm in measure.masses])
 
     def ip(fvals, gvals, fm, gm):
         out = float(np.sum(ws * fvals * gvals))

@@ -516,8 +516,10 @@ def run_suites(names=None, extended: bool = False,
                 kwargs = {"n_max": 10 if extended else 8,
                           "threshold_scale": threshold_scale}
             elif fn is check_orthogonality:
-                kwargs = {"n_max": 8 if extended else 6,
+                kwargs = {"n_max": 20 if extended else 6,
                           "threshold_scale": threshold_scale}
+            elif fn is check_reconstruction:
+                kwargs = {"n_trunc": 24 if extended else 12}
             elif fn is check_lorentz:
                 kwargs = {"threshold_scale": threshold_scale}
             fn(report.results, **kwargs)

@@ -35,6 +35,7 @@ from .numcore import (
 
 CASE_A = "A"
 CASE_B = "B"
+TWO_PI = 2.0 * math.pi
 
 _B_SYMBOL = RationalPolynomial([0, 1])  # the indeterminate B
 
@@ -355,10 +356,18 @@ class WeightFunction:
     decay_rate: float = 2.0 * math.pi
 
 
+def _sinh_over_cosh_cubed(x):
+    """sinh(pi x) / cosh(pi x)^3, written as 4 q (1 - q) / (1 + q)^3 with
+    q = exp(-2 pi |x|) so that it neither overflows (cosh^3 does past
+    x ~ 75) nor cancels near 0."""
+    x = np.asarray(x, dtype=float)
+    q = np.exp(-TWO_PI * np.abs(x))
+    return np.sign(x) * 4.0 * q * -np.expm1(-TWO_PI * np.abs(x)) / (1.0 + q) ** 3
+
+
 def _case_a_weight(x):
     x = np.asarray(x, dtype=float)
-    return (np.pi ** 2 / 4.0) * x * (1.0 + 4.0 * x * x) ** 2 \
-        * np.sinh(np.pi * x) / np.cosh(np.pi * x) ** 3
+    return (np.pi ** 2 / 4.0) * x * (1.0 + 4.0 * x * x) ** 2 * _sinh_over_cosh_cubed(x)
 
 
 def family_weight(family: WilsonFamily) -> WeightFunction:

@@ -67,6 +67,13 @@ def test_criterion_4_orthogonality_and_norms():
     _report("4 orthogonality/norms", results)
 
 
+def test_extended_orthogonality_cap():
+    # --extended checks orthogonality to n = 20 in Case A and all three B
+    report = verify.run_suites(["orthogonality"], extended=True)
+    assert report.results and all(r.status == "pass" for r in report.results)
+    assert "n <= 20" in report.results[0].note
+
+
 def test_criterion_5_generating_functions():
     t0 = time.perf_counter()
     results = _run_checks(verify.check_generating_functions)

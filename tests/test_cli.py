@@ -166,6 +166,23 @@ def test_verify_subset_and_exit_codes(capsys):
     assert code == 1
 
 
+def test_verify_json_goes_to_stdout_without_out(capsys):
+    code, out = run(["verify", "--suite", "lorentz", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert {r["check"] for r in rows} >= {"lorentz-audit", "lorentz-n0"}
+    assert all(r["status"] == "pass" for r in rows)
+
+
+def test_verify_json_out_file_keeps_text_summary(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    code, out = run(["verify", "--suite", "lorentz", "--format", "json",
+                     "--out", str(path)], capsys)
+    assert code == 0
+    assert "[PASS] lorentz-audit" in out and out.rstrip().endswith("0 failed")
+    assert json.loads(path.read_text())[0]["check"] == "lorentz-audit"
+
+
 def test_verify_unknown_suite(capsys):
     assert run_subcommand(["verify", "--suite", "bogus"]) == 1
     capsys.readouterr()

@@ -4,22 +4,27 @@ reconstruction residuals."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from paritywilson import expand
 from paritywilson.errors import NoConvergence
 from paritywilson.expand import (
     QuadratureConfig,
     auto_cutoff,
+    discrete_measure,
+    family_values,
     inner_product,
     integrate_semiinfinite,
     parity_coefficients,
     parity_target,
     project,
     reconstruction_residual,
+    stieltjes_monic_table,
     tail_bound,
 )
-from paritywilson.numcore import poly_eval
+from paritywilson.numcore import RationalPolynomial, poly_eval
 from paritywilson.wilson import (
     WilsonFamily,
     family_weight,
@@ -30,6 +35,7 @@ from paritywilson.wilson import (
 CASE_A = WilsonFamily.case_a()
 CASE_B_32 = WilsonFamily.case_b(Fraction(3, 2))
 TWO_PI = 2.0 * math.pi
+FAMILIES = [CASE_A] + [WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
 
 
 class TestIntegrate:
@@ -74,6 +80,21 @@ class TestIntegrate:
         with pytest.raises(NoConvergence):
             integrate_semiinfinite(
                 lambda x: np.cos(37.0 * x * x) * np.exp(-x) * 1e6, cfg)
+
+    def test_no_convergence_message_carries_the_state(self):
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_panels=20, x_max=16.0)
+        with pytest.raises(NoConvergence) as info:
+            integrate_semiinfinite(lambda x: np.cos(37.0 * x * x) * np.exp(-x) * 1e6, cfg)
+        msg = str(info.value)
+        assert "exceeded 20 panels" in msg
+        assert "err_sum" in msg and "budget" in msg
+        assert "worst panel [" in msg
+
+    def test_tail_bound_survives_high_degree(self):
+        # 101^256 overflows a float; the bound itself is representable
+        tail = tail_bound(1e-300, 256, TWO_PI, 101.0)
+        want = 1e-300 * mpmath.gammainc(257, TWO_PI * 101.0) / mpmath.mpf(TWO_PI) ** 257
+        assert tail == pytest.approx(float(want), rel=1e-12)
 
     def test_auto_cutoff_grows_with_degree(self):
         assert auto_cutoff(0) == 15.0
@@ -189,3 +210,166 @@ class TestReconstruction:
             gap = res[n - 1] ** 2 - res[n] ** 2
             want = abs(table.coefficient(n + 1)) ** 2 * float(norm_closed_form(CASE_A, n))
             assert gap == pytest.approx(want, rel=1e-6, abs=1e-10)
+
+
+def _exact_value(poly, u: Fraction) -> float:
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * u + c
+    return float(acc)
+
+
+def _oracle_member(family, n):
+    """x -> P_n(x^2) for the adaptive oracle integrands."""
+    def pn(x):
+        values, scale = family_values(family, n, x * x)
+        return scale[n] * values[n]
+    return pn
+
+
+class TestFamilyValues:
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32])
+    def test_recurrence_matches_exact_values(self, family):
+        n = 20
+        table = monic_from_recurrence(family, n)
+        us = [Fraction(k, 7) for k in range(0, 120, 9)]
+        values, scale = family_values(family, n, np.array([float(u) for u in us]))
+        for k in (12, 20):
+            for j, u in enumerate(us):
+                want = _exact_value(table[k], u)
+                got = scale[k] * values[k, j]
+                assert abs(got - want) <= 1e-12 * max(abs(want), scale[k]), (k, float(u))
+
+
+class TestDiscreteMeasure:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_orthogonality_to_degree_twenty(self, family):
+        n_max = 20
+        table = monic_from_recurrence(family, n_max)
+        norms = [float(norm_closed_form(family, n)) for n in range(n_max + 1)]
+        for n in range(n_max + 1):
+            for m in range(n, n_max + 1):
+                val = float(np.real(inner_product(family, table[n], table[m])[0]))
+                if n == m:
+                    assert abs(val - norms[n]) <= 1e-8 * norms[n], (n, m)
+                else:
+                    assert abs(val) <= 1e-8 * math.sqrt(norms[n] * norms[m]), (n, m)
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    def test_inner_products_agree_with_adaptive_oracle(self, family):
+        weight = family_weight(family)
+        table = monic_from_recurrence(family, 12)
+        for n, m in ((0, 0), (3, 11), (7, 7), (12, 12), (5, 12)):
+            val, err = inner_product(family, table[n], table[m])
+            pn, pm = _oracle_member(family, n), _oracle_member(family, m)
+            degree = 2 * (n + m)
+            want, want_err = integrate_semiinfinite(
+                lambda x: weight.evaluate(x) * pn(x) * pm(x),
+                QuadratureConfig(x_max=auto_cutoff(degree)), growth_degree=degree)
+            for mass in weight.point_masses:
+                u = np.array(mass.y)
+                vals, scale = family_values(family, max(n, m), u)
+                want += mass.mass * scale[n] * vals[n] * scale[m] * vals[m]
+            assert abs(val - want) <= err + want_err, (n, m)
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    def test_coefficient_routes_agree_with_adaptive_oracle(self, family):
+        n_max = 12
+        closed = parity_coefficients(family, n_max)
+        proj = parity_coefficients(family, n_max, route="projection")
+        weight = family_weight(family)
+        f_target, f_masses = parity_target(family.case)
+        for n in range(1, n_max + 1):
+            k = n - 1 if family.case == "A" else n
+            pk = _oracle_member(family, k)
+            degree = 2 * k
+            num, num_err = integrate_semiinfinite(
+                lambda x: weight.evaluate(x) * f_target(x) * pk(x),
+                QuadratureConfig(x_max=auto_cutoff(degree)), growth_degree=degree)
+            for mass in weight.point_masses:
+                vals, scale = family_values(family, k, np.array(mass.y))
+                num += mass.mass * f_masses(mass.t) * scale[k] * vals[k]
+            norm = float(norm_closed_form(family, k))
+            want, want_err = (-1) ** k * num / norm, num_err / norm
+            for table in (closed, proj):
+                assert abs(table.coefficient(n) - want) <= table.error(n) + want_err, \
+                    (table.route, n)
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    def test_residuals_agree_with_adaptive_oracle(self, family):
+        n_trunc = 24
+        table = parity_coefficients(family, n_trunc + (1 if family.case == "A" else 0))
+        res = reconstruction_residual(family, n_trunc, table=table)
+        weight = family_weight(family)
+        f_target, f_masses = parity_target(family.case)
+        offset = 1 if family.case == "A" else 0
+        coeffs = np.array([(-1) ** n * table.coefficient(n + offset)
+                           for n in range(n_trunc + 1)])
+        for N in (0, 8, 16, 24):
+            def integrand(x, N=N):
+                values, scale = family_values(family, N, x * x)
+                s = (coeffs[: N + 1] * scale) @ values
+                return weight.evaluate(x) * np.abs(f_target(x) - s) ** 2
+            want, want_err = integrate_semiinfinite(
+                integrand, QuadratureConfig(x_max=auto_cutoff(4 * n_trunc)),
+                growth_degree=4 * N)
+            for mass in weight.point_masses:
+                vals, scale = family_values(family, N, np.array(mass.y))
+                s = (coeffs[: N + 1] * scale) @ vals
+                want += mass.mass * abs(f_masses(mass.t) - s) ** 2
+            # the measure's own bar on the squared residual is its budget
+            assert abs(res[N] ** 2 - want) <= want_err + 1e-10 * want + 1e-13, N
+
+    def test_error_bars_cover_the_oracle_difference_for_callables(self):
+        # a factor the measure cannot resolve falls back to the adaptive path
+        f = lambda x: np.cos(40.0 * x)  # noqa: E731
+        val, err = inner_product(CASE_A, f, RationalPolynomial([1]))
+        weight = family_weight(CASE_A)
+        want, want_err = integrate_semiinfinite(
+            lambda x: weight.evaluate(x) * f(x), QuadratureConfig(x_max=auto_cutoff(0)))
+        assert abs(val - want) <= err + want_err
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    def test_adaptive_fallback_agrees_when_no_measure(self, family, monkeypatch):
+        table = monic_from_recurrence(family, 6)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(expand, "_build_measure", lambda *args: None)
+            runs.append((inner_product(family, table[2], table[6]),
+                         inner_product(family, table[4], table[4]),
+                         parity_coefficients(family, 6),
+                         parity_coefficients(family, 6, route="projection"),
+                         reconstruction_residual(family, 6)))
+        (measured, fallback) = runs
+        for (a, ea), (b, eb) in zip(measured[:2], fallback[:2]):
+            assert abs(a - b) <= ea + eb
+        for ta, tb in zip(measured[2:4], fallback[2:4]):
+            for n in range(7):
+                assert abs(ta.coefficient(n) - tb.coefficient(n)) <= ta.error(n) + tb.error(n)
+        assert measured[4] == pytest.approx(fallback[4], rel=1e-8)
+        with pytest.raises(NoConvergence):
+            stieltjes_monic_table(family, 4)
+
+    def test_results_do_not_depend_on_earlier_measures(self):
+        def run():
+            table = monic_from_recurrence(CASE_B_32, 12)
+            return (inner_product(CASE_B_32, table[5], table[12]),
+                    parity_coefficients(CASE_B_32, 12).entries,
+                    parity_coefficients(CASE_A, 12, route="projection").entries,
+                    reconstruction_residual(CASE_A, 12))
+
+        expand._build_measure.cache_clear()
+        fresh = run()
+        expand._build_measure.cache_clear()
+        for family in (CASE_A, CASE_B_32):
+            discrete_measure(family, 64)
+            parity_coefficients(family, 40)
+        assert run() == fresh
+
+    def test_degree_bound_is_a_power_of_two(self):
+        assert discrete_measure(CASE_A, 0).degree == 8
+        assert discrete_measure(CASE_A, 8).degree == 8
+        assert discrete_measure(CASE_A, 9).degree == 16
+        assert discrete_measure(CASE_A, 40).degree == 64
+        assert discrete_measure(CASE_A, 9) is discrete_measure(CASE_A, 16)
