@@ -20,7 +20,6 @@ from .numcore import (
     hyp_2f1_series,
     hyp_pfq_series,
     hyp_pfq_terminating,
-    parse_frac,
     pochhammer,
     poly_eval,
 )
@@ -40,7 +39,6 @@ from .wilson import (
     norm_closed_form,
     printed_norm_rhs,
     recurrence_discrepancy_report,
-    weight_and_norm,
 )
 from .spectral import (
     EigenpairRecord,

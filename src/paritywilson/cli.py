@@ -1,61 +1,56 @@
 """Command-line interface.
 
 Subcommands: poly, eigen, residual, second-solution, coeffs, reconstruct,
-lorentz, scan, verify.  Every subcommand supports --format json|csv and
---out; doubles are printed with 17 significant digits and rationals as
-"p/q" strings, so identical configurations produce byte-identical output.
-Exit codes: 0 success (verify: no failed check), 1 computation failure or
-failed checks, 2 usage error.
+lorentz, scan, verify.  Each subcommand computes a CSV header and rows,
+and the JSON object where its JSON shape is not those rows as records;
+:func:`_emit`, the one output path, writes either as --format json|csv
+to stdout or to --out.  Doubles are printed with 17 significant digits,
+rationals as "p/q" strings and coefficient polynomials in B as lists of
+them (";"-joined in CSV); CSV quotes a field only when it contains a
+comma or a quote.  Identical configurations produce byte-identical
+output.  Exit codes: 0 success (verify: no failed check), 1 computation
+failure or failed checks, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expand, lorentz, spectral, verify, wilson
 from .errors import ParityWilsonError
-from .numcore import BParamPolynomial, RationalPolynomial, frac_to_str
+from .numcore import RationalPolynomial, frac_to_str
 from .wilson import CASE_A, CASE_B, WilsonFamily
 
 OUT_DIR_ENV = "PARITYWILSON_OUT"
+
+# the QuadratureConfig fields a flag (--rel-tol, ...) or the config file may set
+_QUADRATURE_OPTIONS = {"rel_tol": float, "abs_tol": float, "panel_order": int,
+                      "x_max": float, "max_panels": int}
+_CONFIG_KEYS = {**_QUADRATURE_OPTIONS, "format": str, "out_dir": str}
 
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _poly_strs(poly) -> list:
-    if isinstance(poly, BParamPolynomial):
-        return [[frac_to_str(c) for c in coef.coeffs] or ["0"] for coef in poly.coeffs]
-    return [frac_to_str(c) for c in poly.coeffs]
-
-
 @dataclass
 class RunConfig:
     """Resolved run options: config-file values overridden by flags."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    panel_order: int = 24
-    x_max: float | None = None
-    max_panels: int = 4000
+    quadrature_options: dict = field(default_factory=dict)  # keys of _QUADRATURE_OPTIONS
     format: str = "json"
     format_requested: bool = False  # by --format or the config file
     out_dir: str | None = None
 
     def quadrature(self) -> expand.QuadratureConfig:
-        return expand.QuadratureConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                                       panel_order=self.panel_order, x_max=self.x_max,
-                                       max_panels=self.max_panels)
-
-
-_CONFIG_KEYS = {"rel_tol": float, "abs_tol": float, "panel_order": int,
-                "x_max": float, "max_panels": int, "format": str, "out_dir": str}
+        return expand.QuadratureConfig(**self.quadrature_options)
 
 
 def load_config(path: str) -> dict:
@@ -77,42 +72,69 @@ def load_config(path: str) -> dict:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in load_config(args.config).items():
+    values = load_config(args.config) if getattr(args, "config", None) else {}
+    for key in (*_QUADRATURE_OPTIONS, "format"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(format_requested="format" in values, out_dir=os.environ.get(OUT_DIR_ENV))
+    for key, val in values.items():
+        if key in _QUADRATURE_OPTIONS:
+            cfg.quadrature_options[key] = val
+        else:
             setattr(cfg, key, val)
-            cfg.format_requested |= key == "format"
-    for key in ("rel_tol", "abs_tol", "panel_order", "x_max", "max_panels"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "format", None):
-        cfg.format = args.format
-        cfg.format_requested = True
-    if cfg.out_dir is None:
-        cfg.out_dir = os.environ.get(OUT_DIR_ENV)
     return cfg
 
 
-def _emit(text: str, args, cfg: RunConfig) -> None:
+def _value(v):
+    """JSON form of an output value: rationals as "p/q", a coefficient
+    polynomial in B as the list of its coefficients (["0"] when zero)."""
+    if isinstance(v, Fraction):
+        return frac_to_str(v)
+    if isinstance(v, RationalPolynomial):
+        return [frac_to_str(c) for c in v.coeffs] or ["0"]
+    if isinstance(v, dict):
+        return {k: _value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_value(x) for x in v]
+    return v
+
+
+def _cell(v) -> str:
+    v = _value(v)
+    return ";".join(v) if isinstance(v, list) else str(v)
+
+
+def _records(header: list[str], rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _emit(args, cfg: RunConfig, header: list[str], rows, obj=None, text=None) -> None:
+    """The one output path: ``header`` and ``rows`` as CSV, or ``obj`` as
+    JSON (default: the rows as records), to --out resolved against
+    $PARITYWILSON_OUT, else to stdout.  ``text`` is verify's report: it is
+    printed instead of the data when neither a format nor --out was asked
+    for, and beside a --out file."""
     out = getattr(args, "out", None)
-    if out:
-        if cfg.out_dir and not os.path.isabs(out):
-            out = os.path.join(cfg.out_dir, out)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    as_data = text is None or bool(out) or cfg.format_requested
+    if as_data:
+        if cfg.format == "json":
+            body = json.dumps(_value(_records(header, rows) if obj is None else obj),
+                              indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(c) for c in row] for row in rows)
+            body = buf.getvalue()
+        if out:
+            if cfg.out_dir and not os.path.isabs(out):
+                out = os.path.join(cfg.out_dir, out)
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        else:
+            sys.stdout.write(body)
+    if text is not None and (out or not as_data):
         sys.stdout.write(text)
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _family_from_args(args) -> WilsonFamily:
@@ -125,10 +147,6 @@ def _family_from_args(args) -> WilsonFamily:
     return WilsonFamily.case_b(Fraction(args.b))
 
 
-def _b_str(family: WilsonFamily):
-    return None if family.b is None else frac_to_str(family.b)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -136,18 +154,11 @@ def _b_str(family: WilsonFamily):
 def _cmd_poly(args, cfg: RunConfig) -> int:
     family = _family_from_args(args)
     table = wilson.monic_from_recurrence(family, args.n, form=args.form)
-    entries = [{"n": n, "coeffs": _poly_strs(table[n])} for n in range(args.n + 1)]
-    if cfg.format == "json":
-        _emit(_json({"case": family.case, "B": _b_str(family), "form": args.form,
-                     "entries": entries}), args, cfg)
-    else:
-        rows = []
-        for n in range(args.n + 1):
-            for power, c in enumerate(table[n].coeffs):
-                val = frac_to_str(c) if not isinstance(c, RationalPolynomial) \
-                    else ";".join(frac_to_str(x) for x in c.coeffs)
-                rows.append([n, power, val])
-        _emit(_csv(rows, ["n", "power", "coeff"]), args, cfg)
+    entries = [[n, list(table[n].coeffs)] for n in range(args.n + 1)]
+    rows = [[n, power, c] for n, coeffs in entries for power, c in enumerate(coeffs)]
+    _emit(args, cfg, ["n", "power", "coeff"], rows,
+          {"case": family.case, "B": family.b, "form": args.form,
+           "entries": _records(["n", "coeffs"], entries)})
     return 0
 
 
@@ -158,67 +169,55 @@ def _cmd_eigen(args, cfg: RunConfig) -> int:
         b = None if getattr(args, "symbolic", False) else (
             Fraction(args.b) if args.b is not None else None)
         rec = spectral.eigenfunction_case_b(args.n, b)
-    poly = _poly_strs(rec.poly) if rec.poly is not None else None
-    obj = {"ell1": rec.ell1, "alpha": frac_to_str(rec.alpha), "poly": poly}
+    coeffs = list(rec.poly.coeffs) if rec.poly is not None else None
+    obj = {"ell1": rec.ell1, "alpha": rec.alpha, "poly": coeffs}
     if rec.case == CASE_B:
-        obj["B"] = None if rec.b is None else frac_to_str(rec.b)
+        obj["B"] = rec.b
     obj["prefactor"] = rec.prefactor
     if rec.rational_g:
         obj["z_space_part"] = "1/(z^2 - 1/4)"
-    if cfg.format == "json":
-        _emit(_json(obj), args, cfg)
-    else:
-        rows = [[p, c] for p, c in enumerate(poly or [])]
-        _emit(_csv(rows, ["power", "coeff"]), args, cfg)
+    _emit(args, cfg, ["power", "coeff"], list(enumerate(coeffs or [])), obj)
     return 0
 
 
 def _cmd_residual(args, cfg: RunConfig) -> int:
     family = _family_from_args(args)
-    b = None if family.case == CASE_A else family.b
+    b = family.b
     ell1 = args.ell1 if args.ell1 is not None else 2 * args.n + 1
-    rows = []
     if args.space == "z":
         g = spectral.g_callable(family.case, args.n, b)
-        for k in range(args.count):
-            z = args.start + k * args.step
-            val = complex(spectral.residual_g(family.case, g, ell1, z,
-                                              b=None if b is None else float(b)))
-            rows.append([_fmt_float(z), _fmt_float(val.real), _fmt_float(val.imag),
-                         _fmt_float(abs(val))])
+        bf = None if b is None else float(b)
         header = ["z", "re", "im", "abs"]
+
+        def residual(z):
+            return spectral.residual_g(family.case, g, ell1, z, b=bf)
     else:
-        rec = spectral.eigenfunction(family.case, args.n, b)
-        f = rec.as_callable()
+        f = spectral.eigenfunction(family.case, args.n, b).as_callable()
         bf = 0.0 if b is None else float(b)
-        for k in range(args.count):
-            w = args.start + k * args.step
-            val = complex(spectral.residual_master(f, bf, args.m, ell1, w))
-            rows.append([_fmt_float(w), _fmt_float(val.real), _fmt_float(val.imag),
-                         _fmt_float(abs(val))])
         header = ["W", "re", "im", "abs"]
-    if cfg.format == "json":
-        _emit(_json({"case": family.case, "B": _b_str(family), "n": args.n,
-                     "ell1": _fmt_float(ell1), "space": args.space,
-                     "rows": [dict(zip(header, r)) for r in rows]}), args, cfg)
-    else:
-        _emit(_csv(rows, header), args, cfg)
+
+        def residual(w):
+            return spectral.residual_master(f, bf, args.m, ell1, w)
+    rows = []
+    for k in range(args.count):
+        x = args.start + k * args.step
+        val = complex(residual(x))
+        rows.append([_fmt_float(v) for v in (x, val.real, val.imag, abs(val))])
+    _emit(args, cfg, header, rows,
+          {"case": family.case, "B": family.b, "n": args.n, "ell1": _fmt_float(ell1),
+           "space": args.space, "rows": _records(header, rows)})
     return 0
 
 
 def _cmd_second_solution(args, cfg: RunConfig) -> int:
     u, h = spectral.second_solution(args.n, Fraction(args.z0), args.length)
     g = spectral.g_callable(CASE_A, args.n)
-    pts = u.points()
-    if cfg.format == "json":
-        obj = {"n": args.n, "z0": frac_to_str(Fraction(args.z0)), "length": args.length,
-               "rows": [{"z": frac_to_str(z), "g": frac_to_str(g(z)),
-                         "u": frac_to_str(u(z)), "h": frac_to_str(h(z))} for z in pts]}
-        _emit(_json(obj), args, cfg)
-    else:
-        rows = [[_fmt_float(z), _fmt_float(g(z)), _fmt_float(u(z)), _fmt_float(h(z))]
-                for z in pts]
-        _emit(_csv(rows, ["z", "g", "u", "h"]), args, cfg)
+    header = ["z", "g", "u", "h"]
+    exact = [[z, g(z), u(z), h(z)] for z in u.points()]
+    # JSON keeps the exact lattice values, CSV prints them as doubles
+    _emit(args, cfg, header, [[_fmt_float(v) for v in row] for row in exact],
+          {"n": args.n, "z0": Fraction(args.z0), "length": args.length,
+           "rows": _records(header, exact)})
     return 0
 
 
@@ -226,27 +225,21 @@ def _cmd_coeffs(args, cfg: RunConfig) -> int:
     family = _family_from_args(args)
     table = expand.parity_coefficients(family, args.n_max, cfg.quadrature(),
                                        route=args.route)
-    entries = [{"n": n, "re": _fmt_float(c.real), "im": _fmt_float(c.imag),
-                "err": _fmt_float(e)} for n, c, e in table.entries]
-    if cfg.format == "json":
-        _emit(_json({"case": family.case, "B": _b_str(family), "route": args.route,
-                     "entries": entries}), args, cfg)
-    else:
-        rows = [[e["n"], e["re"], e["im"], e["err"]] for e in entries]
-        _emit(_csv(rows, ["n", "re", "im", "err"]), args, cfg)
+    header = ["n", "re", "im", "err"]
+    rows = [[n, _fmt_float(c.real), _fmt_float(c.imag), _fmt_float(e)]
+            for n, c, e in table.entries]
+    _emit(args, cfg, header, rows, {"case": family.case, "B": family.b, "route": args.route,
+                                    "entries": _records(header, rows)})
     return 0
 
 
 def _cmd_reconstruct(args, cfg: RunConfig) -> int:
     family = _family_from_args(args)
     residuals = expand.reconstruction_residual(family, args.n_max, cfg.quadrature())
-    if cfg.format == "json":
-        _emit(_json({"case": family.case, "B": _b_str(family),
-                     "residuals": [{"N": n, "residual": _fmt_float(r)}
-                                   for n, r in enumerate(residuals)]}), args, cfg)
-    else:
-        rows = [[n, _fmt_float(r)] for n, r in enumerate(residuals)]
-        _emit(_csv(rows, ["N", "residual"]), args, cfg)
+    header = ["N", "residual"]
+    rows = [[n, _fmt_float(r)] for n, r in enumerate(residuals)]
+    _emit(args, cfg, header, rows, {"case": family.case, "B": family.b,
+                                    "residuals": _records(header, rows)})
     return 0
 
 
@@ -259,25 +252,22 @@ def _parse_rep(text: str):
     return lorentz.build_spin_rep(Fraction(parts[0]), Fraction(parts[1]))
 
 
+# spin-0 extraction residuals: CSV relation name and JSON key (a field of
+# lorentz.SpinZeroExtraction)
+_N0_ROWS = (("n0-consistent", "residual_consistent"),
+            ("n0-printed-sign", "residual_printed_sign"),
+            ("n0-traceless", "traceless_residual"))
+
+
 def _cmd_lorentz(args, cfg: RunConfig) -> int:
     rep = _parse_rep(args.rep)
-    audit = lorentz.algebra_audit(rep)
     ext = lorentz.n0_extraction(rep)
-    if cfg.format == "json":
-        obj = {"rep": rep.label, "dim": rep.dim,
-               "relations": [{"relation": k, "residual": _fmt_float(v)}
-                             for k, v in audit.items()],
-               "spin0_extraction": {
-                   "residual_consistent": _fmt_float(ext.residual_consistent),
-                   "residual_printed_sign": _fmt_float(ext.residual_printed_sign),
-                   "traceless_residual": _fmt_float(ext.traceless_residual)}}
-        _emit(_json(obj), args, cfg)
-    else:
-        rows = [[k, _fmt_float(v)] for k, v in audit.items()]
-        rows.append(["n0-consistent", _fmt_float(ext.residual_consistent)])
-        rows.append(["n0-printed-sign", _fmt_float(ext.residual_printed_sign)])
-        rows.append(["n0-traceless", _fmt_float(ext.traceless_residual)])
-        _emit(_csv(rows, ["relation", "residual"]), args, cfg)
+    header = ["relation", "residual"]
+    relations = [[k, _fmt_float(v)] for k, v in lorentz.algebra_audit(rep).items()]
+    spin0 = {key: _fmt_float(getattr(ext, key)) for _, key in _N0_ROWS}
+    _emit(args, cfg, header, relations + [[name, spin0[key]] for name, key in _N0_ROWS],
+          {"rep": rep.label, "dim": rep.dim, "relations": _records(header, relations),
+           "spin0_extraction": spin0})
     return 0
 
 
@@ -290,10 +280,7 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
            "degree": rep.degree, "ell1_sq": _fmt_float(rep.ell1_sq),
            "residual": _fmt_float(rep.residual), "iterations": rep.iterations,
            "converged": rep.converged}
-    if cfg.format == "json":
-        _emit(_json(obj), args, cfg)
-    else:
-        _emit(_csv([[k, v] for k, v in obj.items()], ["field", "value"]), args, cfg)
+    _emit(args, cfg, ["field", "value"], list(obj.items()), obj)
     return 0
 
 
@@ -305,44 +292,26 @@ def emit_traceability() -> list[dict]:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     if args.traceability:
-        rows = emit_traceability()
-        if cfg.format == "json":
-            _emit(_json(rows), args, cfg)
-        else:
-            _emit(_csv([[r["anchor"], ";".join(r["checks"]), r["note"]] for r in rows],
-                       ["anchor", "checks", "note"]), args, cfg)
+        _emit(args, cfg, ["anchor", "checks", "note"],
+              [list(r.values()) for r in emit_traceability()])
         return 0
     suites = args.suite.split(",") if args.suite else ["all"]
     report = verify.run_suites(suites, extended=args.extended,
                                threshold_scale=args.threshold_scale)
-    lines = []
+    rows, lines = [], []
     for r in report.results:
-        status = r.status.upper()
         measured = r.measured if isinstance(r.measured, str) else _fmt_float(r.measured)
         threshold = r.threshold if isinstance(r.threshold, str) else _fmt_float(r.threshold)
-        lines.append(f"[{status:4s}] {r.check_id:38s} {r.anchor:7s} "
+        rows.append([r.check_id, r.anchor, r.status, measured, threshold, r.note])
+        lines.append(f"[{r.status.upper():4s}] {r.check_id:38s} {r.anchor:7s} "
                      f"measured={measured} threshold={threshold}")
         if r.status == "fail" and r.note:
             lines.append(f"       note: {r.note}")
     for name, secs in report.elapsed.items():
         lines.append(f"# suite {name}: {secs:.2f}s")
-    n_fail = len(report.failed)
-    lines.append(f"# {len(report.results)} checks, {n_fail} failed")
-    text = "\n".join(lines) + "\n"
-    # JSON goes to --out with the text summary on stdout, or alone to
-    # stdout when asked for without --out; otherwise the text report
-    out = getattr(args, "out", None)
-    as_json = cfg.format == "json" and bool(out or cfg.format_requested)
-    if as_json:
-        payload = [{"check": r.check_id, "anchor": r.anchor, "status": r.status,
-                    "measured": r.measured if isinstance(r.measured, str)
-                    else _fmt_float(r.measured),
-                    "threshold": r.threshold if isinstance(r.threshold, str)
-                    else _fmt_float(r.threshold),
-                    "note": r.note} for r in report.results]
-        _emit(_json(payload), args, cfg)
-    if out or not as_json:
-        sys.stdout.write(text)
+    lines.append(f"# {len(report.results)} checks, {len(report.failed)} failed")
+    _emit(args, cfg, ["check", "anchor", "status", "measured", "threshold", "note"], rows,
+          text="\n".join(lines) + "\n")
     return report.exit_code
 
 
@@ -355,11 +324,8 @@ def _add_common(sp, with_quadrature=False):
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.add_argument("--config", default=None, help="flat key=value config file")
     if with_quadrature:
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-        sp.add_argument("--panel-order", dest="panel_order", type=int, default=None)
-        sp.add_argument("--x-max", dest="x_max", type=float, default=None)
-        sp.add_argument("--max-panels", dest="max_panels", type=int, default=None)
+        for key, typ in _QUADRATURE_OPTIONS.items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -408,7 +408,7 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
         return weight.evaluate(x) * np.sum(values * values, axis=0)
 
     try:
-        x_max, _ = _cutoff(hardest, cfg, weight.decay_rate, 4 * degree)
+        x_max, _ = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
         panels = _adaptive_panels(hardest, cfg, x_max, rel_tol=0.0,
                                   edges=_graded_edges(x_max))
     except NoConvergence:
@@ -505,7 +505,7 @@ def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = Non
     def fallback(_):
         return integrate_semiinfinite(
             lambda x: weight.evaluate(x) * pf.function(x) * qf.function(x),
-            _fallback_cfg(cfg, degree), decay_rate=weight.decay_rate, growth_degree=degree)
+            _fallback_cfg(cfg, degree), growth_degree=degree)
 
     [(val, err)] = _integrals(measure, lambda m: (pf.on(m), m.density * qf.on(m), None),
                               [degree], fallback)

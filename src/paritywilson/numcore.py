@@ -28,19 +28,11 @@ def frac_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def ensure_finite(z: complex) -> complex:
     """Reject NaN/Inf escaping a floating-point operation."""
     if not (cmath.isfinite(z) if isinstance(z, complex) else -float("inf") < z < float("inf")):
         raise ArithmeticError(f"non-finite value {z!r}")
     return z
-
-
-def _is_zero(c) -> bool:
-    return not c
 
 
 class RationalPolynomial:
@@ -56,7 +48,7 @@ class RationalPolynomial:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [self._coerce(c) for c in coeffs]
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 

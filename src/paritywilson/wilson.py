@@ -353,7 +353,6 @@ class WeightFunction:
     family: WilsonFamily
     evaluate: Callable[[np.ndarray], np.ndarray]
     point_masses: tuple[PointMass, ...] = ()
-    decay_rate: float = 2.0 * math.pi
 
 
 def _sinh_over_cosh_cubed(x):
@@ -383,7 +382,15 @@ def family_weight(family: WilsonFamily) -> WeightFunction:
 
     def w(x, _c=cos2pis):
         x = np.asarray(x, dtype=float)
-        return 4.0 * np.pi ** 2 * x * np.tanh(np.pi * x) / (_c + np.cosh(2.0 * np.pi * x))
+        arg = 2.0 * np.pi * x
+        num = 4.0 * np.pi ** 2 * x * np.tanh(np.pi * x)
+        # where cosh overflows (2 pi |x| > ~710.5), use
+        # 1/(c + cosh a) = 2q / (1 + 2cq + q^2) with q = exp(-|a|) instead
+        with np.errstate(over="ignore"):
+            cosh = np.cosh(arg)
+        q = np.exp(-np.abs(arg))
+        return np.where(np.isinf(cosh), 2.0 * num * q / (1.0 + q * (2.0 * _c + q)),
+                        num / (_c + cosh))
 
     masses = []
     sin2 = math.sin(math.pi * s) ** 2
@@ -436,11 +443,6 @@ def printed_norm_rhs(family: WilsonFamily, n: int):
             math.factorial(n) ** 2 * math.factorial(n + 1) ** 4 * math.factorial(n + 2) ** 4,
             math.factorial(2 * n + 2) ** 2 * math.factorial(2 * n + 3))
     return norm_closed_form(family, n)
-
-
-def weight_and_norm(family: WilsonFamily, n: int):
-    """(WeightFunction, closed-form squared norm of P_n)."""
-    return family_weight(family), norm_closed_form(family, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI contract: wire formats, determinism, exit codes, traceability."""
 
+import csv
 import json
 
 import pytest
@@ -181,6 +182,59 @@ def test_verify_json_out_file_keeps_text_summary(tmp_path, capsys):
     assert code == 0
     assert "[PASS] lorentz-audit" in out and out.rstrip().endswith("0 failed")
     assert json.loads(path.read_text())[0]["check"] == "lorentz-audit"
+
+
+def test_verify_csv_to_stdout(capsys):
+    code, out = run(["verify", "--suite", "lorentz", "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert list(rows[0]) == ["check", "anchor", "status", "measured", "threshold", "note"]
+    assert rows[0]["check"] == "lorentz-audit" and rows[0]["anchor"] == "eq-10"
+    assert all(r["status"] == "pass" for r in rows)
+    # this note holds a comma, so the field is quoted
+    assert rows[0]["note"] == "all commutator relations, three representations"
+
+
+def test_verify_csv_out_file_keeps_text_summary(tmp_path, capsys):
+    path = tmp_path / "verify.csv"
+    code, out = run(["verify", "--suite", "lorentz", "--format", "csv",
+                     "--out", str(path)], capsys)
+    assert code == 0
+    assert "[PASS] lorentz-audit" in out and out.rstrip().endswith("0 failed")
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert [r["check"] for r in rows][:2] == ["lorentz-audit", "lorentz-n0"]
+
+
+def test_eigen_symbolic_csv_joins_b_coefficients(capsys):
+    code, out = run(["eigen", "--case", "B", "--symbolic", "--n", "2", "--format", "csv"],
+                    capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == ["power,coeff", "0,0;1/2;1/6"]
+    _, poly_out = run(["poly", "--case", "B", "--symbolic", "--n", "2", "--format", "csv"],
+                      capsys)
+    assert "2,0,-3/16;-1/4;1/6" in poly_out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--case", "A", "--n", "3"],
+    ["poly", "--case", "B", "--symbolic", "--n", "2"],
+    ["eigen", "--case", "B", "--symbolic", "--n", "2"],
+    ["eigen", "--case", "B", "--b", "3/2", "--n", "2"],
+    ["residual", "--case", "B", "--b", "3/2", "--n", "1", "--space", "w", "--count", "3"],
+    ["second-solution", "--n", "1", "--length", "4"],
+    ["coeffs", "--case", "A", "--n-max", "2"],
+    ["reconstruct", "--case", "A", "--n-max", "2"],
+    ["lorentz", "--rep", "vector"],
+    ["scan", "--b", "0.0", "--n", "1", "--degree", "1"],
+    ["verify", "--suite", "lorentz,genfun"],
+    ["verify", "--traceability"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_csv_rows_have_the_header_width(argv, capsys):
+    code, out = run(argv + ["--format", "csv"], capsys)
+    assert code in (0, 1)
+    header, *rows = csv.reader(out.splitlines())
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_verify_unknown_suite(capsys):

@@ -16,7 +16,6 @@ from paritywilson.numcore import (
     hyp_2f1_series,
     hyp_pfq_series,
     hyp_pfq_terminating,
-    parse_frac,
     pochhammer,
     poly_eval,
 )
@@ -208,4 +207,3 @@ def test_bparam_polynomial_substitution_and_scalars():
 def test_frac_serialization():
     assert frac_to_str(Fraction(-3, 4)) == "-3/4"
     assert frac_to_str(Fraction(8)) == "8"
-    assert parse_frac("-3/4") == Fraction(-3, 4)

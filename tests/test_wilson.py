@@ -4,6 +4,7 @@ generating functions."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from paritywilson.wilson import (
     printed_norm_rhs,
     recurrence_discrepancy_report,
     standard_recurrence_terms,
-    weight_and_norm,
 )
 from paritywilson.expand import inner_product, stieltjes_monic_table
 
@@ -158,6 +158,29 @@ class TestMeasure:
             # exponential rate 2*pi, modulo the slowly-varying polynomial factor
             assert abs(math.log(ratio) + 2 * math.pi) < 0.3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [113.2, 120.0, 200.0, 300.0])
+    def test_case_b_density_past_cosh_overflow(self, x):
+        # cosh(2 pi x) overflows past x ~ 113; the density must neither warn
+        # nor leave the mpmath value (below the smallest normal double,
+        # only in absolute terms)
+        family = WilsonFamily.case_b(Fraction(73, 10))
+        got = family_weight(family).evaluate(np.array([x]))[0]
+        with mpmath.workdps(40):
+            mx = mpmath.mpf(x)
+            want = float(4 * mpmath.pi ** 2 * mx * mpmath.tanh(mpmath.pi * mx)
+                         / (mpmath.cos(2 * mpmath.pi * family.s_value())
+                            + mpmath.cosh(2 * mpmath.pi * mx)))
+        assert got >= 0
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+
+    def test_case_b_density_bits_where_cosh_is_finite(self):
+        family = CASE_B_32
+        xs = np.array([0.0, 0.1, 1.0, 20.0, 75.0, 113.0])
+        c = math.cos(2.0 * math.pi * family.s_value())
+        direct = 4.0 * np.pi ** 2 * xs * np.tanh(np.pi * xs) / (c + np.cosh(2.0 * np.pi * xs))
+        assert np.array_equal(family_weight(family).evaluate(xs), direct)
+
     def test_case_a_norms(self):
         assert norm_closed_form(CASE_A, 0) == fr("2/3")
         assert norm_closed_form(CASE_A, 1) == fr("2/5")
@@ -221,11 +244,11 @@ class TestMeasure:
 
     def test_degenerate_norms_rejected(self):
         with pytest.raises(DegenerateFamily):
-            weight_and_norm(WilsonFamily.case_b(0), 0)
+            family_weight(WilsonFamily.case_b(0))
         with pytest.raises(DegenerateFamily):
             WilsonFamily.case_b(-1)
-        w, norm = weight_and_norm(CASE_A, 0)
-        assert norm == fr("2/3") and not w.point_masses
+        assert norm_closed_form(CASE_A, 0) == fr("2/3")
+        assert not family_weight(CASE_A).point_masses
 
     @pytest.mark.parametrize("family,n", [(CASE_A, 3), (CASE_B_32, 3)])
     def test_quadrature_matches_closed_norms(self, family, n):
