@@ -213,11 +213,9 @@ def _cmd_second_solution(args, cfg: RunConfig) -> int:
     u, h = spectral.second_solution(args.n, Fraction(args.z0), args.length)
     g = spectral.g_callable(CASE_A, args.n)
     header = ["z", "g", "u", "h"]
-    exact = [[z, g(z), u(z), h(z)] for z in u.points()]
-    # JSON keeps the exact lattice values, CSV prints them as doubles
-    _emit(args, cfg, header, [[_fmt_float(v) for v in row] for row in exact],
-          {"n": args.n, "z0": Fraction(args.z0), "length": args.length,
-           "rows": _records(header, exact)})
+    rows = [[z, g(z), u(z), h(z)] for z in u.points()]
+    _emit(args, cfg, header, rows, {"n": args.n, "z0": Fraction(args.z0),
+                                    "length": args.length, "rows": _records(header, rows)})
     return 0
 
 

@@ -16,6 +16,7 @@ with negative radicand are rejected (DomainPole), never continued.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,6 +166,15 @@ def eigenfunction_case_a(n: int) -> EigenpairRecord:
     return EigenpairRecord(n, CASE_A, None, ell1, alpha, poly, "exp(i*pi*sqrt(W+1/4))")
 
 
+@functools.lru_cache(maxsize=None)
+def _case_b_f_symbolic(n: int) -> BParamPolynomial:
+    """Polynomial part of the n-th Case B f in W, symbolic in B."""
+    g = g_polynomial(CASE_B, n)  # symbolic, in u = z^2
+    inner = BParamPolynomial([RationalPolynomial([Fraction(1, 4), 1]),
+                              RationalPolynomial([1])])  # u = W + (B + 1/4)
+    return g.compose(inner)
+
+
 def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:
     """Case B eigenpair; b=None keeps the coefficients symbolic in B.
 
@@ -174,10 +184,7 @@ def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:
     are actually needed.
     """
     ell1, alpha = eigenvalue(n)
-    g = g_polynomial(CASE_B, n)  # symbolic, in u = z^2
-    inner = BParamPolynomial([RationalPolynomial([Fraction(1, 4), 1]),
-                              RationalPolynomial([1])])  # u = W + (B + 1/4)
-    poly = g.compose(inner)
+    poly = _case_b_f_symbolic(n)
     if b is None:
         return EigenpairRecord(n, CASE_B, None, ell1, alpha, poly,
                                "exp(i*pi*sqrt(W+B+1/4))")
@@ -258,9 +265,10 @@ def residual_master(f: Callable, b, m, ell1, w):
     coupling = m / (b + w)
     c_plus = 2 * b + 4 * w + (w - coupling) * (r - 1)
     c_minus = -2 * b - 4 * w + (w - coupling) * (r + 1)
-    lhs = (2 * (w + coupling) * f(w)
+    fw = f(w)
+    lhs = (2 * (w + coupling) * fw
            + (c_plus * f(w + 1 + r) + c_minus * f(w + 1 - r)) / r)
-    return lhs - (1 - ell1 * ell1) * f(w)
+    return lhs - (1 - ell1 * ell1) * fw
 
 
 def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float, ...]:

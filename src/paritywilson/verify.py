@@ -14,6 +14,7 @@ checks report).  They are still run and reported honestly.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -198,7 +199,8 @@ def check_quantization(results: list[CheckResult], n_max: int = 8,
             worst_pert = math.inf
             for n in range(n_max + 1):
                 rec = spectral.eigenfunction(case, n, b)
-                f = rec.as_callable(high_precision=True)
+                # both residuals below evaluate f at the same 3 abscissae per W
+                f = functools.lru_cache(maxsize=None)(rec.as_callable(high_precision=True))
                 ell = mp.mpf(2 * n + 1)
                 res = max(abs(spectral.residual_master(f, b_mp, mp.mpf(0), ell, w))
                           for w in grid)

@@ -17,6 +17,7 @@ are regression-tested artifacts rather than silent fixes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -56,7 +57,8 @@ class WilsonFamily:
     """Parameter bundle: case tag plus the Case B parameter value.
 
     ``b`` is None for Case A and for the symbolic Case B mode (polynomials
-    with coefficients polynomial in B).  Numeric Case B requires B > -1;
+    with coefficients polynomial in B), and is otherwise stored as the
+    exact Fraction of the value given.  Numeric Case B requires B > -1;
     sqrt(B+1) a positive integer is allowed at construction (polynomials are
     fine there) but rejected by weights, norms, and prefactor-normalized
     constructions.
@@ -64,6 +66,12 @@ class WilsonFamily:
 
     case: str
     b: Fraction | None = None
+
+    def __post_init__(self):
+        # equal families hash alike and share cached tables, so an int or
+        # float B must build the same exact tables as its Fraction
+        if self.b is not None and not isinstance(self.b, Fraction):
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @staticmethod
     def case_a() -> "WilsonFamily":
@@ -73,10 +81,10 @@ class WilsonFamily:
     def case_b(b=None) -> "WilsonFamily":
         if b is None:
             return WilsonFamily(CASE_B, None)
-        bq = b if isinstance(b, Fraction) else Fraction(b)
-        if bq <= -1:
-            raise DegenerateFamily(f"Case B requires B > -1, got {float(bq)}")
-        return WilsonFamily(CASE_B, bq)
+        family = WilsonFamily(CASE_B, b)
+        if family.b <= -1:
+            raise DegenerateFamily(f"Case B requires B > -1, got {float(family.b)}")
+        return family
 
     @property
     def symbolic(self) -> bool:
@@ -244,6 +252,11 @@ def _seeds(family: WilsonFamily):
             RationalPolynomial([family.b / 2 + Fraction(1, 4), 1]))
 
 
+# P_0..P_k per (family, form), only ever replaced by a longer tuple
+_TABLES: dict[tuple[WilsonFamily, str], tuple] = {}
+_TABLES_LOCK = threading.Lock()
+
+
 def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "corrected") -> MonicTable:
     """Build P_0..P_{n_max} from the printed seeds and the three-term
     recurrence.
@@ -252,23 +265,33 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
     :func:`monic_from_hypergeometric` exactly; form="printed" applies the
     appendix tables verbatim (seeds honored, recurrence from n=2) and is the
     input to the discrepancy detector.
+
+    Tables are cached per (family, form) and a longer request extends the
+    cached prefix.  A longer table is built in a local list and published
+    as a new tuple, so concurrent callers never see a partial one.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cls = BParamPolynomial if family.symbolic else RationalPolynomial
-    p0, p1 = _seeds(family)
-    polys = [p0, p1]
-    for n in range(2, n_max + 1):
-        if form == "corrected":
-            beta, gamma = standard_recurrence_terms(family, n)
-            sign = -1
-        elif form == "printed":
-            beta, gamma, sign = printed_recurrence_terms(family, n)
-        else:
-            raise ValueError(f"unknown recurrence form {form!r}")
-        shift = cls([beta, 1])
-        polys.append(shift * polys[n - 1] + polys[n - 2] * gamma * sign)
-    return MonicTable(family, form, tuple(polys[: n_max + 1]))
+    key = (family, form)
+    polys = _TABLES.get(key) or _seeds(family)
+    if len(polys) <= n_max:
+        cls = BParamPolynomial if family.symbolic else RationalPolynomial
+        polys = list(polys)
+        for n in range(len(polys), n_max + 1):
+            if form == "corrected":
+                beta, gamma = standard_recurrence_terms(family, n)
+                sign = -1
+            elif form == "printed":
+                beta, gamma, sign = printed_recurrence_terms(family, n)
+            else:
+                raise ValueError(f"unknown recurrence form {form!r}")
+            shift = cls([beta, 1])
+            polys.append(shift * polys[n - 1] + polys[n - 2] * gamma * sign)
+        polys = tuple(polys)
+        with _TABLES_LOCK:
+            if len(polys) > len(_TABLES.get(key, ())):
+                _TABLES[key] = polys
+    return MonicTable(family, form, polys[: n_max + 1])
 
 
 @dataclass(frozen=True)

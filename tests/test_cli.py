@@ -76,6 +76,16 @@ def test_second_solution_exact_json(capsys):
     assert obj["rows"][1]["u"] == "1/1680"
 
 
+def test_second_solution_exact_csv(capsys):
+    code, out = run(["second-solution", "--n", "0", "--length", "5", "--format", "csv"],
+                    capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    # the same exact lattice values as the JSON, not doubles
+    assert [rows[0]["u"], rows[1]["u"]] == ["0", "1/1680"]
+    assert rows[1]["z"] == "3"
+
+
 def test_coeffs_wire_format(capsys):
     code, out = run(["coeffs", "--case", "A", "--n-max", "2"], capsys)
     obj = json.loads(out)

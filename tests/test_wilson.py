@@ -2,6 +2,9 @@
 generating functions."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritywilson import spectral, verify, wilson
 from paritywilson.errors import DegenerateFamily
 from paritywilson.numcore import RationalPolynomial, poly_eval
 from paritywilson.wilson import (
@@ -123,6 +127,95 @@ class TestRecurrenceRoute:
             want_gamma = a_std(n - 2) * c_std(n - 1)
             assert abs(float(beta) - want_beta) < 1e-11 * max(1, abs(want_beta))
             assert abs(float(gamma) - want_gamma) < 1e-11 * max(1, abs(want_gamma))
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty recurrence-table cache for the test's duration."""
+    monkeypatch.setattr(wilson, "_TABLES", {})
+
+
+def _cold(family, n_max, form="corrected"):
+    saved = wilson._TABLES
+    wilson._TABLES = {}
+    try:
+        return monic_from_recurrence(family, n_max, form).polys
+    finally:
+        wilson._TABLES = saved
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("plain_first", [True, False])
+    def test_b_is_exact_whichever_family_builds_first(self, cold_tables, plain_first):
+        plain, exact = WilsonFamily("B", 0), WilsonFamily.case_b(0)
+        assert plain == exact and hash(plain) == hash(exact)
+        assert type(plain.b) is Fraction
+        order = (plain, exact) if plain_first else (exact, plain)
+        first, second = (monic_from_recurrence(f, 4).polys for f in order)
+        assert first == second
+        assert all(type(c) is Fraction for p in first for c in p.coeffs)
+        assert first[2].coeffs == (fr("-3/16"), fr("-1/2"), 1)
+
+    def test_served_from_longer_and_extended_from_shorter(self, cold_tables):
+        cold4, cold9 = _cold(CASE_B_32, 4), _cold(CASE_B_32, 9)
+        assert monic_from_recurrence(CASE_B_32, 9).polys == cold9
+        assert monic_from_recurrence(CASE_B_32, 4).polys == cold4  # served
+        wilson._TABLES.clear()
+        assert monic_from_recurrence(CASE_B_32, 4).polys == cold4
+        assert monic_from_recurrence(CASE_B_32, 9).polys == cold9  # extended
+        assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 10
+
+    @pytest.mark.parametrize("printed_first", [True, False])
+    def test_forms_never_share_entries(self, cold_tables, printed_first):
+        forms = ("printed", "corrected") if printed_first else ("corrected", "printed")
+        tables = {form: monic_from_recurrence(CASE_A, 5, form) for form in forms}
+        assert tables["printed"].polys == _cold(CASE_A, 5, "printed")
+        assert tables["corrected"].polys == _cold(CASE_A, 5)
+        assert tables["printed"][2] != tables["corrected"][2]
+        assert set(wilson._TABLES) == {(CASE_A, "printed"), (CASE_A, "corrected")}
+
+    @pytest.mark.parametrize("n_max", [2, 3, 12])
+    def test_unknown_form_raises(self, cold_tables, n_max):
+        monic_from_recurrence(CASE_A, 12)
+        with pytest.raises(ValueError):
+            monic_from_recurrence(CASE_A, n_max, form="bogus")
+        assert (CASE_A, "bogus") not in wilson._TABLES
+
+    def test_concurrent_interleaved_degrees(self, cold_tables):
+        start = threading.Barrier(4, timeout=30)
+
+        def build(offset):
+            start.wait()
+            return [monic_from_recurrence(CASE_B_32, n) for n in range(offset, 16, 4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(build, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        oracle = [monic_from_hypergeometric(CASE_B_32, n) for n in range(16)]
+        for offset, tables in enumerate(results):
+            for n, table in zip(range(offset, 16, 4), tables):
+                assert list(table.polys) == oracle[: n + 1]
+        # a shorter table published last would have replaced the longest
+        assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 16
+
+    def test_recurrence_check_does_not_read_the_cache_as_oracle(self, monkeypatch):
+        wrong = list(_cold(CASE_A, 10))
+        wrong[5] = wrong[5] + RationalPolynomial([1])
+        monkeypatch.setattr(wilson, "_TABLES", {(CASE_A, "corrected"): tuple(wrong)})
+        results = []
+        verify.check_recurrence(results)
+        status = {r.check_id: r.status for r in results}
+        assert status["recurrence-corrected-match"] == "fail"
+        assert status["recurrence-corrected-match-b"] == "pass"
+
+    def test_verdict_identical_on_cold_and_warm_cache(self, cold_tables):
+        spectral._case_b_f_symbolic.cache_clear()
+        cold = repr(verify.run_suites().results)
+        assert repr(verify.run_suites().results) == cold
 
 
 class TestAdjudication:
