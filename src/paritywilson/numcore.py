@@ -8,11 +8,21 @@ partial sums with reported error bounds.
 
 Polynomials are stored in the squared variable throughout (every printed
 table is even), so callers pass u = x*x or u = z*z already squared.
+
+An exact polynomial is one flat grid of Python ints, indexed by [power of
+u][power of B], over one common denominator; a polynomial in u alone has
+B-width 1.  The grid is canonical: trailing zero rows and columns are
+stripped, gcd(content, den) = 1 and den > 0, so ``==`` and ``hash``
+compare grids.  Sums, products, scalar multiples, composition, shifts,
+reflection, substitution of B and evaluation at a rational run on the
+integers and reduce by the content once per result.  ``coeffs`` is a view
+built on each read: reduced Fractions, or polynomials in B.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -35,183 +45,328 @@ def ensure_finite(z: complex) -> complex:
     return z
 
 
-class RationalPolynomial:
-    """Dense univariate polynomial with exact coefficients.
+# -- integer coefficient grids -------------------------------------------
+# A grid is a flat sequence of ints, row-major in [power of u][power of B],
+# with w entries per row; its value is the grid over a common denominator.
 
-    ``coeffs[k]`` multiplies the k-th power of the variable.  Coefficients
-    are Fractions, or RationalPolynomials in a second symbol (see
-    :class:`BParamPolynomial`).  Trailing zero coefficients are stripped, so
-    the zero polynomial has an empty coefficient tuple and is falsy.
+def _widen(c, w: int, width: int):
+    """Grid c (rows of w entries) padded with zero columns to ``width``."""
+    if w == width:
+        return c
+    pad = [0] * (width - w)
+    out: list = []
+    for k in range(0, len(c), w):
+        out.extend(c[k:k + w])
+        out.extend(pad)
+    return out
+
+
+def _lincomb(a, wa: int, fa: int, b, wb: int, fb: int):
+    """fa*a + fb*b on the wider of the two row widths."""
+    w = max(wa, wb)
+    a, b = _widen(a, wa, w), _widen(b, wb, w)
+    if len(a) < len(b):
+        a, b, fa, fb = b, a, fb, fa
+    out = list(a) if fa == 1 else [x * fa for x in a]
+    for k, y in enumerate(b):
+        if y:
+            out[k] += y * fb
+    return out, w
+
+
+def _conv(a, wa: int, b, wb: int):
+    """Product of two grids: a convolution along both axes."""
+    if not a or not b:
+        return [], 1
+    if len(a) > len(b):
+        a, wa, b, wb = b, wb, a, wa
+    w, nb = wa + wb - 1, len(b)
+    out = [0] * ((len(a) // wa + nb // wb - 1) * w)
+    for k, x in enumerate(a):
+        if not x:
+            continue
+        base = (k // wa) * w + k % wa
+        if wa == 1:  # rows of b land contiguously
+            out[base:base + nb] = [o + x * y for o, y in zip(out[base:base + nb], b)]
+            continue
+        for r in range(0, nb, wb):
+            at = base + r // wb * w
+            out[at:at + wb] = [o + x * y for o, y in zip(out[at:at + wb], b[r:r + wb])]
+    return out, w
+
+
+def _canonical(c, w: int, den: int):
+    """(c, w, den) with trailing zero rows and columns stripped and the
+    content reduced, so that gcd(content, den) = 1 (den is always > 0)."""
+    n = len(c)
+    while n and not any(c[n - w:n]):
+        n -= w
+    if not n:
+        return (), 1, 1
+    c = c[:n]
+    if w > 1 and not any(c[w - 1::w]):
+        used = w - 1
+        while used > 1 and not any(c[used - 1::w]):
+            used -= 1
+        c = [x for k, x in enumerate(c) if k % w < used]
+        w = used
+    g = math.gcd(den, *c)
+    if g != 1:
+        c = [x // g for x in c]
+        den //= g
+    return tuple(c), w, den
+
+
+def _operand(x, symbolic: bool):
+    """The grid (c, w, den) of a polynomial or rational operand, else None.
+
+    In symbolic arithmetic (one operand a BParamPolynomial) a plain
+    RationalPolynomial is a polynomial in B, i.e. one row of the grid.
+    """
+    if isinstance(x, RationalPolynomial):
+        if symbolic and not isinstance(x, BParamPolynomial):
+            return x._c, len(x._c) or 1, x._den
+        return x._c, x._w, x._den
+    if isinstance(x, (int, Fraction)):
+        return ((x.numerator,) if x else ()), 1, x.denominator
+    return None
+
+
+class RationalPolynomial:
+    """Dense univariate polynomial with exact rational coefficients.
+
+    Held as an integer grid over one common denominator (see the module
+    docstring).  ``coeffs[k]`` multiplies the k-th power of the variable;
+    it is a tuple of reduced Fractions built on each read, without trailing
+    zeros, so the zero polynomial has an empty tuple and is falsy.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c", "_w", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [self._coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        qs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(q.denominator for q in qs))
+        self._c, self._w, self._den = _canonical(
+            [q.numerator * (den // q.denominator) for q in qs], 1, den)
 
-    @staticmethod
-    def _coerce(c):
-        if isinstance(c, (int, str)):
-            return Fraction(c)
-        return c
+    @classmethod
+    def _make(cls, c, w: int, den: int):
+        p = object.__new__(cls)
+        p._c, p._w, p._den = _canonical(c, w, den)
+        return p
+
+    @classmethod
+    def _raw(cls, c: tuple, w: int, den: int):
+        """From a grid that is already canonical."""
+        p = object.__new__(cls)
+        p._c, p._w, p._den = c, w, den
+        return p
+
+    def _entry(self, k: int):
+        return Fraction(self._c[k], self._den)
 
     # -- structure ---------------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        return tuple(self._entry(k) for k in range(self.degree + 1))
+
+    @property
     def degree(self) -> int:
         """Degree in the stored variable; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._c) // self._w - 1
 
     @property
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self._entry(self.degree) if self._c else Fraction(0)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading == 1
+        return bool(self._c) and self.leading == 1
 
     def coefficient(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self._entry(k) if 0 <= k <= self.degree else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._c)
+
+    def _pair(self, other):
+        """(result class, own grid, other grid), or None for a foreign type."""
+        symbolic = isinstance(self, BParamPolynomial) or isinstance(other, BParamPolynomial)
+        theirs = _operand(other, symbolic)
+        if theirs is None:
+            return None
+        return (BParamPolynomial if symbolic else RationalPolynomial,
+                _operand(self, symbolic), theirs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RationalPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial([other])
-        return NotImplemented
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[1] == pair[2]
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like its Fraction, a polynomial like its grid
+        # with a plain RationalPolynomial read as a row in B, as == reads it
+        c, w, den = _operand(self, True)
+        if len(c) <= 1:
+            return hash(Fraction(c[0], den)) if c else 0
+        return hash((c, w, den))
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"
 
     # -- ring operations ---------------------------------------------------
-    def _wrap(self, coeffs):
-        return type(self)(coeffs)
+    def _combine(self, other, own_sign: int, other_sign: int):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        cls, (a, wa, da), (b, wb, db) = pair
+        g = math.gcd(da, db)
+        c, w = _lincomb(a, wa, own_sign * (db // g), b, wb, other_sign * (da // g))
+        return cls._make(c, w, da // g * db)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._wrap([other])
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        return self._combine(other, 1, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._wrap([-c for c in self.coeffs])
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalPolynomial) else self._wrap([-Fraction(other)]))
+        return self._combine(other, 1, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._combine(other, -1, 1)
+
+    def __neg__(self):
+        return self._raw(tuple(-x for x in self._c), self._w, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return self._wrap([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return self._wrap(out)
-        return self._wrap([c * other for c in self.coeffs])
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        cls, (a, wa, da), (b, wb, db) = pair
+        c, w = _conv(a, wa, b, wb)
+        return cls._make(c, w, da * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self._wrap([c / scalar for c in self.coeffs])
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(scalar))
 
     def shift_variable(self, a):
         """Compose with the affine substitution u -> u + a (exact)."""
-        x_plus_a = self._wrap([a, 1])
-        return self.compose(x_plus_a)
+        return self.compose(type(self)([a, 1]))
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Horner composition self(inner(u))."""
-        result = self._wrap([])
-        for c in reversed(self.coeffs):
-            result = result * inner + self._wrap([c])
-        return result
+        """self(inner(u)), with inner a polynomial in u: Horner's rule on the
+        integer grids, sum_k c_k inner^k den_inner^(d-k), reduced once."""
+        if not isinstance(inner, RationalPolynomial):
+            inner = RationalPolynomial([inner])
+        cls = (BParamPolynomial if isinstance(self, BParamPolynomial)
+               or isinstance(inner, BParamPolynomial) else RationalPolynomial)
+        c, w = self._c, self._w
+        if not c or not inner:
+            return cls._make(c[:w], w, self._den)
+        acc, wacc, scale = list(c[-w:]), w, 1
+        for k in range(len(c) - 2 * w, -1, -w):
+            scale *= inner._den
+            acc, wacc = _conv(acc, wacc, inner._c, inner._w)
+            for j, x in enumerate(c[k:k + w]):
+                if x:
+                    acc[j] += x * scale
+        return cls._make(acc, wacc, self._den * scale)
 
     def reflect(self) -> "RationalPolynomial":
         """Substitution u -> -u."""
-        return self._wrap([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
+        w = self._w
+        return self._raw(tuple(-x if k // w % 2 else x for k, x in enumerate(self._c)),
+                         w, self._den)
 
     # -- evaluation / export -------------------------------------------------
     def __call__(self, u):
         return poly_eval(self, u)
 
     def float_coeffs(self) -> tuple:
-        return tuple(float(c) for c in self.coeffs)
+        """float(c) for every coefficient (integer true division rounds the
+        exact quotient once, as ``float`` of the reduced Fraction does)."""
+        return tuple(x / self._den for x in self._c)
 
 
 class BParamPolynomial(RationalPolynomial):
     """Polynomial in the squared variable whose coefficients are polynomials
-    in the family parameter B (stored as :class:`RationalPolynomial` in B).
+    in the family parameter B: the same grid, with B-degree > 0 allowed.
 
-    Plain RationalPolynomials (and ints/Fractions) act as B-space scalars
-    on this type: they multiply coefficientwise and add into the constant
-    term, they do not convolve in the squared variable.
+    ``coeffs`` reads each coefficient as a :class:`RationalPolynomial` in B.
+    Arithmetic with a plain RationalPolynomial reads that polynomial as a
+    polynomial in B (so multiplying by one scales coefficientwise); the
+    argument of :meth:`compose` is a polynomial in the squared variable.
     """
 
     __slots__ = ()
 
-    @staticmethod
-    def _coerce(c):
-        if isinstance(c, BParamPolynomial):
-            raise TypeError("coefficients of a BParamPolynomial must live in the B symbol")
-        if isinstance(c, RationalPolynomial):
-            return c
-        return RationalPolynomial([Fraction(c)])
+    def __init__(self, coeffs: Iterable = ()):
+        rows = []
+        for c in coeffs:
+            if isinstance(c, BParamPolynomial):
+                raise TypeError("coefficients of a BParamPolynomial must live in the B symbol")
+            rows.append(c if isinstance(c, RationalPolynomial) else RationalPolynomial([c]))
+        den = math.lcm(*(r._den for r in rows))
+        w = max((len(r._c) for r in rows), default=1) or 1
+        grid: list = []
+        for r in rows:
+            grid.extend(x * (den // r._den) for x in r._c)
+            grid.extend([0] * (w - len(r._c)))
+        self._c, self._w, self._den = _canonical(grid, w, den)
 
-    def __mul__(self, other):
-        if isinstance(other, BParamPolynomial):
-            return super().__mul__(other)
-        if isinstance(other, (RationalPolynomial, int, Fraction)):
-            return self._wrap([c * other for c in self.coeffs])
-        return NotImplemented
+    def _entry(self, k: int) -> RationalPolynomial:
+        w = self._w
+        return RationalPolynomial._make(self._c[k * w:(k + 1) * w], 1, self._den)
 
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-                isinstance(other, RationalPolynomial) and not isinstance(other, BParamPolynomial)):
-            other = self._wrap([other])
-        return super().__add__(other)
-
-    __radd__ = __add__
+    def float_coeffs(self) -> tuple:
+        raise TypeError("a polynomial in B has no float coefficients; substitute B first")
 
     def substitute_b(self, b) -> RationalPolynomial:
         """Evaluate every coefficient at B = b (exact for rational b;
         floats enter through their exact binary value)."""
-        bq = b if isinstance(b, Fraction) else Fraction(b)
-        return RationalPolynomial([poly_eval(c, bq) for c in self.coeffs])
+        q = Fraction(b)
+        w, c = self._w, self._c
+        powers = [q.numerator ** j * q.denominator ** (w - 1 - j) for j in range(w)]
+        rows = [sum(x * y for x, y in zip(c[k:k + w], powers)) for k in range(0, len(c), w)]
+        return RationalPolynomial._make(rows, 1, self._den * q.denominator ** (w - 1))
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading == RationalPolynomial([1])
+
+def _horner(cs, u):
+    """Horner's rule over cs (lowest power first, nonempty), in whatever
+    arithmetic cs and u carry."""
+    it = reversed(cs)
+    acc = next(it)
+    for c in it:
+        acc = acc * u + c
+    return acc
 
 
 def poly_eval(p: RationalPolynomial, u):
     """Horner evaluation of p at u (u is already the squared variable).
 
-    Exact for Fraction input, complex/float otherwise; the zero polynomial
-    evaluates to 0.
+    Exact at rational u, on the integer grid with one reduction (a
+    BParamPolynomial gives a RationalPolynomial in B).  At a float u the
+    scheme runs over ``float(c)``, at any other u (complex, mpmath) over
+    the exact coefficients.  The zero polynomial evaluates to 0.
     """
-    if not p.coeffs:
-        return Fraction(0) if isinstance(u, (int, Fraction)) else 0.0 * u
-    acc = None
-    for c in reversed(p.coeffs):
-        cval = c
-        acc = cval if acc is None else acc * u + cval
-    return acc
+    if isinstance(u, (int, Fraction)):
+        a, b = u.numerator, u.denominator
+        c, w = p._c, p._w
+        acc, scale = [0] * w, 1
+        for k in range(len(c) - w, -1, -w):
+            acc = [x * a + y * scale for x, y in zip(acc, c[k:k + w])]
+            if k:
+                scale *= b
+        if isinstance(p, BParamPolynomial):
+            return RationalPolynomial._make(acc, 1, p._den * scale)
+        return Fraction(acc[0], p._den * scale)
+    if not p:
+        return 0.0 * u
+    if isinstance(u, float) and not isinstance(p, BParamPolynomial):
+        return _horner(p.float_coeffs(), u)
+    return _horner(p.coeffs, u)
 
 
 def pochhammer(a, k: int):

@@ -170,9 +170,7 @@ def eigenfunction_case_a(n: int) -> EigenpairRecord:
 def _case_b_f_symbolic(n: int) -> BParamPolynomial:
     """Polynomial part of the n-th Case B f in W, symbolic in B."""
     g = g_polynomial(CASE_B, n)  # symbolic, in u = z^2
-    inner = BParamPolynomial([RationalPolynomial([Fraction(1, 4), 1]),
-                              RationalPolynomial([1])])  # u = W + (B + 1/4)
-    return g.compose(inner)
+    return g.shift_variable(RationalPolynomial([Fraction(1, 4), 1]))  # u = W + (B + 1/4)
 
 
 def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:

@@ -16,6 +16,7 @@ are regression-tested artifacts rather than silent fixes.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
     hyp_2f1_series,
+    _horner,
     hyp_pfq_series,
-    pochhammer,
     poly_eval,
 )
 
@@ -139,12 +140,11 @@ def _case_a_hypergeometric(n: int) -> RationalPolynomial:
     pref *= math.factorial(n) * math.factorial(n + 1) ** 2
     total = RationalPolynomial([])
     quad = RationalPolynomial([1])  # prod_{j<k} ((j+1/2)^2 + u)
+    r = Fraction(1)  # (-n)_k (n+3)_k / ((1)_k (2)_k^2 k!), by its term ratio
     for k in range(n + 1):
-        r = (pochhammer(Fraction(-n), k) * pochhammer(Fraction(n + 3), k)
-             / (pochhammer(Fraction(1), k) * pochhammer(Fraction(2), k) ** 2
-                * math.factorial(k)))
         total = total + quad * r
         quad = quad * RationalPolynomial([(Fraction(k) + Fraction(1, 2)) ** 2, 1])
+        r *= Fraction((k - n) * (k + n + 3), (k + 1) ** 2 * (k + 2) ** 2)
     return total * pref
 
 
@@ -158,12 +158,12 @@ def _case_b_hypergeometric_symbolic(n: int) -> BParamPolynomial:
     tails.reverse()
     total = BParamPolynomial([])
     quad = BParamPolynomial([1])  # prod_{j<k} ((j+1/2)^2 + u)
+    r = Fraction(1)  # (-n)_k (n+1)_k / ((1)_k k!), by its term ratio
     for k in range(n + 1):
-        r = (pochhammer(Fraction(-n), k) * pochhammer(Fraction(n + 1), k)
-             / (pochhammer(Fraction(1), k) * math.factorial(k)))
         total = total + quad * (tails[k] * r)
         if k < n:
             quad = quad * BParamPolynomial([(Fraction(k) + Fraction(1, 2)) ** 2, 1])
+        r *= Fraction((k - n) * (k + n + 1), (k + 1) ** 2)
     return total * pref
 
 
@@ -286,7 +286,7 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
             else:
                 raise ValueError(f"unknown recurrence form {form!r}")
             shift = cls([beta, 1])
-            polys.append(shift * polys[n - 1] + polys[n - 2] * gamma * sign)
+            polys.append(shift * polys[n - 1] + polys[n - 2] * (gamma * sign))
         polys = tuple(polys)
         with _TABLES_LOCK:
             if len(polys) > len(_TABLES.get(key, ())):
@@ -488,16 +488,17 @@ class GenFunReport:
     passed: bool
 
 
-def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int):
+@functools.lru_cache(maxsize=1024)
+def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int) -> float:
     f = math.factorial
     if family.case == CASE_A:
         if identity_id == 1:
-            return Fraction(2 * f(2 * n + 2), f(n) ** 2 * f(n + 2) ** 2)
+            return float(Fraction(2 * f(2 * n + 2), f(n) ** 2 * f(n + 2) ** 2))
         if identity_id == 2:
-            return Fraction(f(2 * n + 2), f(n) * f(n + 1) ** 2 * f(n + 2))
-        return Fraction(f(2 * n + 2), f(n) ** 2 * f(n + 1) ** 2)
+            return float(Fraction(f(2 * n + 2), f(n) * f(n + 1) ** 2 * f(n + 2)))
+        return float(Fraction(f(2 * n + 2), f(n) ** 2 * f(n + 1) ** 2))
     if identity_id == 1:
-        return Fraction(f(2 * n), f(n) ** 4)
+        return float(Fraction(f(2 * n), f(n) ** 4))
     # identities 2 and 3 share the left side; Gamma(n+1±s) rewritten via
     # Pochhammer pairs (exact polynomial in B) and the reflection identity
     s = family.s_value()
@@ -505,6 +506,11 @@ def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int):
     for j in range(1, n + 1):
         prod *= j * j - 1 - family.b
     return float(Fraction(f(2 * n), f(n) ** 2) / prod) * math.sin(math.pi * s) / (math.pi * s)
+
+
+@functools.lru_cache(maxsize=256)
+def _float_coeffs(poly: RationalPolynomial) -> tuple:
+    return poly.float_coeffs()
 
 
 def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
@@ -567,8 +573,9 @@ def generating_function_check(family: WilsonFamily, identity_id: int, x: float, 
     mags: list[float] = []
     u = float(x * x)
     for n in range(n_terms + 1):
-        term = complex(float(_lhs_coefficient(family, identity_id, n))
-                       * poly_eval(table[n], u) * t ** n)
+        # Horner over float(c) is what poly_eval does at a float u
+        term = complex(_lhs_coefficient(family, identity_id, n)
+                       * _horner(_float_coeffs(table[n]), u) * t ** n)
         lhs += term
         mags.append(abs(term))
     ratios = [mags[i + 1] / mags[i] for i in range(len(mags) - 1) if mags[i] > 0 and mags[i + 1] > 0]

@@ -207,3 +207,218 @@ def test_bparam_polynomial_substitution_and_scalars():
 def test_frac_serialization():
     assert frac_to_str(Fraction(-3, 4)) == "-3/4"
     assert frac_to_str(Fraction(8)) == "8"
+
+
+# -- the integer grid against a naive reference ------------------------------
+# A polynomial is a dict {(power of u, power of B): Fraction} of its nonzero
+# coefficients; every operation below is the schoolbook one on Fractions.
+
+nonzero = rationals.filter(bool)
+
+
+def grids(symbolic: bool):
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 3 if symbolic else 0))
+    return st.dictionaries(keys, nonzero, max_size=8)
+
+
+def build(d: dict, symbolic: bool):
+    rows = 1 + max((i for i, _ in d), default=-1)
+    if not symbolic:
+        return RationalPolynomial([d.get((i, 0), 0) for i in range(rows)])
+    width = 1 + max((j for _, j in d), default=0)
+    return BParamPolynomial([RationalPolynomial([d.get((i, j), 0) for j in range(width)])
+                             for i in range(rows)])
+
+
+def read(p) -> dict:
+    """The reference dict of p, through its ``coeffs`` view."""
+    if isinstance(p, BParamPolynomial):
+        return {(i, j): c for i, row in enumerate(p.coeffs)
+                for j, c in enumerate(row.coeffs) if c}
+    return {(i, 0): c for i, c in enumerate(p.coeffs) if c}
+
+
+def ref_add(x: dict, y: dict, sign=1) -> dict:
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for (i, j), a in x.items():
+        for (k, m), b in y.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_scale(x: dict, q) -> dict:
+    return {k: v * q for k, v in x.items() if v * q}
+
+
+def ref_compose(x: dict, inner: dict) -> dict:
+    out, power = {}, {(0, 0): Fraction(1)}
+    for i in range(1 + max((i for i, _ in x), default=-1)):
+        row = {(0, j): v for (k, j), v in x.items() if k == i}
+        out = ref_add(out, ref_mul(row, power))
+        power = ref_mul(power, inner)
+    return out
+
+
+def ref_at_b(x: dict, b) -> dict:
+    out: dict = {}
+    for (i, j), v in x.items():
+        out[i, 0] = out.get((i, 0), 0) + v * b ** j
+    return {k: v for k, v in out.items() if v}
+
+
+def check(result, want: dict, symbolic: bool):
+    assert read(result) == want
+    assert result == build(want, symbolic)
+    assert hash(result) == hash(build(want, symbolic))
+    assert isinstance(result, BParamPolynomial) == symbolic
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_ring_operations_match_reference(symbolic, data):
+    x, y = data.draw(grids(symbolic)), data.draw(grids(symbolic))
+    p, q = build(x, symbolic), build(y, symbolic)
+    check(p, x, symbolic)
+    check(p + q, ref_add(x, y), symbolic)
+    check(p - q, ref_add(x, y, -1), symbolic)
+    check(-p, ref_scale(x, -1), symbolic)
+    check(p * q, ref_mul(x, y), symbolic)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_scalar_operations_match_reference(symbolic, data):
+    x = data.draw(grids(symbolic))
+    a, c = data.draw(rationals), data.draw(nonzero)
+    n = data.draw(st.integers(-5, 5))
+    p = build(x, symbolic)
+    check(p * a, ref_scale(x, a), symbolic)
+    check(a * p, ref_scale(x, a), symbolic)
+    check(p * n, ref_scale(x, n), symbolic)
+    check(p / c, ref_scale(x, 1 / c), symbolic)
+    check(p + a, ref_add(x, {(0, 0): a} if a else {}), symbolic)
+    check(a - p, ref_add({(0, 0): a} if a else {}, x, -1), symbolic)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_substitutions_match_reference(symbolic, data):
+    x, inner = data.draw(grids(symbolic)), data.draw(grids(symbolic))
+    p = build(x, symbolic)
+    check(p.compose(build(inner, symbolic)), ref_compose(x, inner), symbolic)
+    check(p.reflect(), {(i, j): (-1) ** i * v for (i, j), v in x.items()}, symbolic)
+    a = data.draw(rationals)
+    shift = ref_add({(1, 0): Fraction(1)}, {(0, 0): a} if a else {})
+    check(p.shift_variable(a), ref_compose(x, shift), symbolic)
+    if symbolic:
+        # a shift by a polynomial in B, and B set to a rational
+        r = data.draw(grids(True).map(lambda d: {(0, j): v for (i, j), v in d.items() if i == 0}))
+        b_shift = RationalPolynomial([r.get((0, j), 0) for j in range(4)])
+        check(p.shift_variable(b_shift), ref_compose(x, ref_add({(1, 0): Fraction(1)}, r)), True)
+        b = data.draw(rationals)
+        check(p.substitute_b(b), ref_at_b(x, b), False)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_evaluation_matches_reference(symbolic, data):
+    x = data.draw(grids(symbolic))
+    p = build(x, symbolic)
+    u = data.draw(rationals)
+    at_u: dict = {}
+    for (i, j), v in x.items():
+        at_u[j] = at_u.get(j, 0) + v * u ** i
+    if symbolic:
+        assert poly_eval(p, u) == RationalPolynomial([at_u.get(j, 0) for j in range(4)])
+        return
+    assert poly_eval(p, u) == at_u.get(0, 0) and type(poly_eval(p, u)) is Fraction
+    uf = data.draw(st.floats(-50, 50))
+    cs = [x.get((i, 0), Fraction(0)) for i in range(p.degree + 1)]
+    want = 0.0 * uf
+    for k, c in enumerate(reversed(cs)):
+        want = float(c) if k == 0 else want * uf + float(c)
+    got = poly_eval(p, uf)
+    assert type(got) is float and (got == want or (got != got and want != want))
+    assert p.float_coeffs() == tuple(float(c) for c in cs)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_coefficient_view_types(symbolic, data):
+    p = build(data.draw(grids(symbolic)), symbolic)
+    assert type(p.coeffs) is tuple and len(p.coeffs) == p.degree + 1
+    assert not p.coeffs or p.coeffs[-1]
+    if symbolic:
+        assert all(type(c) is RationalPolynomial for c in p.coeffs)
+        assert all(type(q) is Fraction for c in p.coeffs for q in c.coeffs)
+    else:
+        assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.leading == (p.coeffs[-1] if p.coeffs else 0)
+    assert all(p.coefficient(k) == c for k, c in enumerate(p.coeffs))
+
+
+class TestEqualityHashAndMixedArithmetic:
+    def test_constants_equal_and_hash_like_their_rationals(self):
+        for value in (3, Fraction(-7, 4), 0):
+            for p in (RationalPolynomial([value]), BParamPolynomial([value])):
+                assert p == value and hash(p) == hash(value)
+        assert RationalPolynomial([1]) == BParamPolynomial([1])
+        assert hash(RationalPolynomial([1])) == hash(BParamPolynomial([1]))
+
+    def test_plain_polynomial_beside_a_symbolic_one_is_a_polynomial_in_b(self):
+        b = RationalPolynomial([0, 1])
+        as_b = BParamPolynomial([b])
+        assert b == as_b and hash(b) == hash(as_b)
+        assert b != BParamPolynomial([0, 1])  # u, not B
+        p = BParamPolynomial([b * Fraction(1, 2), 1])
+        q = RationalPolynomial([1, 1])  # 1 + B here
+        assert q * p == p * q == BParamPolynomial([q * b * Fraction(1, 2), q])
+        assert q + p == p + q == BParamPolynomial([b * Fraction(3, 2) + 1, 1])
+        assert q - p == -(p - q)
+        assert RationalPolynomial([1, 1]) - BParamPolynomial([1]) == BParamPolynomial([b])
+
+    def test_compose_reads_a_plain_argument_in_u(self):
+        p = BParamPolynomial([RationalPolynomial([0, 1]), 1])  # B + u
+        got = p.compose(RationalPolynomial([1, 1]))  # u -> u + 1
+        assert got == BParamPolynomial([RationalPolynomial([1, 1]), 1])
+
+    @given(grids(True), grids(True))
+    @settings(max_examples=15, deadline=None)
+    def test_equal_values_hash_equal(self, x, y):
+        p, q = build(x, True), build(y, True)
+        r = (p + q) - q
+        assert r == p and hash(r) == hash(p)
+        s = (p * 3) / 3
+        assert s == p and hash(s) == hash(p)
+
+    @given(grids(True), grids(False))
+    @settings(max_examples=15, deadline=None)
+    def test_cancelled_b_columns_are_stripped(self, x, y):
+        p, q = build(x, True), build(y, True)  # q is free of B
+        r = (p + q) - p
+        assert r == q and hash(r) == hash(q)
+
+    def test_floats_are_not_exact_operands(self):
+        for p in (RationalPolynomial([1, 2]), BParamPolynomial([1, 2])):
+            for op in (lambda: p * 0.5, lambda: p + 0.5, lambda: p / 0.5):
+                with pytest.raises(TypeError):
+                    op()
+        assert RationalPolynomial([3]) != 3.0
+
+    def test_coefficients_of_a_symbolic_polynomial_live_in_b(self):
+        with pytest.raises(TypeError):
+            BParamPolynomial([BParamPolynomial([1])])
+        with pytest.raises(TypeError):
+            BParamPolynomial([1, 2]).float_coeffs()

@@ -82,6 +82,18 @@ class TestRecurrenceRoute:
                 want = monic_from_hypergeometric(family, n)
             assert table[n] == want
 
+    def test_symbolic_case_b_degree_40_matches_hypergeometric_exactly(self):
+        assert monic_from_recurrence(CASE_B_SYM, 40)[40] == monic_from_hypergeometric(CASE_B_SYM, 40)
+
+    def test_substituted_symbolic_table_matches_numeric_routes_at_73_10(self):
+        b = Fraction(73, 10)
+        numeric = monic_from_recurrence(WilsonFamily.case_b(b), 20)
+        symbolic = monic_from_recurrence(CASE_B_SYM, 20)
+        for n in (0, 1, 7, 20):
+            assert symbolic[n].substitute_b(b) == numeric[n]
+        assert numeric[20] == monic_from_hypergeometric(WilsonFamily.case_b(b), 20)
+        assert symbolic[20].substitute_b(b) == monic_from_hypergeometric(CASE_B_SYM, 20).substitute_b(b)
+
     @pytest.mark.parametrize("family", [CASE_A, CASE_B_SYM])
     def test_monic(self, family):
         table = monic_from_recurrence(family, 10)
@@ -395,6 +407,22 @@ class TestGeneratingFunctions:
         for ident in (1, 2, 3):
             rep = generating_function_check(CASE_B_32, ident, 0.9, 0.2, n_terms=30)
             assert rep.passed, (ident, rep.abs_diff)
+
+    @pytest.mark.parametrize("family,ident", [(CASE_A, 1), (CASE_A, 3), (CASE_B_32, 2)])
+    def test_lhs_bits_equal_fraction_horner(self, family, ident):
+        # the generating sum as a Horner scheme with Fraction coefficients
+        # against a float u, each coefficient rebuilt from scratch
+        x, t, n_terms = 0.7, 0.2, 25
+        table = monic_from_recurrence(family, n_terms)
+        lhs = 0.0 + 0.0j
+        for n in range(n_terms + 1):
+            acc = None
+            for c in reversed(table[n].coeffs):
+                acc = c if acc is None else acc * (x * x) + c
+            coefficient = wilson._lhs_coefficient.__wrapped__(family, ident, n)
+            lhs += complex(coefficient * acc * t ** n)
+        for _ in range(2):  # cold, then from the caches
+            assert generating_function_check(family, ident, x, t, n_terms).lhs == lhs
 
     def test_degenerate_b_rejected(self):
         with pytest.raises(DegenerateFamily):
