@@ -1,13 +1,15 @@
 """Semi-infinite quadrature and weighted expansions in the monic families.
 
-Two quadrature machines live here.  ``integrate_semiinfinite`` is certified
-adaptive Gauss-Legendre quadrature on (0, inf) for integrands with
-exponential decay: adaptive paneling on [0, X] plus an analytic tail bound.
-It is the independent oracle and the fallback.  ``discrete_measure`` is one
+``discrete_measure`` is the one quadrature mechanism of the expansions: a
 shared discretization of each family measure, on which inner products,
 basis projections, all three routes to the parity-reconstruction
 coefficients c_n, the weighted-L2 reconstruction residuals and the
 Stieltjes orthogonalization become weighted dot products.
+The certified adaptive Gauss-Legendre quadrature on (0, inf) for
+integrands with exponential decay (adaptive paneling on [0, X] plus an
+analytic tail bound) shares its panel loop with the measure build but is
+never called by the library: it is the independent oracle the measure is
+tested against.
 
 A measure is built once per (family, QuadratureConfig, degree bound), the
 bound rounded up to a power of two (at least 8), so that no result depends
@@ -21,8 +23,9 @@ values of P_0..P_bound there, run forward in float through the three-term
 recurrence (``family_values``).  Polynomial factors are expanded exactly in
 the family basis.  Every integral still returns its own error estimate:
 the per-panel difference of the two rules, the analytic tail bound beyond
-the cutoff and a roundoff allowance.  An integral that misses its budget is
-recomputed by ``integrate_semiinfinite``.
+the cutoff and a roundoff allowance.  An integral that misses its budget
+raises ``NoConvergence``, as does a measure whose panel loop exceeds
+max_panels or meets a non-finite integrand.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -33,14 +36,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import NoConvergence
-from .numcore import RationalPolynomial, ensure_finite
+from .numcore import RationalPolynomial
 from .wilson import (
     CASE_A,
     CASE_B,
@@ -65,7 +68,8 @@ PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for the adaptive semi-infinite quadrature.
+    """Controls for the semi-infinite quadrature: the panel loop of the
+    shared measures and of the adaptive oracle.
 
     ``x_max=None`` chooses the cutoff automatically so that the analytic
     tail bound (integrand <= C x^p e^{-decay*x}, C measured near the
@@ -90,16 +94,6 @@ def _nodes(order: int):
     if order not in _NODE_CACHE:
         _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _NODE_CACHE[order]
-
-
-def _panel_pair(f, lo, hi, order):
-    vals = []
-    for q in (order, 2 * order):
-        xs, ws = _nodes(q)
-        xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xs
-        vals.append(0.5 * (hi - lo) * np.sum(ws * np.asarray(f(xm))))
-    coarse, fine = vals
-    return fine, abs(fine - coarse)
 
 
 def _exp(e: float) -> float:
@@ -164,13 +158,26 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
     panels on [0, x_max]), the panel with the largest |fine - coarse| is
     halved until the summed differences are within half the budget
     max(abs_tol, rel_tol |total|, roundoff floor).  Returns
-    [err, lo, hi, value] per panel, by lo."""
+    [err, lo, hi, value] per panel, by lo.  A non-finite integrand value
+    raises at once."""
+    def panel(lo, hi):
+        vals = []
+        for q in (cfg.panel_order, 2 * cfg.panel_order):
+            xs, ws = _nodes(q)
+            xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xs
+            fx = np.asarray(f(xm))
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                raise NoConvergence(
+                    f"non-finite integrand at x = {xm[bad][0]:.6g} on panel "
+                    f"[{lo:.6g}, {hi:.6g}], cutoff {x_max:.6g}")
+            vals.append(0.5 * (hi - lo) * np.sum(ws * fx))
+        coarse, fine = vals
+        return [abs(fine - coarse), lo, hi, fine]
+
     if edges is None:
         edges = np.linspace(0.0, x_max, int(math.ceil(x_max)) + 1)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel_pair(f, lo, hi, cfg.panel_order)
-        panels.append([err, lo, hi, val])
+    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     while True:
         total = sum(p[3] for p in panels)
         err_sum = sum(p[0] for p in panels)
@@ -188,9 +195,7 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
                 f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
         _, lo, hi, _ = panels.pop(0)
         mid = 0.5 * (lo + hi)
-        for a, b in ((lo, mid), (mid, hi)):
-            val, err = _panel_pair(f, a, b, cfg.panel_order)
-            panels.append([err, a, b, val])
+        panels += [panel(lo, mid), panel(mid, hi)]
     panels.sort(key=lambda p: p[1])
     return panels
 
@@ -213,7 +218,6 @@ def integrate_semiinfinite(f: Callable, cfg: QuadratureConfig | None = None,
     total = sum(p[3] for p in panels)
     err_sum = sum(p[0] for p in panels)
     roundoff = 1e-15 * sum(abs(p[3]) for p in panels) * math.sqrt(len(panels))
-    ensure_finite(complex(total))
     return total, err_sum + tail + roundoff
 
 
@@ -295,14 +299,6 @@ def _scaled_basis(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     return np.array([float(c) for c in a]) * scale[: len(a)]
 
 
-def _basis_function(family: WilsonFamily, coeffs: np.ndarray):
-    """x -> sum_k coeffs[k] values_k(x^2), a polynomial in the family basis
-    as a factor of a fallback integrand."""
-    def f(x):
-        return coeffs @ family_values(family, coeffs.size - 1, x * x)[0]
-    return f
-
-
 # ---------------------------------------------------------------------------
 # the shared discrete measure
 # ---------------------------------------------------------------------------
@@ -349,17 +345,17 @@ class DiscreteMeasure:
         each row sampled at ``x`` (the density included in ``factor`` or the
         rows where it belongs).
 
-        Returns (values, error estimates, within budget).  The estimate is
-        the summed per-panel |fine - coarse|, plus the tail bound for the
-        row's growth degree, plus a roundoff allowance that also covers the
-        recurrence values, whose relative error grows about linearly with
-        the degree (EPSILON per unit of growth degree).  A row is within
-        budget when its panel differences are at most half of max(abs_tol,
-        rel_tol |value|, roundoff floor) and, with an automatic cutoff, its
-        tail at most a quarter of it.  On panels this wide the roundoff
-        scale is the sum of |weight * integrand| over the fine nodes, not
-        of |panel value|, which cancels within a panel for oscillating
-        integrands.
+        Returns (values, error estimates).  The estimate is the summed
+        per-panel |fine - coarse|, plus the tail bound for the row's growth
+        degree, plus a roundoff allowance that also covers the recurrence
+        values, whose relative error grows about linearly with the degree
+        (EPSILON per unit of growth degree).  Every row must meet its
+        budget max(abs_tol, rel_tol |value|, roundoff floor): panel
+        differences at most half of it and, with an automatic cutoff, the
+        tail at most a quarter; otherwise NoConvergence names the first row
+        that misses it.  On panels this wide the roundoff scale is the sum
+        of |weight * integrand| over the fine nodes, not of |panel value|,
+        which cancels within a panel for oscillating integrands.
         """
         cfg, k = self.cfg, self.cfg.panel_order
         rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
@@ -382,9 +378,20 @@ class DiscreteMeasure:
         ok = err <= 0.5 * budget
         if cfg.x_max is None:
             ok &= tails <= 0.25 * budget
+        if not ok.all():
+            missed = np.flatnonzero(~ok)
+            i = missed[0]
+            tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budget[i]:.3e}"
+                    if cfg.x_max is None else "")
+            raise NoConvergence(
+                f"{self.family.label()} measure at degree bound {self.degree}: row {i} "
+                f"(growth degree {growth_degrees[i]}) misses its budget {budget[i]:.3e}, "
+                f"err {err[i]:.3e} against budget/2 {0.5 * budget[i]:.3e}{tail} "
+                f"({missed.size} of {ok.size} rows miss theirs); {self.panels} panels, "
+                f"x_max {self.x_max:.6g}")
         roundoff = magnitude * (1e-15 * math.sqrt(self.panels)
                                 + EPSILON * np.asarray(growth_degrees))
-        return total, err + tails + roundoff, ok
+        return total, err + tails + roundoff
 
 
 def _graded_edges(x_max: float) -> np.ndarray:
@@ -404,15 +411,18 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
     weight = family_weight(family)
 
     def hardest(x):
-        values, _ = family_values(family, degree, x * x)
-        return weight.evaluate(x) * np.sum(values * values, axis=0)
+        # past the degree ceiling the rows overflow; the panel loop then
+        # rejects the non-finite values instead of numpy warning about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, _ = family_values(family, degree, x * x)
+            return weight.evaluate(x) * np.sum(values * values, axis=0)
 
     try:
         x_max, _ = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
         panels = _adaptive_panels(hardest, cfg, x_max, rel_tol=0.0,
                                   edges=_graded_edges(x_max))
-    except NoConvergence:
-        return None
+    except NoConvergence as exc:
+        raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
     (xc, wc), (xf, wf) = _nodes(cfg.panel_order), _nodes(2 * cfg.panel_order)
     lo = np.array([p[1] for p in panels])[:, None]
     hi = np.array([p[2] for p in panels])[:, None]
@@ -432,29 +442,15 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
 
 
 def discrete_measure(family: WilsonFamily, degree: int,
-                     cfg: QuadratureConfig | None = None) -> DiscreteMeasure | None:
+                     cfg: QuadratureConfig | None = None) -> DiscreteMeasure:
     """The shared measure serving polynomial degrees <= ``degree``: cached
     per (family, cfg, bound), bound = the power of two >= max(degree, 8)
     (the 32 most recently used; a rebuilt measure is identical).
-    None when its panel loop exceeds max_panels; callers then integrate
-    adaptively."""
+    Raises NoConvergence, naming the family and the bound, when its panel
+    loop exceeds max_panels or meets a non-finite integrand (past the
+    degree ceiling, where the value rows overflow)."""
     bound = max(MEASURE_MIN_DEGREE, 1 << max(degree - 1, 0).bit_length())
     return _build_measure(family, cfg or QuadratureConfig(), bound)
-
-
-def _integrals(measure, sums_args, growth_degrees, fallback) -> list:
-    """(value, error) per integrand row: from ``measure.sums(*sums_args(m),
-    growth_degrees)`` where it meets its budget, else from ``fallback(i)``
-    (the adaptive quadrature)."""
-    if measure is None:
-        return [fallback(i) for i in range(len(growth_degrees))]
-    rows, factor, row_scale = sums_args(measure)
-    total, err, ok = measure.sums(rows, growth_degrees, factor, row_scale)
-    return [(total[i], err[i]) if ok[i] else fallback(i) for i in range(len(growth_degrees))]
-
-
-def _fallback_cfg(cfg: QuadratureConfig, degree: int) -> QuadratureConfig:
-    return cfg if cfg.x_max is not None else replace(cfg, x_max=auto_cutoff(degree))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,6 @@ class _Factor:
             self.coeffs = _scaled_basis(family, obj)
             self.degree = self.coeffs.size - 1
             self.x_degree = 2 * max(obj.degree, 0)
-            self.function = _basis_function(family, self.coeffs)
             ys = np.array([pm.y for pm in masses])
             self.mass_values = self.coeffs @ family_values(family, self.degree, ys)[0]
         else:
@@ -496,19 +491,11 @@ def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = Non
     family basis; callable factors must supply their continuation
     t -> f(i t) when masses are present.  Returns (value, error_estimate)."""
     weight = family_weight(family)
-    cfg = cfg or QuadratureConfig()
     pf = _Factor(family, p, weight.point_masses, p_at_masses)
     qf = _Factor(family, q, weight.point_masses, q_at_masses)
-    degree = pf.x_degree + qf.x_degree
     measure = discrete_measure(family, max(pf.degree, qf.degree), cfg)
-
-    def fallback(_):
-        return integrate_semiinfinite(
-            lambda x: weight.evaluate(x) * pf.function(x) * qf.function(x),
-            _fallback_cfg(cfg, degree), growth_degree=degree)
-
-    [(val, err)] = _integrals(measure, lambda m: (pf.on(m), m.density * qf.on(m), None),
-                              [degree], fallback)
+    [val], [err] = measure.sums(pf.on(measure), [pf.x_degree + qf.x_degree],
+                                measure.density * qf.on(measure))
     for pm, a, b in zip(weight.point_masses, pf.mass_values, qf.mass_values):
         term = pm.mass * complex(a) * complex(b)
         val = val + term
@@ -542,26 +529,12 @@ class CoefficientTable:
         raise KeyError(n)
 
 
-def _basis_rows(family: WilsonFamily, measure: DiscreteMeasure | None, first: int,
-                last: int, factor: Callable, growth: Callable[[int], int],
-                cfg: QuadratureConfig, on_measure: Callable | None = None) -> list:
-    """(value, error) of integral_0^inf factor(x) P_n(x^2) dx for
-    n = first..last: the value rows against factor(x) (or on_measure(m))
-    on the measure, the adaptive quadrature for any row that misses its
-    budget."""
-    def rows(m):
-        at = factor(m.x) if on_measure is None else on_measure(m)
-        return m.values[first:last + 1], at, m.scale[first:last + 1]
-
-    def fallback(i):
-        n = first + i
-        unit = np.zeros(n + 1)
-        unit[n] = _float_recurrence(family, n)[2][n]
-        pn = _basis_function(family, unit)
-        return integrate_semiinfinite(lambda x: factor(x) * pn(x),
-                                      _fallback_cfg(cfg, growth(n)), growth_degree=growth(n))
-
-    return _integrals(measure, rows, [growth(n) for n in range(first, last + 1)], fallback)
+def _basis_rows(measure: DiscreteMeasure, n_max: int, factor: np.ndarray,
+                growth: Callable[[int], int]):
+    """(values, errors) of integral_0^inf factor(x) P_n(x^2) dx for
+    n = 0..n_max, ``factor`` sampled at the measure's points."""
+    return measure.sums(measure.values[: n_max + 1], [growth(n) for n in range(n_max + 1)],
+                        factor, measure.scale[: n_max + 1])
 
 
 def _mass_rows(family: WilsonFamily, n_max: int) -> np.ndarray:
@@ -578,16 +551,13 @@ def project(f_target, family: WilsonFamily, n_max: int,
     n = 0..n_max under the family measure, all numerators from one pass
     over the shared measure.  Denominators use the closed-form norms."""
     weight = family_weight(family)
-    cfg = cfg or QuadratureConfig()
     target = _Factor(family, f_target, weight.point_masses, f_at_masses)
     measure = discrete_measure(family, max(n_max, target.degree), cfg)
-    nums = _basis_rows(family, measure, 0, n_max,
-                       lambda x: weight.evaluate(x) * target.function(x),
-                       lambda n: target.x_degree + 2 * n, cfg,
-                       on_measure=lambda m: m.density * target.on(m))
+    nums = _basis_rows(measure, n_max, measure.density * target.on(measure),
+                       lambda n: target.x_degree + 2 * n)
     at_masses = _mass_rows(family, n_max)
     entries = []
-    for n, (num, err) in enumerate(nums):
+    for n, (num, err) in enumerate(zip(*nums)):
         for pm, fv, pv in zip(weight.point_masses, target.mass_values, at_masses[n]):
             term = pm.mass * complex(fv) * complex(pv)
             num = num + term
@@ -652,26 +622,24 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     if route not in ("closed_form", "printed"):
         raise ValueError(f"unknown route {route!r}")
 
-    cfg = cfg or QuadratureConfig()
     entries = []
     if family.case == CASE_A:
         entries.append((0, -1j, 0.0))
         if n_max >= 1:
             measure = discrete_measure(family, n_max - 1, cfg)
-            integrals = _basis_rows(family, measure, 0, n_max - 1, _case_a_moment,
-                                    lambda k: 2 * k + 3, cfg)
+            integrals = _basis_rows(measure, n_max - 1, _case_a_moment(measure.x),
+                                    lambda k: 2 * k + 3)
             norm = printed_norm_rhs if route == "printed" else norm_closed_form
-            for n, (integral, err) in enumerate(integrals, start=1):
+            for n, (integral, err) in enumerate(zip(*integrals), start=1):
                 const = math.pi ** 2 * (-1) ** n / float(norm(family, n - 1))
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
         weight = family_weight(family)
         measure = discrete_measure(family, n_max, cfg)
-        integrals = _basis_rows(family, measure, 0, n_max,
-                                lambda x: weight.evaluate(x) * np.exp(-np.pi * x),
-                                lambda n: 2 * n + 1, cfg)
+        integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
+                                lambda n: 2 * n + 1)
         at_masses = _mass_rows(family, n_max)
-        for n, (integral, err) in enumerate(integrals):
+        for n, (integral, err) in enumerate(zip(*integrals)):
             if route == "closed_form":
                 for pm, pv in zip(weight.point_masses, at_masses[n]):
                     integral = integral + pm.mass * complex(np.exp(-1j * np.pi * pm.t)) * pv
@@ -694,30 +662,20 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     """
     if table is None:
         table = parity_coefficients(family, n_trunc + (1 if family.case == CASE_A else 0), cfg)
-    cfg = cfg or QuadratureConfig()
     weight = family_weight(family)
     f_target, f_masses = parity_target(family.case)
     offset = 1 if family.case == CASE_A else 0
     signed = np.array([(-1) ** n * table.coefficient(n + offset) for n in range(n_trunc + 1)],
                       dtype=complex)
     measure = discrete_measure(family, n_trunc, cfg)
-
-    def rows(m):
-        partial = (signed * m.scale[: n_trunc + 1])[:, None] * m.values[: n_trunc + 1]
-        np.cumsum(partial, axis=0, out=partial)
-        partial -= f_target(m.x)
-        return partial.real ** 2 + partial.imag ** 2, m.density, None
-
-    def fallback(N):
-        partial = _basis_function(family, signed[: N + 1] * _float_recurrence(family, N)[2])
-        return integrate_semiinfinite(
-            lambda x: weight.evaluate(x) * np.abs(f_target(x) - partial(x)) ** 2,
-            _fallback_cfg(cfg, 4 * n_trunc), growth_degree=4 * N)
-
-    integrals = _integrals(measure, rows, [4 * N for N in range(n_trunc + 1)], fallback)
+    partial = (signed * measure.scale[: n_trunc + 1])[:, None] * measure.values[: n_trunc + 1]
+    np.cumsum(partial, axis=0, out=partial)
+    partial -= f_target(measure.x)
+    integrals, _ = measure.sums(partial.real ** 2 + partial.imag ** 2,
+                                [4 * N for N in range(n_trunc + 1)], measure.density)
     at_masses = np.cumsum(signed[:, None] * _mass_rows(family, n_trunc), axis=0)
     residuals = []
-    for N, (val, _) in enumerate(integrals):
+    for N, val in enumerate(integrals):
         total = float(np.real(val))
         for pm, s in zip(weight.point_masses, at_masses[N]):
             total += pm.mass * abs(f_masses(pm.t) - s) ** 2
@@ -737,8 +695,6 @@ def stieltjes_monic_table(family: WilsonFamily, n_max: int) -> list[np.ndarray]:
     and the point masses of the shared measure, never its recurrence
     values.  Returns float coefficient arrays."""
     measure = discrete_measure(family, n_max)
-    if measure is None:
-        raise NoConvergence(f"no discrete measure for {family.label()} at degree {n_max}")
     xs, ws = measure.fine_rule()
     u = xs * xs
     mass_u = np.array([pm.y for pm in measure.masses])

@@ -21,7 +21,6 @@ built on each read: reduced Fractions, or polynomials in B.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -36,13 +35,6 @@ def frac_to_str(q: Fraction) -> str:
     """Serialize a rational as "p/q" (just "p" for integers)."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def ensure_finite(z: complex) -> complex:
-    """Reject NaN/Inf escaping a floating-point operation."""
-    if not (cmath.isfinite(z) if isinstance(z, complex) else -float("inf") < z < float("inf")):
-        raise ArithmeticError(f"non-finite value {z!r}")
-    return z
 
 
 # -- integer coefficient grids -------------------------------------------

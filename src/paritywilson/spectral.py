@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainPole, IllConditioned, LatticePole
-from .numcore import BParamPolynomial, RationalPolynomial, poly_eval
+from .numcore import BParamPolynomial, RationalPolynomial, _horner, poly_eval
 from .wilson import (
     CASE_A,
     CASE_B,
@@ -131,6 +131,10 @@ class EigenpairRecord:
                 val = mp.e ** (1j * mp.pi * mp.sqrt(rad))
                 if cs is None:
                     return val
+                # its own loop, not numcore._horner: cs keep the rounding of
+                # the precision in force when the callable was built, and
+                # starting from mpf(0) rounds every step, the leading
+                # coefficient too, at the precision of the call
                 acc = mp.mpf(0)
                 for c in reversed(cs):
                     acc = acc * w + c
@@ -147,10 +151,7 @@ class EigenpairRecord:
             val = cmath.exp(1j * math.pi * math.sqrt(rad))
             if cs_f is None:
                 return val
-            acc = 0.0
-            for c in reversed(cs_f):
-                acc = acc * w + c
-            return val * acc
+            return val * _horner(cs_f, w)
         return f
 
 

@@ -273,3 +273,16 @@ def test_traceability_cli_output(capsys):
     assert code == 0
     rows = json.loads(out)
     assert any(r["anchor"] == "eq-28" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--case", "A", "--n-max", "70"],
+    ["reconstruct", "--case", "B", "--b", "3/2", "--n-max", "70"],
+], ids=["coeffs_A", "reconstruct_B"])
+def test_past_the_measure_ceiling_is_one_error_line(argv, capsys):
+    # degree 70 needs the degree-128 measure, whose value rows overflow
+    assert run_subcommand(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "degree bound 128" in line

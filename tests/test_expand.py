@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from paritywilson import expand
+from paritywilson import expand, verify
 from paritywilson.errors import NoConvergence
 from paritywilson.expand import (
     QuadratureConfig,
@@ -320,36 +320,48 @@ class TestDiscreteMeasure:
             # the measure's own bar on the squared residual is its budget
             assert abs(res[N] ** 2 - want) <= want_err + 1e-10 * want + 1e-13, N
 
-    def test_error_bars_cover_the_oracle_difference_for_callables(self):
-        # a factor the measure cannot resolve falls back to the adaptive path
+    def test_unresolved_callable_raises(self):
+        # the measure's panels cannot resolve cos(40 x); there is no second path
         f = lambda x: np.cos(40.0 * x)  # noqa: E731
-        val, err = inner_product(CASE_A, f, RationalPolynomial([1]))
-        weight = family_weight(CASE_A)
-        want, want_err = integrate_semiinfinite(
-            lambda x: weight.evaluate(x) * f(x), QuadratureConfig(x_max=auto_cutoff(0)))
-        assert abs(val - want) <= err + want_err
+        with pytest.raises(NoConvergence) as info:
+            inner_product(CASE_A, f, RationalPolynomial([1]))
+        msg = str(info.value)
+        assert "row 0 (growth degree 0)" in msg
+        assert "misses its budget" in msg and "against budget/2" in msg
 
-    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
-    def test_adaptive_fallback_agrees_when_no_measure(self, family, monkeypatch):
-        table = monic_from_recurrence(family, 6)
-        runs = []
-        for patched in (False, True):
-            if patched:
-                monkeypatch.setattr(expand, "_build_measure", lambda *args: None)
-            runs.append((inner_product(family, table[2], table[6]),
-                         inner_product(family, table[4], table[4]),
-                         parity_coefficients(family, 6),
-                         parity_coefficients(family, 6, route="projection"),
-                         reconstruction_residual(family, 6)))
-        (measured, fallback) = runs
-        for (a, ea), (b, eb) in zip(measured[:2], fallback[:2]):
-            assert abs(a - b) <= ea + eb
-        for ta, tb in zip(measured[2:4], fallback[2:4]):
-            for n in range(7):
-                assert abs(ta.coefficient(n) - tb.coefficient(n)) <= ta.error(n) + tb.error(n)
-        assert measured[4] == pytest.approx(fallback[4], rel=1e-8)
-        with pytest.raises(NoConvergence):
-            stieltjes_monic_table(family, 4)
+    @pytest.mark.parametrize("call", [
+        lambda fam, cfg: discrete_measure(fam, 6, cfg),
+        lambda fam, cfg: inner_product(fam, *monic_from_recurrence(fam, 2)[1:], cfg),
+        lambda fam, cfg: project(monic_from_recurrence(fam, 2)[2], fam, 4, cfg),
+        lambda fam, cfg: parity_coefficients(fam, 6, cfg),
+        lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="printed"),
+        lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="projection"),
+        lambda fam, cfg: reconstruction_residual(fam, 6, cfg),
+    ], ids=["measure", "inner_product", "project", "closed_form", "printed", "projection",
+            "residual"])
+    def test_unresolvable_measure_raises_in_every_consumer(self, call):
+        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 8"):
+            call(CASE_B_32, QuadratureConfig(max_panels=5))
+
+    def test_measure_past_the_degree_ceiling_fails_fast(self):
+        # at bound 128 the value rows overflow near the cutoff; the panel loop
+        # must stop at the first non-finite value, not bisect it to max_panels
+        with pytest.raises(NoConvergence) as info:
+            discrete_measure(CASE_A, 70)
+        msg = str(info.value)
+        assert "non-finite" in msg and "degree bound 128" in msg
+
+    def test_library_never_calls_the_oracle(self, monkeypatch):
+        # the adaptive quadrature is the tests' oracle only; with it disabled
+        # the extended verdict is unchanged, so no row at the extended caps
+        # misses its budget either
+        def disabled(*args, **kwargs):
+            raise AssertionError("the library called integrate_semiinfinite")
+
+        monkeypatch.setattr(expand, "integrate_semiinfinite", disabled)
+        report = verify.run_suites(extended=True)
+        assert len(report.results) == 49
+        assert {r.check_id for r in report.failed} == set(verify.EXPECTED_FAILURES)
 
     def test_results_do_not_depend_on_earlier_measures(self):
         def run():
