@@ -85,6 +85,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.panel_order < 3:  # no family measure builds at order 2
+            raise ValueError(f"panel_order must be at least 3, got {self.panel_order}")
 
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -237,13 +239,15 @@ def _recurrence_term(family: WilsonFamily, n: int):
 @functools.lru_cache(maxsize=None)
 def _float_recurrence(family: WilsonFamily, n_max: int):
     """(beta_1..beta_{n+1}, sqrt(gamma_1)..sqrt(gamma_{n+1}), scale_0..scale_n)
-    in float, scale_k = sqrt(gamma_2 ... gamma_{k+1})."""
+    in float, scale_k = sqrt(gamma_2 ... gamma_{k+1}); scale_k is inf past
+    the float range (Case A from k = 115)."""
     if family.case == CASE_B:
         family.require_nondegenerate(n_max)
     terms = [_recurrence_term(family, n) for n in range(1, n_max + 2)]
     beta = np.array([float(b) for b, _ in terms])
     root = np.sqrt(np.array([float(g) for _, g in terms]))
-    scale = np.concatenate(([1.0], np.cumprod(root[1:])))
+    with np.errstate(over="ignore"):
+        scale = np.concatenate(([1.0], np.cumprod(root[1:])))
     for array in (beta, root, scale):
         array.flags.writeable = False  # cached
     return beta, root, scale
@@ -296,7 +300,10 @@ def _scaled_basis(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     if not a:
         return np.zeros(1)
     _, _, scale = _float_recurrence(family, len(a) - 1)
-    return np.array([float(c) for c in a]) * scale[: len(a)]
+    if np.isinf(scale[-1]):
+        raise NoConvergence(f"{family.label()} polynomial of degree {len(a) - 1}: the basis "
+                            f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
+    return np.array([float(c) for c in a]) * scale
 
 
 # ---------------------------------------------------------------------------

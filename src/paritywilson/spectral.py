@@ -5,7 +5,8 @@ parameters B and M) quantizes ell_1 = 2n+1 when its solution, a prefactor
 exp(i*pi*sqrt(W+B+1/4)) times a polynomial, is required to be pole-free.
 This module builds the eigenpairs exactly for the two solved parameter
 regimes (B = M = 0, and M = 0 with free B), evaluates residuals of the
-master equation and of its z-space reduction, constructs second solutions
+master equation and of its z-space reduction (exactly at M = 0, as a
+polynomial in s = sqrt(W+B+1/4)), constructs second solutions
 on unit lattices by reduction of order, and runs the exploratory
 least-squares eigenvalue scan for M != 0.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -33,11 +35,6 @@ from .wilson import (
     alternating_reflect,
     monic_from_recurrence,
 )
-
-try:  # mpmath is used for high-precision residual evaluation
-    import mpmath as mp
-except ImportError:  # pragma: no cover
-    mp = None
 
 
 def eigenvalue(n: int) -> tuple[int, Fraction]:
@@ -112,46 +109,17 @@ class EigenpairRecord:
             raise ValueError("symbolic record has no numeric prefactor shift")
         return self.b + Fraction(1, 4)
 
-    def as_callable(self, high_precision: bool = False) -> Callable:
-        """f as a function of W: exp(i*pi*sqrt(W+shift)) times the
-        polynomial part.  With high_precision=True all arithmetic runs in
-        mpmath at the caller's working precision (pass W as mpf)."""
-        shift = self.prefactor_shift()
-        coeffs = None if self.poly is None else self.poly.coeffs
-        if high_precision:
-            if mp is None:  # pragma: no cover
-                raise RuntimeError("mpmath is not available")
-            shift_mp = mp.mpf(shift.numerator) / shift.denominator
-            cs = None if coeffs is None else [mp.mpf(c.numerator) / c.denominator for c in coeffs]
-
-            def f_mp(w):
-                rad = w + shift_mp
-                if rad < 0:
-                    raise DomainPole("negative radicand in prefactor")
-                val = mp.e ** (1j * mp.pi * mp.sqrt(rad))
-                if cs is None:
-                    return val
-                # its own loop, not numcore._horner: cs keep the rounding of
-                # the precision in force when the callable was built, and
-                # starting from mpf(0) rounds every step, the leading
-                # coefficient too, at the precision of the call
-                acc = mp.mpf(0)
-                for c in reversed(cs):
-                    acc = acc * w + c
-                return val * acc
-            return f_mp
-
-        shift_f = float(shift)
-        cs_f = None if coeffs is None else [float(c) for c in coeffs]
+    def as_callable(self) -> Callable:
+        """f as a function of a float W: exp(i*pi*sqrt(W+shift)) times the
+        polynomial part."""
+        shift_f = float(self.prefactor_shift())
+        cs_f = (1.0,) if self.poly is None else self.poly.float_coeffs()
 
         def f(w):
             rad = w + shift_f
             if rad < 0:
                 raise DomainPole("negative radicand in prefactor")
-            val = cmath.exp(1j * math.pi * math.sqrt(rad))
-            if cs_f is None:
-                return val
-            return val * _horner(cs_f, w)
+            return cmath.exp(1j * math.pi * math.sqrt(rad)) * _horner(cs_f, w)
         return f
 
 
@@ -240,6 +208,8 @@ def residual_g(case: str, g, ell1, z, b=None):
 
 
 def _numeric_ctx(*values):
+    # an mpmath argument means the caller has imported mpmath already
+    mp = sys.modules.get("mpmath")
     if mp is not None and any(isinstance(v, (mp.mpf, mp.mpc)) for v in values):
         return mp.sqrt
     return math.sqrt
@@ -250,9 +220,9 @@ def residual_master(f: Callable, b, m, ell1, w):
     (b, m, w) with eigenvalue parameter ell1.
 
     ``f`` is a callable of W evaluated at W and the two shifted arguments
-    W + 1 +- sqrt(1+4B+4W).  Works in float or mpmath arithmetic according
-    to the input types.  Raises DomainPole when B+W = 0 or the shift
-    radicand is nonpositive.
+    W + 1 +- sqrt(1+4B+4W).  Works in float arithmetic, or in mpmath when
+    an argument is an mpmath number.  Raises DomainPole when B+W = 0 or the
+    shift radicand is nonpositive.
     """
     if b + w == 0:
         raise DomainPole("B + W = 0 is a pole of the M-coupling term")
@@ -268,6 +238,25 @@ def residual_master(f: Callable, b, m, ell1, w):
     lhs = (2 * (w + coupling) * fw
            + (c_plus * f(w + 1 + r) + c_minus * f(w + 1 - r)) / r)
     return lhs - (1 - ell1 * ell1) * fw
+
+
+def master_residual_polynomial(rec: EigenpairRecord, ell1) -> RationalPolynomial:
+    """The exact P with residual_master(f, B, 0, ell1, W) = exp(i*pi*s)
+    P(s) / (2s) at s = sqrt(W+B+1/4) >= 1, for rec's f and a rational ell1.
+
+    There W+1 +- 2s = (s +- 1)^2 - B - 1/4, so both shifted prefactors are
+    -exp(i*pi*s) and P = 2s (2W - 1 + ell1^2) p(W) - c+ p(W+) - c- p(W-)
+    with c+- = +-(2B + 4W) + W(2s -+ 1).  Needs a numeric B.
+    """
+    shift = rec.prefactor_shift()
+    b = shift - Fraction(1, 4)
+    s = RationalPolynomial([0, 1])
+    w, w_plus, w_minus = (t * t - shift for t in (s, s + 1, s - 1))
+    p = RationalPolynomial([1]) if rec.poly is None else rec.poly
+    c_plus = 2 * b + 4 * w + w * (2 * s - 1)
+    c_minus = -2 * b - 4 * w + w * (2 * s + 1)
+    return (2 * s * (2 * w - (1 - Fraction(ell1) ** 2)) * p.compose(w)
+            - c_plus * p.compose(w_plus) - c_minus * p.compose(w_minus))
 
 
 def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float, ...]:

@@ -14,13 +14,11 @@ checks report).  They are still run and reported honestly.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import expand, lorentz, spectral, wilson
@@ -184,41 +182,39 @@ def check_recurrence(results: list[CheckResult]) -> None:
            "exact" if ok else "mismatch", "exact")
 
 
+def _worst_on_grid(poly: RationalPolynomial, sigmas) -> float:
+    """max |P(s)| / (2s) over s = sqrt(sigma): P(s) = E(s^2) + s O(s^2) with
+    E and O evaluated exactly, so only the last two float steps round."""
+    cs = poly.coeffs
+    even, odd = RationalPolynomial(cs[0::2]), RationalPolynomial(cs[1::2])
+    return max(abs(float(even(q)) / (2 * math.sqrt(q)) + float(odd(q) / 2))
+               for q in sigmas)
+
+
 def check_quantization(results: list[CheckResult], n_max: int = 8,
                        threshold_scale: float = 1.0) -> None:
-    old_dps = mp.mp.dps
-    mp.mp.dps = 40
-    try:
-        tol = 1e-11 * threshold_scale
-        for case, b in ((CASE_A, None), (CASE_B, B_VALUES[0]),
-                        (CASE_B, B_VALUES[1]), (CASE_B, B_VALUES[2])):
-            bf = 0.0 if b is None else float(b)
-            b_mp = mp.mpf(0) if b is None else mp.mpf(b.numerator) / b.denominator
-            grid = [mp.mpf(w) for w in spectral.default_w_grid(bf, count=10)]
-            worst = 0.0
-            worst_pert = math.inf
-            for n in range(n_max + 1):
-                rec = spectral.eigenfunction(case, n, b)
-                # both residuals below evaluate f at the same 3 abscissae per W
-                f = functools.lru_cache(maxsize=None)(rec.as_callable(high_precision=True))
-                ell = mp.mpf(2 * n + 1)
-                res = max(abs(spectral.residual_master(f, b_mp, mp.mpf(0), ell, w))
-                          for w in grid)
-                pert = max(abs(spectral.residual_master(f, b_mp, mp.mpf(0),
-                                                        ell + mp.mpf(1) / 1000, w))
-                           for w in grid)
-                worst = max(worst, float(res))
-                worst_pert = min(worst_pert, float(pert))
-            tag = "a" if case == CASE_A else f"b{float(b)}"
-            _check(results, f"eigen-quantization-{tag}",
-                   "eq-24" if case == CASE_A else "eq-47",
-                   worst <= tol, worst, tol,
-                   note=f"n <= {n_max}, ell1 = 2n+1, 10-point grid")
-            _check(results, f"eigen-sensitivity-{tag}", "eq-28",
-                   worst_pert >= 1e-8, worst_pert, 1e-8,
-                   note="ell1 perturbed by 1e-3 must break the residual")
-    finally:
-        mp.mp.dps = old_dps
+    # |master residual| at M = 0 is |P(s)|/(2s), P exact, on the grid of s >= 1
+    tol = 1e-11 * threshold_scale
+    for case, b in ((CASE_A, None), (CASE_B, B_VALUES[0]),
+                    (CASE_B, B_VALUES[1]), (CASE_B, B_VALUES[2])):
+        shift = Fraction(1, 4) + (b or 0)
+        sigmas = [Fraction(w) + shift for w in spectral.default_w_grid(float(b or 0), count=10)]
+        worst = 0.0
+        worst_pert = math.inf
+        for n in range(n_max + 1):
+            rec = spectral.eigenfunction(case, n, b)
+            res, pert = (_worst_on_grid(spectral.master_residual_polynomial(rec, ell), sigmas)
+                         for ell in (Fraction(2 * n + 1), Fraction(2 * n + 1) + Fraction(1, 1000)))
+            worst = max(worst, res)
+            worst_pert = min(worst_pert, pert)
+        tag = "a" if case == CASE_A else f"b{float(b)}"
+        _check(results, f"eigen-quantization-{tag}",
+               "eq-24" if case == CASE_A else "eq-47",
+               worst <= tol, worst, tol,
+               note=f"n <= {n_max}, ell1 = 2n+1, 10-point grid")
+        _check(results, f"eigen-sensitivity-{tag}", "eq-28",
+               worst_pert >= 1e-8, worst_pert, 1e-8,
+               note="ell1 perturbed by 1e-3 must break the residual")
     ok = all(spectral.eigenvalue(n) == (2 * n + 1, Fraction(4 * n * (n + 1), 3))
              for n in range(12))
     _check(results, "eigenvalue-alpha", "eq-3", ok, "exact" if ok else "mismatch", "exact")
@@ -502,7 +498,7 @@ def run_suites(names=None, extended: bool = False,
         for fn in SUITES[name]:
             kwargs = {}
             if fn is check_quantization:
-                kwargs = {"n_max": 10 if extended else 8,
+                kwargs = {"n_max": 40 if extended else 8,
                           "threshold_scale": threshold_scale}
             elif fn is check_orthogonality:
                 kwargs = {"n_max": 20 if extended else 6,

@@ -8,12 +8,18 @@ strict-xfail with the measured drops, so the suite alerts if they ever
 start passing.  Everything else must be green.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from paritywilson import expand, verify
+import paritywilson
+from paritywilson import expand, spectral, verify
+from paritywilson.numcore import RationalPolynomial
 from paritywilson.wilson import WilsonFamily
 
 
@@ -56,6 +62,61 @@ def test_criterion_3_eigenvalue_quantization():
     print(f"  quantization elapsed: {elapsed:.2f}s (budget 5s)")
     assert elapsed < 5.0
     _report("3 quantization", results)
+
+
+def test_quantization_holds_past_forty_digits():
+    # a 40-digit sampler loses the n = 24 eigenpairs to cancellation
+    # (residuals 380 to 6e4); the exact certificate is 0 for every family
+    results = _run_checks(verify.check_quantization, n_max=24)
+    _report("3 quantization, n <= 24", results)
+    assert [r.measured for r in results if r.check_id.startswith("eigen-quantization-")] \
+        == [0.0] * 4
+
+
+def test_extended_quantization_cap():
+    report = verify.run_suites(["quantization"], extended=True)
+    assert report.results and all(r.status == "pass" for r in report.results)
+    assert "n <= 40" in report.results[0].note
+
+
+@pytest.mark.parametrize("power", [0, "leading"], ids=["constant", "leading"])
+def test_quantization_fails_on_a_perturbed_coefficient(monkeypatch, power):
+    # one coefficient of the n = 3 eigenpolynomial moved by 1e-6 must fail
+    # every family's quantization check
+    exact = spectral.eigenfunction
+
+    def perturbed(case, n, b=None):
+        rec = exact(case, n, b)
+        if n != 3:
+            return rec
+        k = rec.poly.degree if power == "leading" else power
+        bump = RationalPolynomial([0] * k + [Fraction(1, 10 ** 6)])
+        return dataclasses.replace(rec, poly=rec.poly + bump)
+
+    monkeypatch.setattr(spectral, "eigenfunction", perturbed)
+    results = _run_checks(verify.check_quantization)
+    failed = sorted(r.check_id for r in results if r.status == "fail")
+    assert failed == sorted(f"eigen-quantization-{tag}" for tag in ("a", "b-0.5", "b1.5", "b7.3"))
+
+
+def test_runtime_needs_no_mpmath():
+    # mpmath is a test dependency only: with its import blocked the CLI
+    # imports and the default verdict is unchanged
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import paritywilson.cli\n"
+        "from paritywilson import verify\n"
+        "report = verify.run_suites()\n"
+        "assert sys.modules['mpmath'] is None\n"
+        "assert len(report.results) == 49, len(report.results)\n"
+        "assert sorted(r.check_id for r in report.failed) == sorted(verify.EXPECTED_FAILURES)\n"
+    )
+    src = os.path.dirname(os.path.dirname(paritywilson.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_criterion_4_orthogonality_and_norms():

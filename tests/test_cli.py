@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -286,3 +287,15 @@ def test_past_the_measure_ceiling_is_one_error_line(argv, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "degree bound 128" in line
+
+
+def test_panel_order_below_three_is_one_error_line(capsys):
+    # order 2 cannot build any family measure; it is rejected before the
+    # panel loop bisects to max_panels
+    t0 = time.perf_counter()
+    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "6", "--panel-order", "2"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "panel_order must be at least 3" in line

@@ -75,7 +75,7 @@ class TestIntegrate:
         assert abs(val - 1.0 / TWO_PI) <= err
 
     def test_no_convergence_cap(self):
-        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, panel_order=2,
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, panel_order=3,
                                max_panels=20, x_max=16.0)
         with pytest.raises(NoConvergence):
             integrate_semiinfinite(
@@ -350,6 +350,22 @@ class TestDiscreteMeasure:
             discrete_measure(CASE_A, 70)
         msg = str(info.value)
         assert "non-finite" in msg and "degree bound 128" in msg
+
+    def test_basis_scale_overflow_is_named(self):
+        # sqrt(gamma_2 ... gamma_{k+1}) leaves the float range at k = 115 in
+        # Case A; a polynomial past it is refused before the measure is asked
+        # for, without an overflow warning (errors under the suite's filter)
+        p = monic_from_recurrence(CASE_A, 120)[120]
+        with pytest.raises(NoConvergence, match="degree 120: the basis scale overflows "
+                                                "at degree 115"):
+            inner_product(CASE_A, p, RationalPolynomial([1]))
+        with pytest.raises(NoConvergence, match="overflows at degree 115"):
+            project(p, CASE_A, 2)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_panel_order_below_three_is_rejected(self, order):
+        with pytest.raises(ValueError, match="panel_order must be at least 3"):
+            QuadratureConfig(panel_order=order)
 
     def test_library_never_calls_the_oracle(self, monkeypatch):
         # the adaptive quadrature is the tests' oracle only; with it disabled

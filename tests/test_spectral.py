@@ -13,11 +13,13 @@ from paritywilson.spectral import (
     casoratian,
     conjecture_scan,
     default_w_grid,
+    eigenfunction,
     eigenfunction_case_a,
     eigenfunction_case_b,
     eigenvalue,
     g_callable,
     g_polynomial,
+    master_residual_polynomial,
     residual_g,
     residual_master,
     second_solution,
@@ -153,20 +155,6 @@ class TestResidualMaster:
                 rhs = np.exp(1j * np.pi * z) * complex(residual_g("B", g, ell, z, b=float(b)))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_high_precision_quantization_sample(self):
-        old = mp.mp.dps
-        mp.mp.dps = 40
-        try:
-            b = fr("3/2")
-            bm = mp.mpf(3) / 2
-            for n in (0, 3):
-                f = eigenfunction_case_b(n, b).as_callable(high_precision=True)
-                for w in default_w_grid(1.5, count=4):
-                    res = residual_master(f, bm, mp.mpf(0), mp.mpf(2 * n + 1), mp.mpf(w))
-                    assert abs(res) < 1e-20
-        finally:
-            mp.mp.dps = old
-
     def test_branch_guard_grid(self):
         # below W = 3/4 - B the lower shifted argument crosses the branch
         # point and the constructed eigenfunction no longer solves the
@@ -175,6 +163,66 @@ class TestResidualMaster:
         assert abs(residual_master(f, 0.0, 0.0, 3.0, 0.5)) > 1e-3
         assert min(default_w_grid(0.0)) > 0.75
         assert min(default_w_grid(-0.5)) > 1.25
+
+
+def _mpf(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _mp_eigenfunction(rec):
+    """f of the record in mpmath at the working precision."""
+    shift = _mpf(rec.prefactor_shift())
+    cs = None if rec.poly is None else [_mpf(c) for c in reversed(rec.poly.coeffs)]
+
+    def f(w):
+        val = mp.expjpi(mp.sqrt(w + shift))
+        return val if cs is None else val * mp.polyval(cs, w)
+    return f
+
+
+FAMILIES = [("A", None)] + [("B", fr(b)) for b in ("-1/2", "3/2", "73/10")]
+FAMILY_IDS = ["A", "B-0.5", "B1.5", "B7.3"]
+
+
+class TestMasterResidualPolynomial:
+    @pytest.mark.parametrize("n", [0, 3, 24])
+    @pytest.mark.parametrize("case,b", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_the_sampled_residual_in_mpmath(self, case, b, n):
+        # residual_master on mpf inputs against exp(i pi s) P(s) / (2s), at the
+        # eigenvalue (P = 0) and off it; the working precision grows with n
+        # because the three terms reach |f| ~ 1e41 at n = 24
+        rec = eigenfunction(case, n, b)
+        with mp.workdps(30 + 2 * n):
+            f = _mp_eigenfunction(rec)
+            shift = _mpf(rec.prefactor_shift())
+            bm = shift - mp.mpf(1) / 4
+            for ell in (fr(2 * n + 1), fr(2 * n + 1) + fr("1/1000")):
+                cs = [_mpf(c) for c in reversed(master_residual_polynomial(rec, ell).coeffs)]
+                for w in default_w_grid(float(bm), count=4):
+                    w = mp.mpf(w)
+                    s = mp.sqrt(w + shift)
+                    want = mp.expjpi(s) * (mp.polyval(cs, s) if cs else 0) / (2 * s)
+                    got = residual_master(f, bm, mp.mpf(0), _mpf(ell), w)
+                    assert abs(got - want) <= mp.mpf(10) ** (10 - mp.mp.dps) * (1 + abs(f(w)))
+
+    @pytest.mark.parametrize("case,b", FAMILIES, ids=FAMILY_IDS)
+    def test_zero_exactly_at_the_quantized_eigenvalue(self, case, b):
+        for n in (0, 1, 7, 40):
+            rec = eigenfunction(case, n, b)
+            assert not master_residual_polynomial(rec, 2 * n + 1)
+            assert master_residual_polynomial(rec, fr(2 * n + 1) + fr("1/1000"))
+
+    def test_off_eigenvalue_part_is_odd(self):
+        # (ell'^2 - ell^2) enters as 2s (ell'^2 - ell^2) p(W)
+        rec = eigenfunction_case_b(2, fr("3/2"))
+        d = fr(5) + fr("1/1000")
+        want = 2 * (d * d - 25) * RationalPolynomial([0, 1]) * rec.poly.compose(
+            RationalPolynomial([-fr("7/4"), 0, 1]))
+        assert master_residual_polynomial(rec, d) == want
+
+    def test_symbolic_record_is_refused(self):
+        with pytest.raises(ValueError):
+            master_residual_polynomial(eigenfunction_case_b(2), 5)
 
 
 class TestSecondSolution:
