@@ -19,13 +19,14 @@ roundoff floor, on the family's hardest polynomial integrand
 w * sum_k P_k^2 / ||P_k||^2 (k up to the bound).  The measure
 holds the panel_order- and 2*panel_order-point Gauss-Legendre weights of
 every panel, the density at the nodes, the Case B point masses, and the
-values of P_0..P_bound there, run forward in float through the three-term
-recurrence (``family_values``).  Polynomial factors are expanded exactly in
-the family basis.  Every integral still returns its own error estimate:
-the per-panel difference of the two rules, the analytic tail bound beyond
-the cutoff and a roundoff allowance.  An integral that misses its budget
-raises ``NoConvergence``, as does a measure whose panel loop exceeds
-max_panels or meets a non-finite integrand.
+values of P_0..P_bound at the nodes and the masses, run forward in float
+through the three-term recurrence (``family_values``).  Polynomial factors
+are expanded exactly in the family basis.  Every integral takes the
+continuous and the discrete part together and returns its own error
+estimate: the per-panel difference of the two rules, the analytic tail
+bound beyond the cutoff and a roundoff allowance.  An integral that
+misses its budget raises ``NoConvergence``, as does a measure whose panel
+loop exceeds max_panels or meets a non-finite integrand.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -321,7 +322,8 @@ class DiscreteMeasure:
     (padded with ``x_max``) and has zero weight.  ``weights`` (one row per
     block) are the Gauss-Legendre weights scaled to each panel, without
     the density; ``density`` is the continuous density at ``x``, and
-    ``values[k]`` is P_k / scale[k] there.
+    ``values[k]`` is P_k / scale[k] there; ``mass_values[k, j]`` is
+    P_k / scale[k] at the Case B point mass ``masses[j]``.
     """
 
     family: WilsonFamily
@@ -334,6 +336,7 @@ class DiscreteMeasure:
     values: np.ndarray
     scale: np.ndarray
     masses: tuple[PointMass, ...]
+    mass_values: np.ndarray
 
     @property
     def panels(self) -> int:
@@ -346,31 +349,35 @@ class DiscreteMeasure:
         x = self.x.reshape(-1, 3 * k)[blocks]
         return x.ravel(), (self.weights[blocks] * self.density.reshape(-1, 3 * k)[blocks]).ravel()
 
-    def sums(self, rows: np.ndarray, growth_degrees, factor: np.ndarray | None = None,
-             row_scale: np.ndarray | None = None):
+    def sums(self, rows: np.ndarray, growth_degrees, factor: np.ndarray,
+             row_scale: np.ndarray | None = None, at_masses: tuple | None = None):
         """Certified integrals of the integrands row * factor * row_scale,
         each row sampled at ``x`` (the density included in ``factor`` or the
-        rows where it belongs).
+        rows where it belongs), plus the point-mass terms: ``at_masses`` is
+        the integrand at the masses as factors f_1, f_2, ... broadcast to
+        (rows, masses), and mass j adds (mass_j * f_1[r, j]) * f_2[r, j] ...
+        to row r in scalar arithmetic.  ``None`` leaves the masses out.
 
         Returns (values, error estimates).  The estimate is the summed
         per-panel |fine - coarse|, plus the tail bound for the row's growth
         degree, plus a roundoff allowance that also covers the recurrence
         values, whose relative error grows about linearly with the degree
-        (EPSILON per unit of growth degree).  Every row must meet its
-        budget max(abs_tol, rel_tol |value|, roundoff floor): panel
-        differences at most half of it and, with an automatic cutoff, the
-        tail at most a quarter; otherwise NoConvergence names the first row
-        that misses it.  On panels this wide the roundoff scale is the sum
+        (EPSILON per unit of growth degree), plus 1e-15 |term| per mass
+        term.  The continuous part of every row must meet its budget
+        max(abs_tol, rel_tol |value|, roundoff floor): panel differences at
+        most half of it and, with an automatic cutoff, the tail at most a
+        quarter; otherwise NoConvergence names the first row that misses
+        it.  On panels this wide the roundoff scale is the sum
         of |weight * integrand| over the fine nodes, not of |panel value|,
         which cancels within a panel for oscillating integrands.
         """
         cfg, k = self.cfg, self.cfg.panel_order
         rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
-        w = self.weights if factor is None else self.weights * factor.reshape(-1, 3 * k)
+        w = self.weights * factor.reshape(-1, 3 * k)
         coarse = np.einsum("rpk,pk->rp", rows[..., :k], w[:, :k])
         fine = np.einsum("rpk,pk->rp", rows[..., k:], w[:, k:])
         magnitude = np.einsum("rpk,pk->r", np.abs(rows[..., k:]), np.abs(w[:, k:]))
-        probes = rows[:, -1, :3] * (1.0 if factor is None else factor[-3 * k:][:3])
+        probes = rows[:, -1, :3] * factor[-3 * k:][:3]
         if row_scale is not None:
             coarse, fine = coarse * row_scale[:, None], fine * row_scale[:, None]
             magnitude = magnitude * np.abs(row_scale)
@@ -396,9 +403,18 @@ class DiscreteMeasure:
                 f"err {err[i]:.3e} against budget/2 {0.5 * budget[i]:.3e}{tail} "
                 f"({missed.size} of {ok.size} rows miss theirs); {self.panels} panels, "
                 f"x_max {self.x_max:.6g}")
-        roundoff = magnitude * (1e-15 * math.sqrt(self.panels)
-                                + EPSILON * np.asarray(growth_degrees))
-        return total, err + tails + roundoff
+        err = err + tails + magnitude * (1e-15 * math.sqrt(self.panels)
+                                         + EPSILON * np.asarray(growth_degrees))
+        if at_masses is not None and self.masses:
+            total = total.astype(complex)
+            factors = [np.broadcast_to(f, (total.size, len(self.masses))) for f in at_masses]
+            for r, j in np.ndindex(total.size, len(self.masses)):
+                term = self.masses[j].mass
+                for f in factors:
+                    term = term * complex(f[r, j])
+                total[r] += term
+                err[r] += 1e-15 * abs(term)
+        return total, err
 
 
 def _graded_edges(x_max: float) -> np.ndarray:
@@ -439,13 +455,15 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
     x = np.concatenate((nodes.ravel(), probes))
     weights = np.zeros((len(panels) + 1, 3 * cfg.panel_order))
     weights[:-1] = 0.5 * (hi - lo) * np.concatenate((wc, wf))
-    values, scale = family_values(family, degree, x * x)
+    masses = weight.point_masses
+    values, scale = family_values(family, degree, np.concatenate((x * x, [pm.y for pm in masses])))
+    values, mass_values = (np.ascontiguousarray(v) for v in np.split(values, [x.size], axis=1))
     density = weight.evaluate(x)
-    for array in (x, weights, density, values):
+    for array in (x, weights, density, values, mass_values):
         array.flags.writeable = False  # shared by every caller
     return DiscreteMeasure(family=family, cfg=cfg, degree=degree, x_max=x_max, x=x,
                            weights=weights, density=density, values=values,
-                           scale=scale, masses=weight.point_masses)
+                           scale=scale, masses=masses, mass_values=mass_values)
 
 
 def discrete_measure(family: WilsonFamily, degree: int,
@@ -469,25 +487,25 @@ class _Factor:
     expanded exactly in the family basis, or a callable of the abscissa
     with its continuation t -> f(i t) to the point masses."""
 
-    def __init__(self, family: WilsonFamily, obj, masses: tuple[PointMass, ...],
-                 at_masses: Callable | None):
+    def __init__(self, family: WilsonFamily, obj, continuation: Callable | None):
         if isinstance(obj, RationalPolynomial):
             self.coeffs = _scaled_basis(family, obj)
             self.degree = self.coeffs.size - 1
             self.x_degree = 2 * max(obj.degree, 0)
-            ys = np.array([pm.y for pm in masses])
-            self.mass_values = self.coeffs @ family_values(family, self.degree, ys)[0]
         else:
-            if masses and at_masses is None:
-                raise ValueError("callable factor needs values at the point masses "
-                                 "(its continuation to x = i t)")
-            self.coeffs, self.degree, self.x_degree, self.function = None, 0, 0, obj
-            self.mass_values = [at_masses(pm.t) for pm in masses]
+            self.coeffs, self.degree, self.x_degree = None, 0, 0
+            self.function, self.continuation = obj, continuation
 
-    def on(self, measure: DiscreteMeasure) -> np.ndarray:
-        if self.coeffs is None:
-            return np.asarray(self.function(measure.x))
-        return self.coeffs @ measure.values[: self.coeffs.size]
+    def on(self, measure: DiscreteMeasure) -> tuple:
+        """(values at the measure's points, values at its point masses)."""
+        if self.coeffs is not None:
+            k = self.coeffs.size
+            return self.coeffs @ measure.values[:k], self.coeffs @ measure.mass_values[:k]
+        if measure.masses and self.continuation is None:
+            raise ValueError("callable factor needs values at the point masses "
+                             "(its continuation to x = i t)")
+        return (np.asarray(self.function(measure.x)),
+                [self.continuation(pm.t) for pm in measure.masses])
 
 
 def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = None,
@@ -497,16 +515,11 @@ def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = Non
     the Case B point-mass terms.  Polynomial factors are exact in the
     family basis; callable factors must supply their continuation
     t -> f(i t) when masses are present.  Returns (value, error_estimate)."""
-    weight = family_weight(family)
-    pf = _Factor(family, p, weight.point_masses, p_at_masses)
-    qf = _Factor(family, q, weight.point_masses, q_at_masses)
+    pf, qf = _Factor(family, p, p_at_masses), _Factor(family, q, q_at_masses)
     measure = discrete_measure(family, max(pf.degree, qf.degree), cfg)
-    [val], [err] = measure.sums(pf.on(measure), [pf.x_degree + qf.x_degree],
-                                measure.density * qf.on(measure))
-    for pm, a, b in zip(weight.point_masses, pf.mass_values, qf.mass_values):
-        term = pm.mass * complex(a) * complex(b)
-        val = val + term
-        err += 1e-15 * abs(term)
+    (p_x, p_masses), (q_x, q_masses) = pf.on(measure), qf.on(measure)
+    [val], [err] = measure.sums(p_x, [pf.x_degree + qf.x_degree], measure.density * q_x,
+                                at_masses=(p_masses, q_masses))
     return val, err
 
 
@@ -537,18 +550,15 @@ class CoefficientTable:
 
 
 def _basis_rows(measure: DiscreteMeasure, n_max: int, factor: np.ndarray,
-                growth: Callable[[int], int]):
-    """(values, errors) of integral_0^inf factor(x) P_n(x^2) dx for
-    n = 0..n_max, ``factor`` sampled at the measure's points."""
-    return measure.sums(measure.values[: n_max + 1], [growth(n) for n in range(n_max + 1)],
-                        factor, measure.scale[: n_max + 1])
-
-
-def _mass_rows(family: WilsonFamily, n_max: int) -> np.ndarray:
-    """P_n at the point masses, one row per n = 0..n_max."""
-    masses = family_weight(family).point_masses
-    values, scale = family_values(family, n_max, np.array([pm.y for pm in masses]))
-    return scale[:, None] * values
+                growth: Callable[[int], int], factor_at_masses=None):
+    """(values, errors) of the integrals of factor * P_n for n = 0..n_max,
+    ``factor`` sampled at the measure's points and, unless None, given at
+    its point masses."""
+    rows, scale = slice(n_max + 1), measure.scale[: n_max + 1]
+    at_masses = None if factor_at_masses is None else (
+        factor_at_masses, scale[:, None] * measure.mass_values[rows])
+    return measure.sums(measure.values[rows], [growth(n) for n in range(n_max + 1)],
+                        factor, scale, at_masses)
 
 
 def project(f_target, family: WilsonFamily, n_max: int,
@@ -557,18 +567,13 @@ def project(f_target, family: WilsonFamily, n_max: int,
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
     n = 0..n_max under the family measure, all numerators from one pass
     over the shared measure.  Denominators use the closed-form norms."""
-    weight = family_weight(family)
-    target = _Factor(family, f_target, weight.point_masses, f_at_masses)
+    target = _Factor(family, f_target, f_at_masses)
     measure = discrete_measure(family, max(n_max, target.degree), cfg)
-    nums = _basis_rows(measure, n_max, measure.density * target.on(measure),
-                       lambda n: target.x_degree + 2 * n)
-    at_masses = _mass_rows(family, n_max)
+    at_x, at_masses = target.on(measure)
+    nums = _basis_rows(measure, n_max, measure.density * at_x,
+                       lambda n: target.x_degree + 2 * n, at_masses)
     entries = []
     for n, (num, err) in enumerate(zip(*nums)):
-        for pm, fv, pv in zip(weight.point_masses, target.mass_values, at_masses[n]):
-            term = pm.mass * complex(fv) * complex(pv)
-            num = num + term
-            err += 1e-15 * abs(term)
         norm = float(norm_closed_form(family, n))
         entries.append((n, complex(num) / norm, err / abs(norm)))
     return CoefficientTable(family.case, family.b, "projection", tuple(entries))
@@ -641,15 +646,12 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
                 const = math.pi ** 2 * (-1) ** n / float(norm(family, n - 1))
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
-        weight = family_weight(family)
         measure = discrete_measure(family, n_max, cfg)
+        _, target_masses = _Factor(family, *parity_target(CASE_B)).on(measure)
         integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
-                                lambda n: 2 * n + 1)
-        at_masses = _mass_rows(family, n_max)
+                                lambda n: 2 * n + 1,
+                                target_masses if route == "closed_form" else None)
         for n, (integral, err) in enumerate(zip(*integrals)):
-            if route == "closed_form":
-                for pm, pv in zip(weight.point_masses, at_masses[n]):
-                    integral = integral + pm.mass * complex(np.exp(-1j * np.pi * pm.t)) * pv
             const = (-1) ** n / float(norm_closed_form(family, n))
             entries.append((n, complex(const * integral), abs(const) * err))
     return CoefficientTable(family.case, family.b, route, tuple(entries))
@@ -669,25 +671,22 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     """
     if table is None:
         table = parity_coefficients(family, n_trunc + (1 if family.case == CASE_A else 0), cfg)
-    weight = family_weight(family)
-    f_target, f_masses = parity_target(family.case)
     offset = 1 if family.case == CASE_A else 0
     signed = np.array([(-1) ** n * table.coefficient(n + offset) for n in range(n_trunc + 1)],
                       dtype=complex)
     measure = discrete_measure(family, n_trunc, cfg)
-    partial = (signed * measure.scale[: n_trunc + 1])[:, None] * measure.values[: n_trunc + 1]
+    scale = measure.scale[: n_trunc + 1]
+    partial = (signed * scale)[:, None] * measure.values[: n_trunc + 1]
     np.cumsum(partial, axis=0, out=partial)
-    partial -= f_target(measure.x)
+    target_x, target_masses = _Factor(family, *parity_target(family.case)).on(measure)
+    partial -= target_x
+    gap = np.asarray(target_masses) - np.cumsum(
+        signed[:, None] * (scale[:, None] * measure.mass_values[: n_trunc + 1]), axis=0)
+    # scalar abs per entry (object dtype): numpy's vectorized complex abs rounds differently
     integrals, _ = measure.sums(partial.real ** 2 + partial.imag ** 2,
-                                [4 * N for N in range(n_trunc + 1)], measure.density)
-    at_masses = np.cumsum(signed[:, None] * _mass_rows(family, n_trunc), axis=0)
-    residuals = []
-    for N, val in enumerate(integrals):
-        total = float(np.real(val))
-        for pm, s in zip(weight.point_masses, at_masses[N]):
-            total += pm.mass * abs(f_masses(pm.t) - s) ** 2
-        residuals.append(math.sqrt(max(total, 0.0)))
-    return tuple(residuals)
+                                [4 * N for N in range(n_trunc + 1)], measure.density,
+                                at_masses=(abs(gap.astype(object)) ** 2,))
+    return tuple(math.sqrt(max(float(np.real(val)), 0.0)) for val in integrals)
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,6 @@ class LatticeFunction:
     anchor: Union[Fraction, float]
     values: tuple
 
-    @property
-    def step(self) -> int:
-        return 1
-
     def points(self):
         return tuple(self.anchor + k for k in range(len(self.values)))
 

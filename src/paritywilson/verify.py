@@ -144,10 +144,8 @@ def check_hypergeometric_prefactors(results: list[CheckResult]) -> None:
     s = fam.s_value()
     worst = 0.0
     for n in range(5):
-        prod = Fraction(1)
-        for j in range(1, n + 1):
-            prod *= j * j - 1 - fam.b
-        pref = float(Fraction(math.factorial(n) ** 2, math.factorial(2 * n)) * prod)
+        pref = float(Fraction(math.factorial(n) ** 2, math.factorial(2 * n))
+                     * wilson._pochhammer_pairs(fam.b, n))
         g = spectral.g_polynomial(CASE_B, n, fam.b)
         for z in (Fraction(1), Fraction(5, 2)):
             val = pref * hyp_pfq_terminating(
@@ -491,9 +489,10 @@ def run_suites(names=None, extended: bool = False,
     """
     report = VerificationReport()
     selected = list(SUITES) if not names or names == ["all"] else list(names)
+    unknown = [name for name in selected if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}")
     for name in selected:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         start = time.perf_counter()
         for fn in SUITES[name]:
             kwargs = {}

@@ -117,13 +117,6 @@ class WilsonFamily:
             raise DegenerateFamily(
                 f"sqrt(B+1) = {k} is a positive integer; Gamma factors degenerate")
 
-    def parameters(self):
-        """The four Wilson parameters (a, b, c, d); Case B needs numeric B."""
-        if self.case == CASE_A:
-            return (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2))
-        s = self.s_value()
-        return (0.5, 0.5, 0.5 - s, 0.5 + s)
-
     def label(self) -> str:
         if self.case == CASE_A:
             return "A"
@@ -425,6 +418,14 @@ def family_weight(family: WilsonFamily) -> WeightFunction:
     return WeightFunction(family, w, tuple(masses))
 
 
+def _pochhammer_pairs(b: Fraction, n: int) -> Fraction:
+    """(1-s)_n (1+s)_n = prod_{j=1..n} (j^2 - 1 - B), s = sqrt(B+1), exactly."""
+    prod = Fraction(1)
+    for j in range(1, n + 1):
+        prod *= j * j - 1 - b
+    return prod
+
+
 def norm_closed_form(family: WilsonFamily, n: int):
     """Closed-form squared norm <P_n, P_n> under the family measure.
 
@@ -444,9 +445,7 @@ def norm_closed_form(family: WilsonFamily, n: int):
         raise ValueError("norms need a numeric B")
     family.require_nondegenerate()
     s = family.s_value()
-    prod = Fraction(1)
-    for j in range(1, n + 1):
-        prod *= j * j - 1 - family.b
+    prod = _pochhammer_pairs(family.b, n)
     refl = math.pi * s / math.sin(math.pi * s)  # Gamma(1-s)Gamma(1+s)
     return (Fraction(math.factorial(n) ** 4,
                      math.factorial(2 * n) * math.factorial(2 * n + 1))
@@ -502,9 +501,7 @@ def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int) -> float:
     # identities 2 and 3 share the left side; Gamma(n+1±s) rewritten via
     # Pochhammer pairs (exact polynomial in B) and the reflection identity
     s = family.s_value()
-    prod = Fraction(1)
-    for j in range(1, n + 1):
-        prod *= j * j - 1 - family.b
+    prod = _pochhammer_pairs(family.b, n)
     return float(Fraction(f(2 * n), f(n) ** 2) / prod) * math.sin(math.pi * s) / (math.pi * s)
 
 

@@ -114,7 +114,7 @@ def test_runtime_needs_no_mpmath():
     )
     src = os.path.dirname(os.path.dirname(paritywilson.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -253,6 +253,16 @@ def test_verify_unknown_suite(capsys):
     capsys.readouterr()
 
 
+def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(verify.SUITES, "orthogonality", (lambda results: calls.append(1),))
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites(["orthogonality", "bogus"])
+    assert run_subcommand(["verify", "--suite", "orthogonality,bogus"]) == 1
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_traceability_complete(capsys):
     rows = emit_traceability()
     by_anchor = {r["anchor"]: r for r in rows}

@@ -118,8 +118,11 @@ class TestInnerProduct:
 
     def test_callable_needs_mass_continuation(self):
         tab = monic_from_recurrence(CASE_B_32, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="continuation"):
             inner_product(CASE_B_32, lambda x: np.exp(-x), tab[0])
+        inner_product(CASE_B_32, lambda x: np.exp(-x), tab[0],
+                      p_at_masses=lambda t: complex(np.exp(-1j * t)))
+        inner_product(CASE_A, lambda x: np.exp(-x), tab[0])  # Case A has no masses
 
 
 class TestProjection:
@@ -255,7 +258,7 @@ class TestDiscreteMeasure:
                 else:
                     assert abs(val) <= 1e-8 * math.sqrt(norms[n] * norms[m]), (n, m)
 
-    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_inner_products_agree_with_adaptive_oracle(self, family):
         weight = family_weight(family)
         table = monic_from_recurrence(family, 12)
@@ -272,7 +275,7 @@ class TestDiscreteMeasure:
                 want += mass.mass * scale[n] * vals[n] * scale[m] * vals[m]
             assert abs(val - want) <= err + want_err, (n, m)
 
-    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_coefficient_routes_agree_with_adaptive_oracle(self, family):
         n_max = 12
         closed = parity_coefficients(family, n_max)
@@ -295,7 +298,7 @@ class TestDiscreteMeasure:
                 assert abs(table.coefficient(n) - want) <= table.error(n) + want_err, \
                     (table.route, n)
 
-    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_residuals_agree_with_adaptive_oracle(self, family):
         n_trunc = 24
         table = parity_coefficients(family, n_trunc + (1 if family.case == "A" else 0))
