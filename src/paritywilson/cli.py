@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -417,11 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_b(argv: list[str]) -> list[str]:
+    """argparse reads a separate value such as -1/2 as an option, so
+    ``--b -1/2`` becomes ``--b=-1/2``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--b" and re.match(r"-\.?\d", arg):
+            out[-1] = "--b=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_subcommand(argv: list[str]) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_b(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,9 @@ bound rounded up to a power of two (at least 8), so that no result depends
 on which calls ran before it.  Its panels are chosen by the adaptive panel
 loop, started from panels graded towards the origin and refined to the
 roundoff floor, on the family's hardest polynomial integrand
-w * sum_k P_k^2 / ||P_k||^2 (k up to the bound).  The measure
+w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement round
+(the tail probes, the starting panels, one split) evaluates the integrand
+in one call.  The measure
 holds the panel_order- and 2*panel_order-point Gauss-Legendre weights of
 every panel, the density at the nodes, the Case B point masses, and the
 values of P_0..P_bound at the nodes and the masses, run forward in float
@@ -84,8 +86,13 @@ class QuadratureConfig:
     max_panels: int = 4000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got rel_tol "
+                             f"{self.rel_tol}, abs_tol {self.abs_tol}")
+        if self.x_max is not None and not 0 < self.x_max < math.inf:
+            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
+        if self.max_panels < 1:
+            raise ValueError(f"max_panels must be at least 1, got {self.max_panels}")
         if self.panel_order < 3:  # no family measure builds at order 2
             raise ValueError(f"panel_order must be at least 3, got {self.panel_order}")
 
@@ -106,14 +113,21 @@ def _exp(e: float) -> float:
 def tail_bound(c: float, growth_degree: int, decay_rate: float, x: float) -> float:
     """Exact bound C * integral_x^inf t^p e^{-lam t} dt for integer p,
     summed in logarithms so that large p and x cannot overflow."""
-    p, lam = growth_degree, decay_rate
     if c <= 0.0:
         return 0.0
+    top, log_sum = _tail_logs(growth_degree, decay_rate, x)
+    return _exp(math.log(c) - decay_rate * x + top + log_sum)
+
+
+@functools.lru_cache(maxsize=1024)
+def _tail_logs(p: int, lam: float, x: float) -> tuple[float, float]:
+    """The part of tail_bound that does not depend on C: the largest term
+    log and the log of the sum of the terms relative to it."""
     log_x = math.log(x) if x > 0.0 else -math.inf
     logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
             + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
     top = max(logs)
-    return _exp(math.log(c) - lam * x + top + math.log(sum(math.exp(v - top) for v in logs)))
+    return top, math.log(sum(math.exp(v - top) for v in logs))
 
 
 def _growth_constant(probes, values, growth_degree: int, decay_rate: float) -> float:
@@ -128,8 +142,7 @@ def _growth_constant(probes, values, growth_degree: int, decay_rate: float) -> f
 
 def _measure_growth_constant(f, x: float, growth_degree: int, decay_rate: float) -> float:
     probes = [k * x for k in PROBES]
-    values = [np.asarray(f(np.array([probe])))[0] for probe in probes]
-    return _growth_constant(probes, values, growth_degree, decay_rate)
+    return _growth_constant(probes, np.asarray(f(np.array(probes))), growth_degree, decay_rate)
 
 
 def auto_cutoff(poly_degree_in_x: int) -> float:
@@ -143,16 +156,13 @@ def auto_cutoff(poly_degree_in_x: int) -> float:
 def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int):
     """(X, tail bound beyond X): X from the config, or the first of
     auto_cutoff, +5, +10, ... whose tail bound is below abs_tol/4."""
-    x_max = cfg.x_max
-    if x_max is None:
-        x_max = auto_cutoff(growth_degree)
-        while True:
-            c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
-            if tail_bound(c, growth_degree, decay_rate, x_max) < 0.25 * cfg.abs_tol or x_max > 300.0:
-                break
-            x_max += 5.0
-    c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
-    return x_max, tail_bound(c, growth_degree, decay_rate, x_max)
+    x_max = auto_cutoff(growth_degree) if cfg.x_max is None else cfg.x_max
+    while True:
+        c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
+        tail = tail_bound(c, growth_degree, decay_rate, x_max)
+        if cfg.x_max is not None or tail < 0.25 * cfg.abs_tol or x_max > 300.0:
+            return x_max, tail
+        x_max += 5.0
 
 
 def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
@@ -161,26 +171,33 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
     panels on [0, x_max]), the panel with the largest |fine - coarse| is
     halved until the summed differences are within half the budget
     max(abs_tol, rel_tol |total|, roundoff floor).  Returns
-    [err, lo, hi, value] per panel, by lo.  A non-finite integrand value
-    raises at once."""
-    def panel(lo, hi):
-        vals = []
-        for q in (cfg.panel_order, 2 * cfg.panel_order):
-            xs, ws = _nodes(q)
-            xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xs
-            fx = np.asarray(f(xm))
-            bad = ~np.isfinite(fx)
-            if bad.any():
-                raise NoConvergence(
-                    f"non-finite integrand at x = {xm[bad][0]:.6g} on panel "
-                    f"[{lo:.6g}, {hi:.6g}], cutoff {x_max:.6g}")
-            vals.append(0.5 * (hi - lo) * np.sum(ws * fx))
-        coarse, fine = vals
-        return [abs(fine - coarse), lo, hi, fine]
+    [err, lo, hi, value] per panel, by lo.  Each round evaluates f in one
+    call, on the coarse and fine nodes of all starting panels, then of both
+    halves of the split panel; a non-finite value raises at once, naming
+    the first one in panel order."""
+    k = cfg.panel_order
+    (xc, wc), (xf, wf) = _nodes(k), _nodes(2 * k)
+    rule = np.concatenate((xc, xf))
+
+    def panels_on(lo, hi):
+        xm = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * rule
+        fx = np.asarray(f(xm.ravel())).reshape(xm.shape)
+        bad = np.argwhere(~np.isfinite(fx))
+        if bad.size:
+            p, j = bad[0]
+            raise NoConvergence(
+                f"non-finite integrand at x = {xm[p, j]:.6g} on panel "
+                f"[{lo[p]:.6g}, {hi[p]:.6g}], cutoff {x_max:.6g}")
+        out = []
+        for a, b, row in zip(lo, hi, fx):  # own slices: the pairwise sums keep their bits
+            coarse = 0.5 * (b - a) * np.sum(wc * row[:k])
+            fine = 0.5 * (b - a) * np.sum(wf * row[k:])
+            out.append([abs(fine - coarse), a, b, fine])
+        return out
 
     if edges is None:
         edges = np.linspace(0.0, x_max, int(math.ceil(x_max)) + 1)
-    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels = panels_on(edges[:-1], edges[1:])
     while True:
         total = sum(p[3] for p in panels)
         err_sum = sum(p[0] for p in panels)
@@ -198,7 +215,7 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
                 f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
         _, lo, hi, _ = panels.pop(0)
         mid = 0.5 * (lo + hi)
-        panels += [panel(lo, mid), panel(mid, hi)]
+        panels += panels_on(np.array([lo, mid]), np.array([mid, hi]))
     panels.sort(key=lambda p: p[1])
     return panels
 

@@ -309,3 +309,33 @@ def test_panel_order_below_three_is_one_error_line(capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "panel_order must be at least 3" in line
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--x-max", "0"], "x_max must be finite and positive"),
+    (["--x-max", "-5"], "x_max must be finite and positive"),
+    (["--rel-tol", "nan"], "tolerances must be finite and positive"),
+    (["--max-panels", "0"], "max_panels must be at least 1"),
+], ids=["x_max_0", "x_max_neg", "rel_tol_nan", "max_panels_0"])
+def test_uncertifiable_quadrature_is_one_error_line(option, message, capsys):
+    # these configs used to print zeros or wrong values with tiny error bars
+    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "3", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--case", "B", "--n", "2"],
+    ["eigen", "--case", "B", "--n", "1"],
+    ["residual", "--case", "B", "--n", "1", "--count", "3"],
+    ["coeffs", "--case", "B", "--n-max", "3"],
+    ["reconstruct", "--case", "B", "--n-max", "3"],
+], ids=lambda argv: argv[0])
+def test_negative_b_as_a_separate_argument(argv, capsys):
+    assert run_subcommand(argv + ["--b=-1/2"]) == 0
+    joined = capsys.readouterr()
+    assert '"B": "-1/2"' in joined.out
+    assert run_subcommand(argv + ["--b", "-1/2"]) == 0
+    assert capsys.readouterr() == joined

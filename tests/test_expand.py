@@ -102,6 +102,104 @@ class TestIntegrate:
         assert auto_cutoff(48) > auto_cutoff(30) > 15.0
 
 
+def _hardest(family, degree):
+    """The measure build's panel-loop integrand, w * sum_k (P_k / scale_k)^2."""
+    weight = family_weight(family)
+
+    def f(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, _ = family_values(family, degree, x * x)
+            return weight.evaluate(x) * np.sum(values * values, axis=0)
+    return f
+
+
+class TestPanelLoop:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(x_max=0.0), "x_max must be finite and positive"),
+        (dict(x_max=-5.0), "x_max must be finite and positive"),
+        (dict(x_max=math.inf), "x_max must be finite and positive"),
+        (dict(x_max=math.nan), "x_max must be finite and positive"),
+        (dict(rel_tol=math.nan), "tolerances must be finite and positive"),
+        (dict(abs_tol=math.inf), "tolerances must be finite and positive"),
+        (dict(rel_tol=-1e-10), "tolerances must be finite and positive"),
+        (dict(max_panels=0), "max_panels must be at least 1"),
+    ], ids=["x_max_0", "x_max_neg", "x_max_inf", "x_max_nan", "rel_tol_nan",
+            "abs_tol_inf", "rel_tol_neg", "max_panels_0"])
+    def test_config_refuses_what_it_cannot_certify(self, kwargs, message):
+        # checked at construction, before any panel loop can start
+        with pytest.raises(ValueError, match=message):
+            QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize("case", ["A", "B(7.3)", "cos"])
+    def test_batched_panels_equal_single_panel_rules(self, case):
+        # the loop evaluates whole rounds at once; every panel must keep the
+        # bits of its own two rules evaluated alone
+        cfg = QuadratureConfig()
+        if case == "cos":
+            f, x_max, rel_tol = lambda x: np.cos(37.0 * x * x) * np.exp(-x), 16.0, cfg.rel_tol
+            edges = np.linspace(0.0, x_max, 17)
+        else:
+            family = CASE_A if case == "A" else FAMILIES[3]
+            measure = discrete_measure(family, 64)
+            f, x_max, rel_tol = _hardest(family, 64), measure.x_max, 0.0
+            edges = expand._graded_edges(x_max)
+        panels = expand._adaptive_panels(f, cfg, x_max, rel_tol, edges)
+        if case != "cos":
+            assert len(panels) == measure.panels
+        assert len(panels) > len(edges) - 1  # some panels were split
+        rules = expand._nodes(cfg.panel_order), expand._nodes(2 * cfg.panel_order)
+        for err, lo, hi, value in panels:
+            coarse, fine = (0.5 * (hi - lo) * np.sum(w * f(0.5 * (hi + lo) + 0.5 * (hi - lo) * x))
+                            for x, w in rules)
+            assert value == fine and err == abs(fine - coarse), (lo, hi)
+
+    def test_one_integrand_call_per_round(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(37.0 * x * x) * np.exp(-x)
+
+        cfg = QuadratureConfig(x_max=16.0)
+        points = 3 * cfg.panel_order  # coarse and fine nodes of one panel
+        integrate_semiinfinite(f, cfg)
+        splits = len(sizes) - 2
+        # the probes, the 16 starting panels, then both halves of each split
+        assert sizes == [3, 16 * points] + [2 * points] * splits and splits > 0
+        assert len(expand._adaptive_panels(f, cfg, 16.0, cfg.rel_tol)) == 16 + splits
+
+    def test_automatic_cutoff_probes_once_per_candidate(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-math.pi * x)  # decays slower than the assumed 2 pi
+
+        x_max, tail = expand._cutoff(f, QuadratureConfig(abs_tol=1e-30), TWO_PI, 0)
+        assert (x_max, sizes) == (25.0, [3, 3, 3])  # 15 and 20 miss abs_tol/4
+        assert 0.0 < tail < 0.25e-30
+
+    def test_cached_tail_bound_is_the_uncached_log_sum(self):
+        def uncached(c, p, lam, x):
+            log_x = math.log(x)
+            logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
+                    + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
+            top = max(logs)
+            return expand._exp(math.log(c) - lam * x + top
+                               + math.log(sum(math.exp(v - top) for v in logs)))
+
+        args = [(c, p, lam, x) for c in (1e-300, 0.5, 3.0, 1e200) for p in (0, 1, 7, 64, 256)
+                for lam in (TWO_PI, 3.0) for x in (0.5, 15.0, 101.0)]
+        want = {a: uncached(*a) for a in args}
+        shuffled = list(args)
+        np.random.default_rng(0).shuffle(shuffled)
+        for order in (args, args[::-1], shuffled):
+            expand._tail_logs.cache_clear()
+            for a in order:
+                assert tail_bound(*a) == want[a], a
+        assert expand._tail_logs.cache_info().hits > 0
+
+
 class TestInnerProduct:
     def test_case_a_norms(self):
         tab = monic_from_recurrence(CASE_A, 2)
