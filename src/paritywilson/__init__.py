@@ -27,7 +27,6 @@ from .wilson import (
     CASE_A,
     CASE_B,
     GenFunReport,
-    MonicTable,
     PointMass,
     WeightFunction,
     WilsonFamily,

@@ -31,10 +31,19 @@ from .wilson import CASE_A, CASE_B, WilsonFamily
 
 OUT_DIR_ENV = "PARITYWILSON_OUT"
 
+_FORMATS = ("json", "csv")
+
+
+def _format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {value!r}")
+    return value
+
+
 # the QuadratureConfig fields a flag (--rel-tol, ...) or the config file may set
 _QUADRATURE_OPTIONS = {"rel_tol": float, "abs_tol": float, "panel_order": int,
                       "x_max": float, "max_panels": int}
-_CONFIG_KEYS = {**_QUADRATURE_OPTIONS, "format": str, "out_dir": str}
+_CONFIG_KEYS = {**_QUADRATURE_OPTIONS, "format": _format, "out_dir": str}
 
 
 def _fmt_float(x: float) -> str:
@@ -55,7 +64,9 @@ class RunConfig:
 
 
 def load_config(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
+    """Flat key=value file; blank lines and #-comments ignored.  Values are
+    converted and checked as their flags are; an error names the file and
+    the line."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -68,7 +79,10 @@ def load_config(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -274,7 +288,8 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
     grid = None
     if args.grid_start is not None:
         grid = [args.grid_start + args.grid_step * k for k in range(args.grid_count)]
-    rep = spectral.conjecture_scan(args.b_float, args.m, args.n, args.degree, grid=grid)
+    rep = spectral.conjecture_scan(float(Fraction(args.b)), args.m, args.n, args.degree,
+                                   grid=grid)
     obj = {"B": _fmt_float(rep.b), "M": _fmt_float(rep.m), "n": rep.n,
            "degree": rep.degree, "ell1_sq": _fmt_float(rep.ell1_sq),
            "residual": _fmt_float(rep.residual), "iterations": rep.iterations,
@@ -283,16 +298,9 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
     return 0
 
 
-def emit_traceability() -> list[dict]:
-    """Coverage table: every in-scope identity anchor with its check ids."""
-    return [{"anchor": anchor, "checks": list(checks), "note": note}
-            for anchor, checks, note in verify.traceability_rows()]
-
-
 def _cmd_verify(args, cfg: RunConfig) -> int:
     if args.traceability:
-        _emit(args, cfg, ["anchor", "checks", "note"],
-              [list(r.values()) for r in emit_traceability()])
+        _emit(args, cfg, ["anchor", "checks", "note"], verify.TRACEABILITY)
         return 0
     suites = args.suite.split(",") if args.suite else ["all"]
     report = verify.run_suites(suites, extended=args.extended,
@@ -319,7 +327,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp, with_quadrature=False):
-    sp.add_argument("--format", choices=["json", "csv"], default=None)
+    sp.add_argument("--format", choices=_FORMATS, default=None)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.add_argument("--config", default=None, help="flat key=value config file")
     if with_quadrature:
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_lorentz)
 
     sp = sub.add_parser("scan", help="least-squares eigenvalue scan")
-    sp.add_argument("--b", dest="b_float", type=float, required=True)
+    sp.add_argument("--b", required=True, help="B value, e.g. 1.5 or 3/2")
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--degree", type=int, required=True)

@@ -97,13 +97,12 @@ class QuadratureConfig:
             raise ValueError(f"panel_order must be at least 3, got {self.panel_order}")
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _nodes(order: int):
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
+    nodes = np.polynomial.legendre.leggauss(order)
+    for array in nodes:
+        array.flags.writeable = False  # cached
+    return nodes
 
 
 def _exp(e: float) -> float:
@@ -140,11 +139,6 @@ def _growth_constant(probes, values, growth_degree: int, decay_rate: float) -> f
     return 2.0 * c
 
 
-def _measure_growth_constant(f, x: float, growth_degree: int, decay_rate: float) -> float:
-    probes = [k * x for k in PROBES]
-    return _growth_constant(probes, np.asarray(f(np.array(probes))), growth_degree, decay_rate)
-
-
 def auto_cutoff(poly_degree_in_x: int) -> float:
     """Cutoff heuristic for weight-times-polynomial integrands: the weight
     decays like e^{-2 pi x} while a degree-d polynomial in x grows like
@@ -158,7 +152,8 @@ def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int):
     auto_cutoff, +5, +10, ... whose tail bound is below abs_tol/4."""
     x_max = auto_cutoff(growth_degree) if cfg.x_max is None else cfg.x_max
     while True:
-        c = _measure_growth_constant(f, x_max, growth_degree, decay_rate)
+        probes = [k * x_max for k in PROBES]
+        c = _growth_constant(probes, np.asarray(f(np.array(probes))), growth_degree, decay_rate)
         tail = tail_bound(c, growth_degree, decay_rate, x_max)
         if cfg.x_max is not None or tail < 0.25 * cfg.abs_tol or x_max > 300.0:
             return x_max, tail
@@ -295,9 +290,11 @@ def family_values(family: WilsonFamily, n_max: int, u):
 
 
 @functools.lru_cache(maxsize=1024)
-def _basis_coefficients(family: WilsonFamily, poly: RationalPolynomial) -> tuple:
-    """Exact a_k with poly = sum_k a_k P_k: Horner in the family basis,
-    using u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}."""
+def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
+    """float(a_k) * scale_k, read-only, for the exact a_k with
+    poly = sum_k a_k P_k: the coefficients of poly against the scaled value
+    rows.  The a_k come from Horner in the family basis, using
+    u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}."""
     a: list = []
     for c in reversed(poly.coeffs):
         new = [Fraction(0)] * (len(a) + 1)
@@ -309,19 +306,16 @@ def _basis_coefficients(family: WilsonFamily, poly: RationalPolynomial) -> tuple
                 new[k - 1] += gamma * ak
         new[0] += c
         a = new
-    return tuple(a)
-
-
-def _scaled_basis(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
-    """Basis coefficients of poly against the scaled value rows."""
-    a = _basis_coefficients(family, poly)
     if not a:
-        return np.zeros(1)
-    _, _, scale = _float_recurrence(family, len(a) - 1)
-    if np.isinf(scale[-1]):
-        raise NoConvergence(f"{family.label()} polynomial of degree {len(a) - 1}: the basis "
-                            f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
-    return np.array([float(c) for c in a]) * scale
+        row = np.zeros(1)
+    else:
+        _, _, scale = _float_recurrence(family, len(a) - 1)
+        if np.isinf(scale[-1]):
+            raise NoConvergence(f"{family.label()} polynomial of degree {len(a) - 1}: the basis "
+                                f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
+        row = np.array([float(c) for c in a]) * scale
+    row.flags.writeable = False  # cached
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +500,7 @@ class _Factor:
 
     def __init__(self, family: WilsonFamily, obj, continuation: Callable | None):
         if isinstance(obj, RationalPolynomial):
-            self.coeffs = _scaled_basis(family, obj)
+            self.coeffs = _basis_row(family, obj)
             self.degree = self.coeffs.size - 1
             self.x_degree = 2 * max(obj.degree, 0)
         else:
@@ -553,17 +547,16 @@ class CoefficientTable:
     route: str
     entries: tuple[tuple[int, complex, float], ...]
 
+    def _entry(self, n: int) -> tuple[int, complex, float]:
+        if not 0 <= n < len(self.entries):  # entries are n = 0..n_max in order
+            raise KeyError(n)
+        return self.entries[n]
+
     def coefficient(self, n: int) -> complex:
-        for k, c, _ in self.entries:
-            if k == n:
-                return c
-        raise KeyError(n)
+        return self._entry(n)[1]
 
     def error(self, n: int) -> float:
-        for k, _, e in self.entries:
-            if k == n:
-                return e
-        raise KeyError(n)
+        return self._entry(n)[2]
 
 
 def _basis_rows(measure: DiscreteMeasure, n_max: int, factor: np.ndarray,
@@ -584,6 +577,8 @@ def project(f_target, family: WilsonFamily, n_max: int,
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
     n = 0..n_max under the family measure, all numerators from one pass
     over the shared measure.  Denominators use the closed-form norms."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     target = _Factor(family, f_target, f_at_masses)
     measure = discrete_measure(family, max(n_max, target.degree), cfg)
     at_x, at_masses = target.on(measure)
@@ -628,6 +623,8 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     generic orthogonal projection of the reconstruction target.  Each route
     takes all its integrals in one pass over the shared measure.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if family.case == CASE_B:
         if family.b is None:
             raise ValueError("parity coefficients need a numeric B")
@@ -686,6 +683,8 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     shared measure.  The residual sequence of an orthogonal projection is
     nonincreasing up to quadrature error.
     """
+    if n_trunc < 0:
+        raise ValueError("n_trunc must be nonnegative")
     if table is None:
         table = parity_coefficients(family, n_trunc + (1 if family.case == CASE_A else 0), cfg)
     offset = 1 if family.case == CASE_A else 0
@@ -719,34 +718,24 @@ def stieltjes_monic_table(family: WilsonFamily, n_max: int) -> list[np.ndarray]:
     values.  Returns float coefficient arrays."""
     measure = discrete_measure(family, n_max)
     xs, ws = measure.fine_rule()
-    u = xs * xs
-    mass_u = np.array([pm.y for pm in measure.masses])
-    mass_w = np.array([pm.mass for pm in measure.masses])
-
-    def ip(fvals, gvals, fm, gm):
-        out = float(np.sum(ws * fvals * gvals))
-        if mass_u.size:
-            out += float(np.sum(mass_w * fm * gm))
-        return out
+    # a point mass is one more node, weighted by its mass
+    u = np.concatenate((xs * xs, [pm.y for pm in measure.masses]))
+    w = np.concatenate((ws, [pm.mass for pm in measure.masses]))
 
     coeffs = [np.array([1.0])]
     pk = np.ones_like(u)
-    pk_m = np.ones_like(mass_u)
     pkm1 = np.zeros_like(u)
-    pkm1_m = np.zeros_like(mass_u)
     nrm_prev = None
     for k in range(n_max):
-        nrm = ip(pk, pk, pk_m, pk_m)
-        a_k = ip(u * pk, pk, mass_u * pk_m, pk_m) / nrm
+        nrm = float(np.sum(w * pk * pk))
+        a_k = float(np.sum(w * (u * pk) * pk)) / nrm
         b_k = 0.0 if nrm_prev is None else nrm / nrm_prev
-        pnew = (u - a_k) * pk - b_k * pkm1
-        pnew_m = (mass_u - a_k) * pk_m - b_k * pkm1_m
         c = np.zeros(k + 2)
         c[1:] += coeffs[k]
         c[: k + 1] -= a_k * coeffs[k]
         if k >= 1:
             c[: k] -= b_k * coeffs[k - 1]
         coeffs.append(c)
-        pkm1, pkm1_m, pk, pk_m = pk, pk_m, pnew, pnew_m
+        pkm1, pk = pk, (u - a_k) * pk - b_k * pkm1
         nrm_prev = nrm
     return coeffs

@@ -110,6 +110,16 @@ def _check_half_integer(j) -> Fraction:
     return jq
 
 
+def _generators(j1: Fraction, j2: Fraction):
+    """(boosts, rotations) on C^{2j1+1} (x) C^{2j2+1}: L = A + B and
+    K = -i(A - B) from the su(2) triples A of j1 and B of j2."""
+    d1, d2 = int(2 * j1) + 1, int(2 * j2) + 1
+    a_ops = [np.kron(s, np.eye(d2, dtype=complex)) for s in _spin_matrices(j1)]
+    b_ops = [np.kron(np.eye(d1, dtype=complex), s) for s in _spin_matrices(j2)]
+    return ([-1j * (a - b) for a, b in zip(a_ops, b_ops)],
+            [a + b for a, b in zip(a_ops, b_ops)])
+
+
 def build_spin_rep(j1, j2) -> LorentzRep:
     """Representation labeled by the half-integer pair (j1, j2): two
     commuting su(2) triples with L = A + B and K = -i(A - B).
@@ -122,28 +132,18 @@ def build_spin_rep(j1, j2) -> LorentzRep:
     j1 = _check_half_integer(j1)
     j2 = _check_half_integer(j2)
     d1, d2 = int(2 * j1) + 1, int(2 * j2) + 1
-    s1 = _spin_matrices(j1)
-    s2 = _spin_matrices(j2)
-    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    a_ops = [np.kron(s, eye2) for s in s1]
-    b_ops = [np.kron(eye1, s) for s in s2]
-    rot = [a + b for a, b in zip(a_ops, b_ops)]
-    boost = [-1j * (a - b) for a, b in zip(a_ops, b_ops)]
+    boost, rot = _generators(j1, j2)
     if j1 == j2:
         parity = (-1) ** int(2 * j1) * _swap_matrix(d1, d2)
         return LorentzRep(f"({j1},{j2})", d1 * d2, tuple(boost), tuple(rot), parity)
     # doubled space: block-diagonal generators, off-diagonal parity
-    a2 = [np.kron(s, eye1) for s in s2]
-    b2 = [np.kron(eye2, s) for s in s1]
-    rot2 = [a + b for a, b in zip(a2, b2)]
-    boost2 = [-1j * (a - b) for a, b in zip(a2, b2)]
-    dim = 2 * d1 * d2
+    boost2, rot2 = _generators(j2, j1)
     z = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     rot_full = tuple(np.block([[r1, z], [z, r2]]) for r1, r2 in zip(rot, rot2))
     boost_full = tuple(np.block([[k1, z], [z, k2]]) for k1, k2 in zip(boost, boost2))
     tau = _swap_matrix(d1, d2)
     parity = np.block([[z, tau.conj().T], [tau, z]])
-    return LorentzRep(f"({j1},{j2})+({j2},{j1})", dim, boost_full, rot_full, parity)
+    return LorentzRep(f"({j1},{j2})+({j2},{j1})", 2 * d1 * d2, boost_full, rot_full, parity)
 
 
 def _comm(x, y):

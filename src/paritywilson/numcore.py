@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .errors import DenominatorPole, NoConvergence
-
-Rational = Union[int, Fraction]
-Scalar = Union[int, float, complex, Fraction]
 
 
 def frac_to_str(q: Fraction) -> str:

@@ -57,10 +57,6 @@ def _check(results, check_id, anchor, ok, measured, threshold, note=""):
                                measured, threshold, note))
 
 
-def _fr(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # frozen printed tables (constant term first, in the squared variable)
 Z_TABLE_A = {
     1: ["1"],
@@ -100,9 +96,9 @@ def _poly_matches(poly, table_entry) -> bool:
         return poly is None
     if poly is None:
         return False
-    want = [(_fr(c) if isinstance(c, str) else c) for c in table_entry]
+    want = [(Fraction(c) if isinstance(c, str) else c) for c in table_entry]
     if isinstance(table_entry[0], list):
-        want = [RationalPolynomial([_fr(c) for c in cs]) for cs in table_entry]
+        want = [RationalPolynomial([Fraction(c) for c in cs]) for cs in table_entry]
     return list(poly.coeffs) == want
 
 
@@ -615,7 +611,3 @@ def registered_check_ids() -> set[str]:
     """Check ids actually produced by running the full suite."""
     report = run_suites()
     return {r.check_id for r in report.results}
-
-
-def traceability_rows():
-    return TRACEABILITY

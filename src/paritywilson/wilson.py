@@ -183,22 +183,6 @@ def monic_from_hypergeometric(family: WilsonFamily, n: int):
 # construction route 2: three-term recurrence (corrected and printed forms)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonicTable:
-    """P_0..P_n for one family; entries are RationalPolynomial (numeric B or
-    Case A) or BParamPolynomial (symbolic Case B)."""
-
-    family: WilsonFamily
-    form: str
-    polys: tuple
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __getitem__(self, n):
-        return self.polys[n]
-
-
 def standard_recurrence_terms(family: WilsonFamily, n: int):
     """(beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2},
     re-derived from the standard monic Wilson recurrence coefficients
@@ -250,9 +234,10 @@ _TABLES: dict[tuple[WilsonFamily, str], tuple] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "corrected") -> MonicTable:
+def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "corrected") -> tuple:
     """Build P_0..P_{n_max} from the printed seeds and the three-term
-    recurrence.
+    recurrence.  Returns them as a tuple of RationalPolynomial (numeric B
+    or Case A) or BParamPolynomial (symbolic Case B).
 
     form="corrected" uses the re-derived standard terms and must agree with
     :func:`monic_from_hypergeometric` exactly; form="printed" applies the
@@ -284,7 +269,7 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
         with _TABLES_LOCK:
             if len(polys) > len(_TABLES.get(key, ())):
                 _TABLES[key] = polys
-    return MonicTable(family, form, polys[: n_max + 1])
+    return polys[: n_max + 1]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from paritywilson import verify
-from paritywilson.cli import emit_traceability, run_subcommand
+from paritywilson.cli import run_subcommand
 
 
 def run(argv, capsys):
@@ -117,6 +117,15 @@ def test_scan_report(capsys):
     assert abs(float(obj["ell1_sq"]) - 9.0) < 1e-8
 
 
+def test_scan_b_takes_a_fraction(capsys):
+    argv = ["scan", "--n", "1", "--degree", "1", "--b"]
+    assert run_subcommand(argv + ["3/2"]) == 0
+    fraction = capsys.readouterr().out
+    assert run_subcommand(argv + ["1.5"]) == 0
+    assert capsys.readouterr().out == fraction
+    assert json.loads(fraction)["B"] == "1.5"
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -149,6 +158,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("not_a_key=1\n")
     code, _ = run(["eigen", "--case", "A", "--n", "1", "--config", str(cfg)], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("format=xml\n", "format must be one of json, csv, got 'xml'"),
+    ("# quadrature\n\npanel_order=abc\n", "invalid literal for int() with base 10: 'abc'"),
+], ids=["format", "panel_order"])
+def test_config_value_errors_name_the_file_and_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "1", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:{text.count(chr(10))}: {message}\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -264,7 +286,9 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch, capsys):
 
 
 def test_traceability_complete(capsys):
-    rows = emit_traceability()
+    code, out = run(["verify", "--traceability"], capsys)
+    assert code == 0
+    rows = json.loads(out)
     by_anchor = {r["anchor"]: r for r in rows}
     for anchor in verify.REQUIRED_ANCHORS:
         assert anchor in by_anchor, f"missing row for {anchor}"
@@ -297,6 +321,20 @@ def test_past_the_measure_ceiling_is_one_error_line(argv, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "degree bound 128" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--case", "A", "--n-max", "-1"],
+    ["coeffs", "--case", "B", "--b", "3/2", "--n-max", "-1"],
+    ["coeffs", "--case", "B", "--b", "3/2", "--n-max", "-2", "--route", "projection"],
+    ["reconstruct", "--case", "B", "--b", "3/2", "--n-max", "-3"],
+], ids=["coeffs_A", "coeffs_B", "coeffs_B_projection", "reconstruct_B"])
+def test_negative_n_max_is_one_error_line(argv, capsys):
+    assert run_subcommand(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "must be nonnegative" in line
 
 
 def test_panel_order_below_three_is_one_error_line(capsys):

@@ -238,6 +238,22 @@ class TestProjection:
             want = 1.0 if n == 1 else 0.0
             assert abs(c - want) <= 1e-8
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_basis_row_is_cached_read_only_and_exact(self, family):
+        poly = RationalPolynomial([Fraction(1, 3), -2, Fraction(5, 7), Fraction(-9, 4), 1])
+        # exact a_k with poly = sum_k a_k P_k, peeled off from the top degree
+        table = monic_from_recurrence(family, poly.degree)
+        rest, a = poly, [Fraction(0)] * (poly.degree + 1)
+        for k in range(poly.degree, -1, -1):
+            a[k] = rest.coefficient(k)
+            rest = rest - table[k] * a[k]
+        _, scale = family_values(family, poly.degree, np.zeros(1))
+        want = np.array([float(c) for c in a]) * scale
+        row = expand._basis_row(family, poly)
+        assert row.tobytes() == want.tobytes()
+        assert not row.flags.writeable
+        assert expand._basis_row(family, poly) is row
+
 
 class TestParityCoefficients:
     def test_c0_exact(self):
@@ -278,6 +294,28 @@ class TestParityCoefficients:
     def test_symbolic_b_rejected(self):
         with pytest.raises(ValueError):
             parity_coefficients(WilsonFamily.case_b(), 2)
+
+    def test_coefficient_outside_the_table_is_a_key_error(self):
+        table = parity_coefficients(CASE_B_32, 3)
+        for n in (-1, 4):
+            with pytest.raises(KeyError):
+                table.coefficient(n)
+            with pytest.raises(KeyError):
+                table.error(n)
+
+
+@pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+@pytest.mark.parametrize("call", [
+    lambda fam, n: project(RationalPolynomial([1]), fam, n),
+    lambda fam, n: parity_coefficients(fam, n),
+    lambda fam, n: parity_coefficients(fam, n, route="printed"),
+    lambda fam, n: parity_coefficients(fam, n, route="projection"),
+    lambda fam, n: reconstruction_residual(fam, n),
+], ids=["project", "closed_form", "printed", "projection", "residual"])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_degree_bound_is_refused(family, call, n):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(family, n)
 
 
 class TestReconstruction:

@@ -151,7 +151,7 @@ def _cold(family, n_max, form="corrected"):
     saved = wilson._TABLES
     wilson._TABLES = {}
     try:
-        return monic_from_recurrence(family, n_max, form).polys
+        return monic_from_recurrence(family, n_max, form)
     finally:
         wilson._TABLES = saved
 
@@ -163,26 +163,27 @@ class TestTableCache:
         assert plain == exact and hash(plain) == hash(exact)
         assert type(plain.b) is Fraction
         order = (plain, exact) if plain_first else (exact, plain)
-        first, second = (monic_from_recurrence(f, 4).polys for f in order)
+        first, second = (monic_from_recurrence(f, 4) for f in order)
         assert first == second
         assert all(type(c) is Fraction for p in first for c in p.coeffs)
         assert first[2].coeffs == (fr("-3/16"), fr("-1/2"), 1)
 
     def test_served_from_longer_and_extended_from_shorter(self, cold_tables):
         cold4, cold9 = _cold(CASE_B_32, 4), _cold(CASE_B_32, 9)
-        assert monic_from_recurrence(CASE_B_32, 9).polys == cold9
-        assert monic_from_recurrence(CASE_B_32, 4).polys == cold4  # served
+        assert type(cold4) is tuple and type(cold9) is tuple
+        assert monic_from_recurrence(CASE_B_32, 9) == cold9
+        assert monic_from_recurrence(CASE_B_32, 4) == cold4  # served
         wilson._TABLES.clear()
-        assert monic_from_recurrence(CASE_B_32, 4).polys == cold4
-        assert monic_from_recurrence(CASE_B_32, 9).polys == cold9  # extended
+        assert monic_from_recurrence(CASE_B_32, 4) == cold4
+        assert monic_from_recurrence(CASE_B_32, 9) == cold9  # extended
         assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 10
 
     @pytest.mark.parametrize("printed_first", [True, False])
     def test_forms_never_share_entries(self, cold_tables, printed_first):
         forms = ("printed", "corrected") if printed_first else ("corrected", "printed")
         tables = {form: monic_from_recurrence(CASE_A, 5, form) for form in forms}
-        assert tables["printed"].polys == _cold(CASE_A, 5, "printed")
-        assert tables["corrected"].polys == _cold(CASE_A, 5)
+        assert tables["printed"] == _cold(CASE_A, 5, "printed")
+        assert tables["corrected"] == _cold(CASE_A, 5)
         assert tables["printed"][2] != tables["corrected"][2]
         assert set(wilson._TABLES) == {(CASE_A, "printed"), (CASE_A, "corrected")}
 
@@ -210,7 +211,7 @@ class TestTableCache:
         oracle = [monic_from_hypergeometric(CASE_B_32, n) for n in range(16)]
         for offset, tables in enumerate(results):
             for n, table in zip(range(offset, 16, 4), tables):
-                assert list(table.polys) == oracle[: n + 1]
+                assert list(table) == oracle[: n + 1]
         # a shorter table published last would have replaced the longest
         assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 16
 
@@ -374,12 +375,14 @@ class TestThreeRouteAgreement:
             assert rel < 1e-8, (n, rel)
 
     def test_stieltjes_case_b(self):
-        st_table = stieltjes_monic_table(CASE_B_32, 6)
-        exact = monic_from_recurrence(CASE_B_32, 6)
-        for n in range(7):
-            want = np.array(exact[n].float_coeffs())
-            rel = np.max(np.abs(st_table[n] - want) / np.maximum(1.0, np.abs(want)))
-            assert rel < 1e-8, (n, rel)
+        # B(73/10) has three point masses
+        for family, n_max in ((CASE_B_32, 6), (WilsonFamily.case_b(Fraction(73, 10)), 10)):
+            st_table = stieltjes_monic_table(family, n_max)
+            exact = monic_from_recurrence(family, n_max)
+            for n in range(n_max + 1):
+                want = np.array(exact[n].float_coeffs())
+                rel = np.max(np.abs(st_table[n] - want) / np.maximum(1.0, np.abs(want)))
+                assert rel < 1e-8, (family.label(), n, rel)
 
 
 class TestGeneratingFunctions:
