@@ -81,6 +81,8 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](val.strip())
+                if key in _QUADRATURE_OPTIONS:
+                    expand.QuadratureConfig(**{key: values[key]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values

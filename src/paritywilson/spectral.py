@@ -246,17 +246,17 @@ def master_residual_polynomial(rec: EigenpairRecord, ell1) -> RationalPolynomial
 
     There W+1 +- 2s = (s +- 1)^2 - B - 1/4, so both shifted prefactors are
     -exp(i*pi*s) and P = 2s (2W - 1 + ell1^2) p(W) - c+ p(W+) - c- p(W-)
-    with c+- = +-(2B + 4W) + W(2s -+ 1).  Needs a numeric B.
+    with c+- = +-(2B + 4W) + W(2s -+ 1).  Reflection s -> -s maps c+ to
+    -c- and W+ to W-, so with t = c+ p(W+) the shifted terms are
+    t(s) - t(-s): P is odd in s for every p and ell1.  Needs a numeric B.
     """
     shift = rec.prefactor_shift()
     b = shift - Fraction(1, 4)
     s = RationalPolynomial([0, 1])
-    w, w_plus, w_minus = (t * t - shift for t in (s, s + 1, s - 1))
+    w = s * s - shift
     p = RationalPolynomial([1]) if rec.poly is None else rec.poly
-    c_plus = 2 * b + 4 * w + w * (2 * s - 1)
-    c_minus = -2 * b - 4 * w + w * (2 * s + 1)
-    return (2 * s * (2 * w - (1 - Fraction(ell1) ** 2)) * p.compose(w)
-            - c_plus * p.compose(w_plus) - c_minus * p.compose(w_minus))
+    t = (2 * b + 4 * w + w * (2 * s - 1)) * p.compose(w + 2 * s + 1)  # W+ = w + 2s + 1
+    return 2 * s * (2 * w - 1 + Fraction(ell1) ** 2) * p.compose(w) - (t - t.reflect())
 
 
 def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float, ...]:

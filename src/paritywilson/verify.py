@@ -176,31 +176,29 @@ def check_recurrence(results: list[CheckResult]) -> None:
            "exact" if ok else "mismatch", "exact")
 
 
-def _worst_on_grid(poly: RationalPolynomial, sigmas) -> float:
-    """max |P(s)| / (2s) over s = sqrt(sigma): P(s) = E(s^2) + s O(s^2) with
-    E and O evaluated exactly, so only the last two float steps round."""
-    cs = poly.coeffs
-    even, odd = RationalPolynomial(cs[0::2]), RationalPolynomial(cs[1::2])
-    return max(abs(float(even(q)) / (2 * math.sqrt(q)) + float(odd(q) / 2))
-               for q in sigmas)
-
-
 def check_quantization(results: list[CheckResult], n_max: int = 8,
                        threshold_scale: float = 1.0) -> None:
-    # |master residual| at M = 0 is |P(s)|/(2s), P exact, on the grid of s >= 1
+    # |master residual| at M = 0 is |P(s)|/(2s) on the grid of s >= 1, with P
+    # exact and odd: Q(s^2), Q the halved odd coefficients of P, exact at each
+    # point; ell1 -> ell1 + 1/1000 adds exactly ((ell1 + 1/1000)^2 - ell1^2) p(W)
     tol = 1e-11 * threshold_scale
     for case, b in ((CASE_A, None), (CASE_B, B_VALUES[0]),
                     (CASE_B, B_VALUES[1]), (CASE_B, B_VALUES[2])):
         shift = Fraction(1, 4) + (b or 0)
-        sigmas = [Fraction(w) + shift for w in spectral.default_w_grid(float(b or 0), count=10)]
+        ws = [Fraction(w) for w in spectral.default_w_grid(float(b or 0), count=10)]
         worst = 0.0
         worst_pert = math.inf
         for n in range(n_max + 1):
             rec = spectral.eigenfunction(case, n, b)
-            res, pert = (_worst_on_grid(spectral.master_residual_polynomial(rec, ell), sigmas)
-                         for ell in (Fraction(2 * n + 1), Fraction(2 * n + 1) + Fraction(1, 1000)))
-            worst = max(worst, res)
-            worst_pert = min(worst_pert, pert)
+            ell = Fraction(2 * n + 1)
+            big_p = spectral.master_residual_polynomial(rec, ell)
+            q = RationalPolynomial(big_p.coeffs[1::2]) / 2
+            res = [q(w + shift) for w in ws] if big_p else [0] * len(ws)
+            delta = (ell + Fraction(1, 1000)) ** 2 - ell ** 2
+            p = RationalPolynomial([1]) if rec.poly is None else rec.poly
+            worst = max(worst, *(abs(float(r)) for r in res))
+            worst_pert = min(worst_pert, max(abs(float(r + delta * p(w)))
+                                             for r, w in zip(res, ws)))
         tag = "a" if case == CASE_A else f"b{float(b)}"
         _check(results, f"eigen-quantization-{tag}",
                "eq-24" if case == CASE_A else "eq-47",

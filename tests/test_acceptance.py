@@ -9,6 +9,7 @@ start passing.  Everything else must be green.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,43 @@ def test_quantization_fails_on_a_perturbed_coefficient(monkeypatch, power):
     results = _run_checks(verify.check_quantization)
     failed = sorted(r.check_id for r in results if r.status == "fail")
     assert failed == sorted(f"eigen-quantization-{tag}" for tag in ("a", "b-0.5", "b1.5", "b7.3"))
+
+
+FAMILIES = (("A", None), *(("B", b) for b in verify.B_VALUES))
+
+
+def test_sensitivity_matches_a_second_polynomial_at_the_perturbed_eigenvalue():
+    # the closed form (ell'^2 - ell^2) p(W) against P rebuilt at ell' = 2n+1 +
+    # 1/1000 and read as P(s) = E(s^2) + s O(s^2) on the same grid
+    results = _run_checks(verify.check_quantization, n_max=12)
+    measured = [r.measured for r in results if r.check_id.startswith("eigen-sensitivity-")]
+    rebuilt = []
+    for case, b in FAMILIES:
+        shift = Fraction(1, 4) + (b or 0)
+        sigmas = [Fraction(w) + shift for w in spectral.default_w_grid(float(b or 0), count=10)]
+        worst = math.inf
+        for n in range(13):
+            cs = spectral.master_residual_polynomial(spectral.eigenfunction(case, n, b),
+                                                     2 * n + 1 + Fraction(1, 1000)).coeffs
+            even, odd = RationalPolynomial(cs[0::2]), RationalPolynomial(cs[1::2])
+            worst = min(worst, max(abs(float(even(q)) / (2 * math.sqrt(q)) + float(odd(q) / 2))
+                                   for q in sigmas))
+        rebuilt.append(worst)
+    assert measured == rebuilt
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+def test_quantization_builds_one_polynomial_per_eigenpair(monkeypatch, n_max):
+    calls = []
+    build = spectral.master_residual_polynomial
+
+    def counted(rec, ell1):
+        calls.append((rec.case, rec.b, rec.n))
+        return build(rec, ell1)
+
+    monkeypatch.setattr(spectral, "master_residual_polynomial", counted)
+    verify.check_quantization([], n_max=n_max)
+    assert len(calls) == len(set(calls)) == 4 * (n_max + 1)
 
 
 def test_runtime_needs_no_mpmath():

@@ -163,7 +163,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("format=xml\n", "format must be one of json, csv, got 'xml'"),
     ("# quadrature\n\npanel_order=abc\n", "invalid literal for int() with base 10: 'abc'"),
-], ids=["format", "panel_order"])
+    ("panel_order=2\n", "panel_order must be at least 3, got 2"),
+    ("rel_tol=1e-9\nx_max=0\n", "x_max must be finite and positive, got 0.0"),
+], ids=["format", "panel_order", "panel_order-range", "x_max-range"])
 def test_config_value_errors_name_the_file_and_line(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -171,6 +173,14 @@ def test_config_value_errors_name_the_file_and_line(tmp_path, capsys, text, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {cfg}:{text.count(chr(10))}: {message}\n"
+
+
+def test_bad_config_value_is_refused_under_an_overriding_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("panel_order=2\n")
+    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "1", "--config", str(cfg),
+                           "--panel-order", "24"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: panel_order must be at least 3, got 2\n"
 
 
 def test_usage_error_exit_code(capsys):

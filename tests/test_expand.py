@@ -21,7 +21,6 @@ from paritywilson.expand import (
     parity_target,
     project,
     reconstruction_residual,
-    stieltjes_monic_table,
     tail_bound,
 )
 from paritywilson.numcore import RationalPolynomial, poly_eval

@@ -1,11 +1,14 @@
 """Eigenpairs, residual evaluators, second solutions, eigenvalue scan."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritywilson.errors import DomainPole, IllConditioned, LatticePole
 from paritywilson.numcore import RationalPolynomial
@@ -219,6 +222,16 @@ class TestMasterResidualPolynomial:
         want = 2 * (d * d - 25) * RationalPolynomial([0, 1]) * rec.poly.compose(
             RationalPolynomial([-fr("7/4"), 0, 1]))
         assert master_residual_polynomial(rec, d) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=5),
+           st.fractions(min_value=-20, max_value=20, max_denominator=30),
+           st.sampled_from(FAMILIES))
+    def test_odd_in_s_for_any_polynomial_part(self, coeffs, ell, family):
+        case, b = family
+        rec = dataclasses.replace(eigenfunction(case, 1, b), poly=RationalPolynomial(coeffs))
+        big_p = master_residual_polynomial(rec, ell)
+        assert big_p.reflect() == -big_p
 
     def test_symbolic_record_is_refused(self):
         with pytest.raises(ValueError):
