@@ -64,7 +64,6 @@ from .expand import (
     discrete_measure,
     family_values,
     inner_product,
-    integrate_semiinfinite,
     parity_coefficients,
     parity_target,
     project,

@@ -180,12 +180,8 @@ def _cmd_poly(args, cfg: RunConfig) -> int:
 
 
 def _cmd_eigen(args, cfg: RunConfig) -> int:
-    if args.case == CASE_A:
-        rec = spectral.eigenfunction_case_a(args.n)
-    else:
-        b = None if getattr(args, "symbolic", False) else (
-            Fraction(args.b) if args.b is not None else None)
-        rec = spectral.eigenfunction_case_b(args.n, b)
+    family = _family_from_args(args)
+    rec = spectral.eigenfunction(family.case, args.n, family.b)
     coeffs = list(rec.poly.coeffs) if rec.poly is not None else None
     obj = {"ell1": rec.ell1, "alpha": rec.alpha, "poly": coeffs}
     if rec.case == CASE_B:
@@ -287,11 +283,12 @@ def _cmd_lorentz(args, cfg: RunConfig) -> int:
 
 
 def _cmd_scan(args, cfg: RunConfig) -> int:
-    grid = None
-    if args.grid_start is not None:
+    b = float(Fraction(args.b))
+    if args.grid_start is None:
+        grid = spectral.default_w_grid(b, count=args.grid_count, step=args.grid_step)
+    else:
         grid = [args.grid_start + args.grid_step * k for k in range(args.grid_count)]
-    rep = spectral.conjecture_scan(float(Fraction(args.b)), args.m, args.n, args.degree,
-                                   grid=grid)
+    rep = spectral.conjecture_scan(b, args.m, args.n, args.degree, grid=grid)
     obj = {"B": _fmt_float(rep.b), "M": _fmt_float(rep.m), "n": rep.n,
            "degree": rep.degree, "ell1_sq": _fmt_float(rep.ell1_sq),
            "residual": _fmt_float(rep.residual), "iterations": rep.iterations,
@@ -428,13 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_negative_b(argv: list[str]) -> list[str]:
-    """argparse reads a separate value such as -1/2 as an option, so
-    ``--b -1/2`` becomes ``--b=-1/2``."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a separate value such as -1/2 as an option, so a
+    negative number after an option, ``--z0 -21/2``, becomes
+    ``--z0=-21/2``."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--b" and re.match(r"-\.?\d", arg):
-            out[-1] = "--b=" + arg
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -444,7 +442,7 @@ def run_subcommand(argv: list[str]) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_b(argv))
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,11 +5,6 @@ shared discretization of each family measure, on which inner products,
 basis projections, all three routes to the parity-reconstruction
 coefficients c_n, the weighted-L2 reconstruction residuals and the
 Stieltjes orthogonalization become weighted dot products.
-The certified adaptive Gauss-Legendre quadrature on (0, inf) for
-integrands with exponential decay (adaptive paneling on [0, X] plus an
-analytic tail bound) shares its panel loop with the measure build but is
-never called by the library: it is the independent oracle the measure is
-tested against.
 
 A measure is built once per (family, QuadratureConfig, degree bound), the
 bound rounded up to a power of two (at least 8), so that no result depends
@@ -72,7 +67,7 @@ PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Controls for the semi-infinite quadrature: the panel loop of the
-    shared measures and of the adaptive oracle.
+    shared measures and the budget of their integrals.
 
     ``x_max=None`` chooses the cutoff automatically so that the analytic
     tail bound (integrand <= C x^p e^{-decay*x}, C measured near the
@@ -160,16 +155,15 @@ def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int):
         x_max += 5.0
 
 
-def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
-                     edges: np.ndarray | None = None) -> list:
-    """The adaptive panel loop: starting from ``edges`` (default: unit
-    panels on [0, x_max]), the panel with the largest |fine - coarse| is
+def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) -> list:
+    """The adaptive panel loop of the measure build: starting from the
+    panels between ``edges``, the panel with the largest |fine - coarse| is
     halved until the summed differences are within half the budget
-    max(abs_tol, rel_tol |total|, roundoff floor).  Returns
-    [err, lo, hi, value] per panel, by lo.  Each round evaluates f in one
-    call, on the coarse and fine nodes of all starting panels, then of both
-    halves of the split panel; a non-finite value raises at once, naming
-    the first one in panel order."""
+    max(abs_tol, roundoff floor).  Returns [err, lo, hi, value] per panel,
+    by lo.  Each round evaluates f in one call, on the coarse and fine
+    nodes of all starting panels, then of both halves of the split panel;
+    a non-finite value raises at once, naming the first one in panel
+    order."""
     k = cfg.panel_order
     (xc, wc), (xf, wf) = _nodes(k), _nodes(2 * k)
     rule = np.concatenate((xc, xf))
@@ -190,14 +184,10 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
             out.append([abs(fine - coarse), a, b, fine])
         return out
 
-    if edges is None:
-        edges = np.linspace(0.0, x_max, int(math.ceil(x_max)) + 1)
     panels = panels_on(edges[:-1], edges[1:])
     while True:
-        total = sum(p[3] for p in panels)
         err_sum = sum(p[0] for p in panels)
-        budget = max(cfg.abs_tol, rel_tol * abs(total),
-                     ROUNDOFF * sum(abs(p[3]) for p in panels))
+        budget = max(cfg.abs_tol, ROUNDOFF * sum(abs(p[3]) for p in panels))
         if err_sum <= 0.5 * budget:
             break
         panels.sort(key=lambda p: (-p[0], p[1]))
@@ -206,34 +196,13 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, rel_tol: float,
             raise NoConvergence(
                 f"adaptive quadrature exceeded {cfg.max_panels} panels: err_sum "
                 f"{err_sum:.3e} against budget/2 {0.5 * budget:.3e} (budget "
-                f"{budget:.3e}, total {abs(total):.3e}); worst panel "
+                f"{budget:.3e}, total {abs(sum(p[3] for p in panels)):.3e}); worst panel "
                 f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
         _, lo, hi, _ = panels.pop(0)
         mid = 0.5 * (lo + hi)
         panels += panels_on(np.array([lo, mid]), np.array([mid, hi]))
     panels.sort(key=lambda p: p[1])
     return panels
-
-
-def integrate_semiinfinite(f: Callable, cfg: QuadratureConfig | None = None,
-                           decay_rate: float = TWO_PI,
-                           growth_degree: int = 0):
-    """Integrate f over (0, inf): adaptive paneling on [0, X] plus a
-    certified analytic tail bound beyond X.
-
-    ``f`` must accept a numpy array and may return complex values; the
-    caller supplies the decay rate and polynomial growth degree for the
-    tail envelope.  Returns (value, error_estimate); the estimate is the
-    summed panel differences plus the tail bound plus a roundoff allowance
-    and is designed to stay above the true error.
-    """
-    cfg = cfg or QuadratureConfig()
-    x_max, tail = _cutoff(f, cfg, decay_rate, growth_degree)
-    panels = _adaptive_panels(f, cfg, x_max, cfg.rel_tol)
-    total = sum(p[3] for p in panels)
-    err_sum = sum(p[0] for p in panels)
-    roundoff = 1e-15 * sum(abs(p[3]) for p in panels) * math.sqrt(len(panels))
-    return total, err_sum + tail + roundoff
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +422,7 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
 
     try:
         x_max, _ = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
-        panels = _adaptive_panels(hardest, cfg, x_max, rel_tol=0.0,
-                                  edges=_graded_edges(x_max))
+        panels = _adaptive_panels(hardest, cfg, x_max, _graded_edges(x_max))
     except NoConvergence as exc:
         raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
     (xc, wc), (xf, wf) = _nodes(cfg.panel_order), _nodes(2 * cfg.panel_order)

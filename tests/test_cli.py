@@ -126,6 +126,19 @@ def test_scan_b_takes_a_fraction(capsys):
     assert json.loads(fraction)["B"] == "1.5"
 
 
+def test_scan_grid_flags_apply_without_grid_start(capsys):
+    argv = ["scan", "--b", "0", "--n", "1", "--degree", "1"]
+    assert run_subcommand(argv) == 0
+    default = capsys.readouterr().out
+    assert run_subcommand(argv + ["--grid-count", "20", "--grid-step", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+    assert run_subcommand(argv + ["--grid-step", "0.25"]) == 0
+    assert capsys.readouterr().out != default
+    # degree 1 has three unknowns: the coefficients and ell_1^2
+    assert run_subcommand(argv + ["--grid-count", "2"]) == 1
+    assert "fewer points than unknowns" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -198,8 +211,11 @@ def test_computation_failure_exit_code(capsys):
 
 
 def test_case_b_requires_b(capsys):
-    assert run_subcommand(["coeffs", "--case", "B", "--n-max", "1"]) == 1
-    capsys.readouterr()
+    for argv in (["poly", "--n", "1"], ["eigen", "--n", "1"], ["residual", "--n", "1"],
+                 ["coeffs", "--n-max", "1"], ["reconstruct", "--n-max", "1"]):
+        assert run_subcommand(argv + ["--case", "B"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "case B needs --b" in captured.err, argv
 
 
 def test_verify_subset_and_exit_codes(capsys):
@@ -374,16 +390,18 @@ def test_uncertifiable_quadrature_is_one_error_line(option, message, capsys):
     assert line.startswith("error: ") and message in line
 
 
-@pytest.mark.parametrize("argv", [
-    ["poly", "--case", "B", "--n", "2"],
-    ["eigen", "--case", "B", "--n", "1"],
-    ["residual", "--case", "B", "--n", "1", "--count", "3"],
-    ["coeffs", "--case", "B", "--n-max", "3"],
-    ["reconstruct", "--case", "B", "--n-max", "3"],
-], ids=lambda argv: argv[0])
-def test_negative_b_as_a_separate_argument(argv, capsys):
-    assert run_subcommand(argv + ["--b=-1/2"]) == 0
+@pytest.mark.parametrize("argv, option, value, key", [
+    (["poly", "--case", "B", "--n", "2"], "--b", "-1/2", "B"),
+    (["eigen", "--case", "B", "--n", "1"], "--b", "-1/2", "B"),
+    (["residual", "--case", "B", "--n", "1", "--count", "3"], "--b", "-1/2", "B"),
+    (["coeffs", "--case", "B", "--n-max", "3"], "--b", "-1/2", "B"),
+    (["reconstruct", "--case", "B", "--n-max", "3"], "--b", "-1/2", "B"),
+    (["second-solution", "--n", "1", "--length", "4"], "--z0", "-21/2", "z0"),
+], ids=["poly", "eigen", "residual", "coeffs", "reconstruct", "second-solution"])
+def test_negative_b_as_a_separate_argument(argv, option, value, key, capsys):
+    # a negative fraction is a value after any option, not only after --b
+    assert run_subcommand(argv + [f"{option}={value}"]) == 0
     joined = capsys.readouterr()
-    assert '"B": "-1/2"' in joined.out
-    assert run_subcommand(argv + ["--b", "-1/2"]) == 0
+    assert f'"{key}": "{value}"' in joined.out
+    assert run_subcommand(argv + [option, value]) == 0
     assert capsys.readouterr() == joined

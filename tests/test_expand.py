@@ -1,13 +1,17 @@
 """Quadrature certification, projections, parity coefficients,
 reconstruction residuals."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 
+import paritywilson
 from paritywilson import expand, verify
 from paritywilson.errors import NoConvergence
 from paritywilson.expand import (
@@ -16,7 +20,6 @@ from paritywilson.expand import (
     discrete_measure,
     family_values,
     inner_product,
-    integrate_semiinfinite,
     parity_coefficients,
     parity_target,
     project,
@@ -38,29 +41,43 @@ FAMILIES = [CASE_A] + [WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2",
 
 
 class TestIntegrate:
+    """The tests' oracle (``tests/oracles.py``) and the library's tail bound
+    and cutoff choice."""
+
     def test_exponential_moment(self):
-        val, err = integrate_semiinfinite(lambda x: x * np.exp(-TWO_PI * x),
-                                          growth_degree=1)
+        val, err = oracles.integrate(lambda x: x * np.exp(-TWO_PI * x), auto_cutoff(1),
+                                     growth_degree=1)
         want = 1.0 / (4 * math.pi ** 2)
         assert abs(val - want) <= err
         assert abs(val - want) < 1e-12
 
     def test_error_honesty_on_twenty_closed_forms(self):
-        # x^p e^{-2 pi x} and x^p e^{-3 pi x}, p = 0..9: reported error must
+        # x^p e^{-2 pi x} and x^p e^{-3 pi x}, p = 0..9: the oracle's bar must
         # dominate the true error on every one
         for lam in (TWO_PI, 3 * math.pi):
             for p in range(10):
-                val, err = integrate_semiinfinite(
-                    lambda x, p=p, lam=lam: x ** p * np.exp(-lam * x),
+                val, err = oracles.integrate(
+                    lambda x, p=p, lam=lam: x ** p * np.exp(-lam * x), auto_cutoff(p),
                     growth_degree=p)
                 want = math.factorial(p) / lam ** (p + 1)
                 assert abs(val - want) <= err, (lam, p)
 
     def test_complex_integrand(self):
-        val, err = integrate_semiinfinite(
-            lambda x: (1.0 + 2j) * x * np.exp(-TWO_PI * x), growth_degree=1)
+        val, err = oracles.integrate(
+            lambda x: (1.0 + 2j) * x * np.exp(-TWO_PI * x), auto_cutoff(1), growth_degree=1)
         want = (1.0 + 2j) / (4 * math.pi ** 2)
         assert abs(val - want) <= err
+
+    def test_oracle_imports_no_library_module(self):
+        # an oracle that shared the library's machinery would check nothing
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, node.module
+                modules.append(node.module)
+        assert modules and not [m for m in modules if m.split(".")[0] == "paritywilson"]
 
     def test_tail_bound_formula(self):
         # exact incomplete-gamma value for p = 2
@@ -69,21 +86,17 @@ class TestIntegrate:
         assert abs(tail_bound(1.0, 2, lam, x) - want) < 1e-14
 
     def test_explicit_cutoff_respected(self):
-        cfg = QuadratureConfig(x_max=20.0)
-        val, err = integrate_semiinfinite(lambda x: np.exp(-TWO_PI * x), cfg)
-        assert abs(val - 1.0 / TWO_PI) <= err
+        assert discrete_measure(CASE_A, 6, QuadratureConfig(x_max=20.0)).x_max == 20.0
 
     def test_no_convergence_cap(self):
-        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, panel_order=3,
-                               max_panels=20, x_max=16.0)
+        cfg = QuadratureConfig(abs_tol=1e-300, panel_order=3, max_panels=20)
         with pytest.raises(NoConvergence):
-            integrate_semiinfinite(
-                lambda x: np.cos(37.0 * x * x) * np.exp(-x) * 1e6, cfg)
+            discrete_measure(CASE_A, 6, cfg)
 
     def test_no_convergence_message_carries_the_state(self):
-        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_panels=20, x_max=16.0)
+        cfg = QuadratureConfig(abs_tol=1e-300, max_panels=20)
         with pytest.raises(NoConvergence) as info:
-            integrate_semiinfinite(lambda x: np.cos(37.0 * x * x) * np.exp(-x) * 1e6, cfg)
+            discrete_measure(CASE_B_32, 6, cfg)
         msg = str(info.value)
         assert "exceeded 20 panels" in msg
         assert "err_sum" in msg and "budget" in msg
@@ -135,14 +148,14 @@ class TestPanelLoop:
         # bits of its own two rules evaluated alone
         cfg = QuadratureConfig()
         if case == "cos":
-            f, x_max, rel_tol = lambda x: np.cos(37.0 * x * x) * np.exp(-x), 16.0, cfg.rel_tol
+            f, x_max = lambda x: np.cos(37.0 * x * x) * np.exp(-x), 16.0
             edges = np.linspace(0.0, x_max, 17)
         else:
             family = CASE_A if case == "A" else FAMILIES[3]
             measure = discrete_measure(family, 64)
-            f, x_max, rel_tol = _hardest(family, 64), measure.x_max, 0.0
+            f, x_max = _hardest(family, 64), measure.x_max
             edges = expand._graded_edges(x_max)
-        panels = expand._adaptive_panels(f, cfg, x_max, rel_tol, edges)
+        panels = expand._adaptive_panels(f, cfg, x_max, edges)
         if case != "cos":
             assert len(panels) == measure.panels
         assert len(panels) > len(edges) - 1  # some panels were split
@@ -159,13 +172,13 @@ class TestPanelLoop:
             sizes.append(x.size)
             return np.cos(37.0 * x * x) * np.exp(-x)
 
-        cfg = QuadratureConfig(x_max=16.0)
+        cfg = QuadratureConfig()
         points = 3 * cfg.panel_order  # coarse and fine nodes of one panel
-        integrate_semiinfinite(f, cfg)
-        splits = len(sizes) - 2
-        # the probes, the 16 starting panels, then both halves of each split
-        assert sizes == [3, 16 * points] + [2 * points] * splits and splits > 0
-        assert len(expand._adaptive_panels(f, cfg, 16.0, cfg.rel_tol)) == 16 + splits
+        panels = expand._adaptive_panels(f, cfg, 16.0, np.linspace(0.0, 16.0, 17))
+        splits = len(sizes) - 1
+        # the 16 starting panels, then both halves of each split
+        assert sizes == [16 * points] + [2 * points] * splits and splits > 0
+        assert len(panels) == 16 + splits
 
     def test_automatic_cutoff_probes_once_per_candidate(self):
         sizes = []
@@ -358,7 +371,7 @@ def _exact_value(poly, u: Fraction) -> float:
 
 
 def _oracle_member(family, n):
-    """x -> P_n(x^2) for the adaptive oracle integrands."""
+    """x -> P_n(x^2) for the oracle integrands."""
     def pn(x):
         values, scale = family_values(family, n, x * x)
         return scale[n] * values[n]
@@ -401,9 +414,9 @@ class TestDiscreteMeasure:
             val, err = inner_product(family, table[n], table[m])
             pn, pm = _oracle_member(family, n), _oracle_member(family, m)
             degree = 2 * (n + m)
-            want, want_err = integrate_semiinfinite(
-                lambda x: weight.evaluate(x) * pn(x) * pm(x),
-                QuadratureConfig(x_max=auto_cutoff(degree)), growth_degree=degree)
+            want, want_err = oracles.integrate(
+                lambda x: weight.evaluate(x) * pn(x) * pm(x), auto_cutoff(degree),
+                growth_degree=degree)
             for mass in weight.point_masses:
                 u = np.array(mass.y)
                 vals, scale = family_values(family, max(n, m), u)
@@ -421,9 +434,9 @@ class TestDiscreteMeasure:
             k = n - 1 if family.case == "A" else n
             pk = _oracle_member(family, k)
             degree = 2 * k
-            num, num_err = integrate_semiinfinite(
-                lambda x: weight.evaluate(x) * f_target(x) * pk(x),
-                QuadratureConfig(x_max=auto_cutoff(degree)), growth_degree=degree)
+            num, num_err = oracles.integrate(
+                lambda x: weight.evaluate(x) * f_target(x) * pk(x), auto_cutoff(degree),
+                growth_degree=degree)
             for mass in weight.point_masses:
                 vals, scale = family_values(family, k, np.array(mass.y))
                 num += mass.mass * f_masses(mass.t) * scale[k] * vals[k]
@@ -448,9 +461,8 @@ class TestDiscreteMeasure:
                 values, scale = family_values(family, N, x * x)
                 s = (coeffs[: N + 1] * scale) @ values
                 return weight.evaluate(x) * np.abs(f_target(x) - s) ** 2
-            want, want_err = integrate_semiinfinite(
-                integrand, QuadratureConfig(x_max=auto_cutoff(4 * n_trunc)),
-                growth_degree=4 * N)
+            want, want_err = oracles.integrate(integrand, auto_cutoff(4 * n_trunc),
+                                               growth_degree=4 * N)
             for mass in weight.point_masses:
                 vals, scale = family_values(family, N, np.array(mass.y))
                 s = (coeffs[: N + 1] * scale) @ vals
@@ -506,13 +518,15 @@ class TestDiscreteMeasure:
             QuadratureConfig(panel_order=order)
 
     def test_library_never_calls_the_oracle(self, monkeypatch):
-        # the adaptive quadrature is the tests' oracle only; with it disabled
-        # the extended verdict is unchanged, so no row at the extended caps
-        # misses its budget either
+        # the oracle lives in the tests only; with it disabled the extended
+        # verdict is unchanged, so no row at the extended caps misses its
+        # budget either
         def disabled(*args, **kwargs):
-            raise AssertionError("the library called integrate_semiinfinite")
+            raise AssertionError("the library called the tests' oracle")
 
-        monkeypatch.setattr(expand, "integrate_semiinfinite", disabled)
+        assert not hasattr(paritywilson, "integrate_semiinfinite")
+        assert not hasattr(expand, "integrate_semiinfinite")
+        monkeypatch.setattr(oracles, "integrate", disabled)
         report = verify.run_suites(extended=True)
         assert len(report.results) == 49
         assert {r.check_id for r in report.failed} == set(verify.EXPECTED_FAILURES)

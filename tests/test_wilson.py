@@ -326,7 +326,8 @@ class TestMeasure:
         family = WilsonFamily.case_b(b)
         weight = family_weight(family)
         table = monic_from_recurrence(family, len(weight.point_masses))
-        from paritywilson.expand import QuadratureConfig, integrate_semiinfinite, auto_cutoff
+        from oracles import integrate
+        from paritywilson.expand import auto_cutoff
 
         k_count = len(weight.point_masses)
         rows, rhs = [], []
@@ -340,8 +341,7 @@ class TestMeasure:
                 for cc in reversed(c):
                     acc = acc * u + cc
                 return weight.evaluate(x) * acc
-            cont, _ = integrate_semiinfinite(
-                f, QuadratureConfig(x_max=auto_cutoff(2 * k)), growth_degree=2 * k)
+            cont, _ = integrate(f, auto_cutoff(2 * k), growth_degree=2 * k)
             rows.append([float(poly_eval(poly, pm.y)) for pm in weight.point_masses])
             rhs.append(-float(np.real(cont)))
         solved = np.linalg.solve(np.array(rows), np.array(rhs))
