@@ -13,12 +13,14 @@ loop, started from panels graded towards the origin and refined to the
 roundoff floor, on the family's hardest polynomial integrand
 w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement round
 (the tail probes, the starting panels, one split) evaluates the integrand
-in one call.  The measure
-holds the panel_order- and 2*panel_order-point Gauss-Legendre weights of
-every panel, the density at the nodes, the Case B point masses, and the
-values of P_0..P_bound at the nodes and the masses, run forward in float
-through the three-term recurrence (``family_values``).  Polynomial factors
-are expanded exactly in the family basis.  Every integral takes the
+in one call.  The measure holds the panel_order- and 2*panel_order-point
+Gauss-Legendre weights of every panel, the density at the nodes, the Case
+B point masses, and the values of P_0..P_bound at the nodes and the
+masses, run forward in float through the three-term recurrence
+(``family_values``).  Polynomials are expanded exactly in the family
+basis, so an inner product of two is a quadratic form of the measure's
+per-panel Gram of those values, built on the first inner product; a
+callable integrand goes through ``project``.  Every integral takes the
 continuous and the discrete part together and returns its own error
 estimate: the per-panel difference of the two rules, the analytic tail
 bound beyond the cutoff and a roundoff allowance.  An integral that
@@ -142,16 +144,16 @@ def auto_cutoff(poly_degree_in_x: int) -> float:
     return max(15.0, (poly_degree_in_x + 6) * math.log(10.0) / TWO_PI + 5.0)
 
 
-def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int):
-    """(X, tail bound beyond X): X from the config, or the first of
-    auto_cutoff, +5, +10, ... whose tail bound is below abs_tol/4."""
+def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int) -> float:
+    """X from the config, or the first of auto_cutoff, +5, +10, ... whose
+    tail bound beyond X is below abs_tol/4."""
     x_max = auto_cutoff(growth_degree) if cfg.x_max is None else cfg.x_max
     while True:
         probes = [k * x_max for k in PROBES]
         c = _growth_constant(probes, np.asarray(f(np.array(probes))), growth_degree, decay_rate)
         tail = tail_bound(c, growth_degree, decay_rate, x_max)
         if cfg.x_max is not None or tail < 0.25 * cfg.abs_tol or x_max > 300.0:
-            return x_max, tail
+            return x_max
         x_max += 5.0
 
 
@@ -258,31 +260,39 @@ def family_values(family: WilsonFamily, n_max: int, u):
     return values, scale
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_recurrence(family: WilsonFamily, n_max: int):
+    """(L, L beta_n, L gamma_n) for n = 1..n_max in ints, L their common
+    denominator."""
+    terms = [t for n in range(1, n_max + 1) for t in _recurrence_term(family, n)]
+    den = math.lcm(*(t.denominator for t in terms))
+    scaled = tuple(t.numerator * (den // t.denominator) for t in terms)
+    return den, scaled[::2], scaled[1::2]
+
+
 @functools.lru_cache(maxsize=1024)
 def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     """float(a_k) * scale_k, read-only, for the exact a_k with
     poly = sum_k a_k P_k: the coefficients of poly against the scaled value
     rows.  The a_k come from Horner in the family basis, using
-    u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}."""
-    a: list = []
-    for c in reversed(poly.coeffs):
-        new = [Fraction(0)] * (len(a) + 1)
-        for k, ak in enumerate(a):
-            beta, gamma = _recurrence_term(family, k + 1)
-            new[k + 1] += ak
-            new[k] -= beta * ak
-            if k >= 1:
-                new[k - 1] += gamma * ak
-        new[0] += c
-        a = new
-    if not a:
-        row = np.zeros(1)
-    else:
-        _, _, scale = _float_recurrence(family, len(a) - 1)
-        if np.isinf(scale[-1]):
-            raise NoConvergence(f"{family.label()} polynomial of degree {len(a) - 1}: the basis "
-                                f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
-        row = np.array([float(c) for c in a]) * scale
+    u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}, on integer
+    numerators over one common denominator, with one correctly rounded
+    division per entry at the end."""
+    coeffs = poly.coeffs
+    degree = max(len(coeffs) - 1, 0)
+    _, _, scale = _float_recurrence(family, degree)
+    if np.isinf(scale[-1]):
+        raise NoConvergence(f"{family.label()} polynomial of degree {degree}: the basis "
+                            f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ell, beta, gamma = _integer_recurrence(family, degree)
+    a: list = []  # after j products with u, a_k = a[k] / (den * ell^j)
+    for j, c in enumerate(reversed(coeffs)):
+        a = [up + mid + down for up, mid, down in zip(
+            [0] + [ell * x for x in a], [-b * x for b, x in zip(beta, a)] + [0],
+            [g * x for g, x in zip(gamma[1:], a[1:])] + [0, 0])]
+        a[0] += c.numerator * (den // c.denominator) * ell ** j
+    row = np.array([x / (den * ell ** degree) for x in a] or [0.0]) * scale
     row.flags.writeable = False  # cached
     return row
 
@@ -337,21 +347,8 @@ class DiscreteMeasure:
         the integrand at the masses as factors f_1, f_2, ... broadcast to
         (rows, masses), and mass j adds (mass_j * f_1[r, j]) * f_2[r, j] ...
         to row r in scalar arithmetic.  ``None`` leaves the masses out.
-
-        Returns (values, error estimates).  The estimate is the summed
-        per-panel |fine - coarse|, plus the tail bound for the row's growth
-        degree, plus a roundoff allowance that also covers the recurrence
-        values, whose relative error grows about linearly with the degree
-        (EPSILON per unit of growth degree), plus 1e-15 |term| per mass
-        term.  The continuous part of every row must meet its budget
-        max(abs_tol, rel_tol |value|, roundoff floor): panel differences at
-        most half of it and, with an automatic cutoff, the tail at most a
-        quarter; otherwise NoConvergence names the first row that misses
-        it.  On panels this wide the roundoff scale is the sum
-        of |weight * integrand| over the fine nodes, not of |panel value|,
-        which cancels within a panel for oscillating integrands.
-        """
-        cfg, k = self.cfg, self.cfg.panel_order
+        Returns (values, error estimates) from ``_certify``."""
+        k = self.cfg.panel_order
         rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
         w = self.weights * factor.reshape(-1, 3 * k)
         coarse = np.einsum("rpk,pk->rp", rows[..., :k], w[:, :k])
@@ -362,11 +359,29 @@ class DiscreteMeasure:
             coarse, fine = coarse * row_scale[:, None], fine * row_scale[:, None]
             magnitude = magnitude * np.abs(row_scale)
             probes = probes * row_scale[:, None]
+        return self._certify(coarse, fine, magnitude, probes, growth_degrees, at_masses)
+
+    def _certify(self, coarse, fine, magnitude, probes, growth_degrees, at_masses):
+        """(values, error estimates) of the integrals given per row by their
+        per-panel coarse and fine sums, their magnitude (the sum of |weight *
+        integrand| over the fine nodes, the roundoff scale: on panels this
+        wide |panel value| cancels for oscillating integrands), their
+        integrand at the tail probes and the mass factors of ``sums``.  The
+        estimate is the summed |fine - coarse|, plus the tail bound for the
+        row's growth degree, plus a roundoff allowance that also covers the
+        recurrence values, whose relative error grows about linearly with the
+        degree (EPSILON per unit of growth degree), plus 1e-15 |term| per
+        mass term.  The continuous part of every row must meet its budget
+        max(abs_tol, rel_tol |value|, roundoff floor): panel differences at
+        most half of it and, with an automatic cutoff, the tail at most a
+        quarter; otherwise NoConvergence names the first row that misses it.
+        """
+        cfg = self.cfg
         total = fine.sum(axis=-1)
         err = np.abs(fine - coarse).sum(axis=-1)
         budget = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total)),
                             ROUNDOFF * magnitude)
-        at = self.x[-3 * k:][:3]
+        at = self.x[-3 * cfg.panel_order:][:3]
         tails = np.array([tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, self.x_max)
                           for v, p in zip(probes, growth_degrees)])
         ok = err <= 0.5 * budget
@@ -387,14 +402,31 @@ class DiscreteMeasure:
                                          + EPSILON * np.asarray(growth_degrees))
         if at_masses is not None and self.masses:
             total = total.astype(complex)
-            factors = [np.broadcast_to(f, (total.size, len(self.masses))) for f in at_masses]
-            for r, j in np.ndindex(total.size, len(self.masses)):
+            for r, j, *factors in np.broadcast(np.arange(total.size)[:, None],
+                                               np.arange(len(self.masses)), *at_masses):
                 term = self.masses[j].mass
                 for f in factors:
-                    term = term * complex(f[r, j])
+                    term = term * complex(f)
                 total[r] += term
                 err[r] += 1e-15 * abs(term)
         return total, err
+
+    @functools.cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, A), built on first use: G[r, p, k, l] sums values[k] * (weights
+        * density * values[l]) over panel p's coarse (r = 0) or fine (r = 1)
+        nodes, A[k, l] sums the absolute values of the two factors over all
+        fine nodes.  The first product is folded in before the second:
+        values[k] * values[l] overflows at high degree."""
+        k, n = self.cfg.panel_order, self.panels
+        v = self.values.reshape(self.values.shape[0], -1, 3 * k)[:, :n]
+        vw = v * (self.weights[:n] * self.density.reshape(-1, 3 * k)[:n])
+        gram = np.stack([v[..., rule].transpose(1, 0, 2) @ vw[..., rule].transpose(1, 2, 0)
+                         for rule in (slice(k), slice(k, None))])
+        absolute = np.tensordot(np.abs(v[..., k:]), np.abs(vw[..., k:]), axes=([1, 2], [1, 2]))
+        for array in (gram, absolute):
+            array.flags.writeable = False  # shared by every caller
+        return gram, absolute
 
 
 def _graded_edges(x_max: float) -> np.ndarray:
@@ -421,7 +453,7 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
             return weight.evaluate(x) * np.sum(values * values, axis=0)
 
     try:
-        x_max, _ = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
+        x_max = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
         panels = _adaptive_panels(hardest, cfg, x_max, _graded_edges(x_max))
     except NoConvergence as exc:
         raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
@@ -461,44 +493,41 @@ def discrete_measure(family: WilsonFamily, degree: int,
 # inner products under a family measure
 # ---------------------------------------------------------------------------
 
-class _Factor:
-    """One factor of an integrand: a polynomial in the squared variable,
-    expanded exactly in the family basis, or a callable of the abscissa
-    with its continuation t -> f(i t) to the point masses."""
-
-    def __init__(self, family: WilsonFamily, obj, continuation: Callable | None):
-        if isinstance(obj, RationalPolynomial):
-            self.coeffs = _basis_row(family, obj)
-            self.degree = self.coeffs.size - 1
-            self.x_degree = 2 * max(obj.degree, 0)
-        else:
-            self.coeffs, self.degree, self.x_degree = None, 0, 0
-            self.function, self.continuation = obj, continuation
-
-    def on(self, measure: DiscreteMeasure) -> tuple:
-        """(values at the measure's points, values at its point masses)."""
-        if self.coeffs is not None:
-            k = self.coeffs.size
-            return self.coeffs @ measure.values[:k], self.coeffs @ measure.mass_values[:k]
-        if measure.masses and self.continuation is None:
-            raise ValueError("callable factor needs values at the point masses "
-                             "(its continuation to x = i t)")
-        return (np.asarray(self.function(measure.x)),
-                [self.continuation(pm.t) for pm in measure.masses])
+def _on(measure: DiscreteMeasure, f, continuation: Callable | None = None) -> tuple:
+    """(values at the measure's points, values at its point masses) of a
+    polynomial in the squared variable, expanded exactly in the family
+    basis, or of a callable of the abscissa with its continuation
+    t -> f(i t) to the point masses."""
+    if isinstance(f, RationalPolynomial):
+        row = _basis_row(measure.family, f)
+        return row @ measure.values[:row.size], row @ measure.mass_values[:row.size]
+    if measure.masses and continuation is None:
+        raise ValueError("callable factor needs values at the point masses "
+                         "(its continuation to x = i t)")
+    return np.asarray(f(measure.x)), [continuation(pm.t) for pm in measure.masses]
 
 
-def inner_product(family: WilsonFamily, p, q, cfg: QuadratureConfig | None = None,
-                  p_at_masses: Callable | None = None,
-                  q_at_masses: Callable | None = None):
+def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial,
+                  cfg: QuadratureConfig | None = None):
     """<p, q> under the family measure: continuous weighted integral plus
-    the Case B point-mass terms.  Polynomial factors are exact in the
-    family basis; callable factors must supply their continuation
-    t -> f(i t) when masses are present.  Returns (value, error_estimate)."""
-    pf, qf = _Factor(family, p, p_at_masses), _Factor(family, q, q_at_masses)
-    measure = discrete_measure(family, max(pf.degree, qf.degree), cfg)
-    (p_x, p_masses), (q_x, q_masses) = pf.on(measure), qf.on(measure)
-    [val], [err] = measure.sums(p_x, [pf.x_degree + qf.x_degree], measure.density * q_x,
-                                at_masses=(p_masses, q_masses))
+    the Case B point-mass terms, for polynomials in the squared variable.
+    With a and b the coefficients of p and q in the scaled family basis
+    (exact, rounded once each), the continuous part is the quadratic form
+    a^T G b of the measure's panel Gram under each rule; a callable
+    integrand goes through ``project``.  Returns (value, error_estimate)."""
+    if not (isinstance(p, RationalPolynomial) and isinstance(q, RationalPolynomial)):
+        raise TypeError("inner_product takes polynomials; project takes a callable")
+    a, b = _basis_row(family, p), _basis_row(family, q)
+    measure = discrete_measure(family, max(a.size, b.size) - 1, cfg)
+    gram, absolute = measure._gram
+    coarse, fine = gram[:, :, :a.size, :b.size] @ b @ a
+    magnitude = np.abs(a) @ absolute[:a.size, :b.size] @ np.abs(b)
+    probe = slice(-3 * measure.cfg.panel_order, -3 * measure.cfg.panel_order + 3)
+    probes = (a @ measure.values[:a.size, probe]) * (
+        measure.density[probe] * (b @ measure.values[:b.size, probe]))
+    [val], [err] = measure._certify(
+        coarse[None], fine[None], magnitude[None], probes[None], [2 * (a.size + b.size - 2)],
+        (a @ measure.mass_values[:a.size], b @ measure.mass_values[:b.size]))
     return val, err
 
 
@@ -547,11 +576,12 @@ def project(f_target, family: WilsonFamily, n_max: int,
     over the shared measure.  Denominators use the closed-form norms."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    target = _Factor(family, f_target, f_at_masses)
-    measure = discrete_measure(family, max(n_max, target.degree), cfg)
-    at_x, at_masses = target.on(measure)
+    degree = (_basis_row(family, f_target).size - 1  # first: it names a scale overflow
+              if isinstance(f_target, RationalPolynomial) else 0)
+    measure = discrete_measure(family, max(n_max, degree), cfg)
+    at_x, at_masses = _on(measure, f_target, f_at_masses)
     nums = _basis_rows(measure, n_max, measure.density * at_x,
-                       lambda n: target.x_degree + 2 * n, at_masses)
+                       lambda n: 2 * degree + 2 * n, at_masses)
     entries = []
     for n, (num, err) in enumerate(zip(*nums)):
         norm = float(norm_closed_form(family, n))
@@ -629,7 +659,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
         measure = discrete_measure(family, n_max, cfg)
-        _, target_masses = _Factor(family, *parity_target(CASE_B)).on(measure)
+        _, target_masses = _on(measure, *parity_target(CASE_B))
         integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
                                 lambda n: 2 * n + 1,
                                 target_masses if route == "closed_form" else None)
@@ -662,7 +692,7 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     scale = measure.scale[: n_trunc + 1]
     partial = (signed * scale)[:, None] * measure.values[: n_trunc + 1]
     np.cumsum(partial, axis=0, out=partial)
-    target_x, target_masses = _Factor(family, *parity_target(family.case)).on(measure)
+    target_x, target_masses = _on(measure, *parity_target(family.case))
     partial -= target_x
     gap = np.asarray(target_masses) - np.cumsum(
         signed[:, None] * (scale[:, None] * measure.mass_values[: n_trunc + 1]), axis=0)

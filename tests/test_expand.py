@@ -38,6 +38,10 @@ CASE_A = WilsonFamily.case_a()
 CASE_B_32 = WilsonFamily.case_b(Fraction(3, 2))
 TWO_PI = 2.0 * math.pi
 FAMILIES = [CASE_A] + [WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
+# polynomials outside the tables: several nonzero entries in the family basis
+MIXED = RationalPolynomial([Fraction(1, 3), -2, Fraction(5, 7), Fraction(-9, 4), 1])
+LARGE_DENOMINATORS = RationalPolynomial(
+    [Fraction((-1) ** k * (7 ** k + 1), 3 ** k * 11 + 2 * k + 1) for k in range(41)])
 
 
 class TestIntegrate:
@@ -187,9 +191,11 @@ class TestPanelLoop:
             sizes.append(x.size)
             return np.exp(-math.pi * x)  # decays slower than the assumed 2 pi
 
-        x_max, tail = expand._cutoff(f, QuadratureConfig(abs_tol=1e-30), TWO_PI, 0)
+        x_max = expand._cutoff(f, QuadratureConfig(abs_tol=1e-30), TWO_PI, 0)
         assert (x_max, sizes) == (25.0, [3, 3, 3])  # 15 and 20 miss abs_tol/4
-        assert 0.0 < tail < 0.25e-30
+        probes = np.array([k * x_max for k in expand.PROBES])
+        c = expand._growth_constant(probes, np.exp(-math.pi * probes), 0, TWO_PI)
+        assert 0.0 < tail_bound(c, 0, TWO_PI, x_max) < 0.25e-30
 
     def test_cached_tail_bound_is_the_uncached_log_sum(self):
         def uncached(c, p, lam, x):
@@ -226,13 +232,13 @@ class TestInnerProduct:
         want = float(norm_closed_form(CASE_B_32, 1))
         assert abs(float(np.real(val)) - want) <= 1e-8 * want
 
-    def test_callable_needs_mass_continuation(self):
-        tab = monic_from_recurrence(CASE_B_32, 1)
-        with pytest.raises(ValueError, match="continuation"):
-            inner_product(CASE_B_32, lambda x: np.exp(-x), tab[0])
-        inner_product(CASE_B_32, lambda x: np.exp(-x), tab[0],
-                      p_at_masses=lambda t: complex(np.exp(-1j * t)))
-        inner_product(CASE_A, lambda x: np.exp(-x), tab[0])  # Case A has no masses
+    def test_callable_is_refused(self):
+        # inner products are quadratic forms of the measure's Gram; a callable
+        # integrand goes through project
+        member = monic_from_recurrence(CASE_A, 1)[1]
+        for p, q in ((lambda x: np.exp(-x), member), (member, lambda x: np.exp(-x))):
+            with pytest.raises(TypeError, match="project"):
+                inner_product(CASE_A, p, q)
 
 
 class TestProjection:
@@ -250,21 +256,28 @@ class TestProjection:
             want = 1.0 if n == 1 else 0.0
             assert abs(c - want) <= 1e-8
 
+    def test_callable_needs_mass_continuation(self):
+        with pytest.raises(ValueError, match="continuation"):
+            project(lambda x: np.exp(-x), CASE_B_32, 0)
+        project(lambda x: np.exp(-x), CASE_B_32, 0,
+                f_at_masses=lambda t: complex(np.exp(-1j * t)))
+        project(lambda x: np.exp(-x), CASE_A, 0)  # Case A has no masses
+
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_basis_row_is_cached_read_only_and_exact(self, family):
-        poly = RationalPolynomial([Fraction(1, 3), -2, Fraction(5, 7), Fraction(-9, 4), 1])
-        # exact a_k with poly = sum_k a_k P_k, peeled off from the top degree
-        table = monic_from_recurrence(family, poly.degree)
-        rest, a = poly, [Fraction(0)] * (poly.degree + 1)
-        for k in range(poly.degree, -1, -1):
-            a[k] = rest.coefficient(k)
-            rest = rest - table[k] * a[k]
-        _, scale = family_values(family, poly.degree, np.zeros(1))
-        want = np.array([float(c) for c in a]) * scale
-        row = expand._basis_row(family, poly)
-        assert row.tobytes() == want.tobytes()
-        assert not row.flags.writeable
-        assert expand._basis_row(family, poly) is row
+        for poly in (MIXED, LARGE_DENOMINATORS):
+            # exact a_k with poly = sum_k a_k P_k, peeled off from the top degree
+            table = monic_from_recurrence(family, poly.degree)
+            rest, a = poly, [Fraction(0)] * (poly.degree + 1)
+            for k in range(poly.degree, -1, -1):
+                a[k] = rest.coefficient(k)
+                rest = rest - table[k] * a[k]
+            _, scale = family_values(family, poly.degree, np.zeros(1))
+            want = np.array([float(c) for c in a]) * scale
+            row = expand._basis_row(family, poly)
+            assert row.tobytes() == want.tobytes(), poly.degree
+            assert not row.flags.writeable
+            assert expand._basis_row(family, poly) is row
 
 
 class TestParityCoefficients:
@@ -363,19 +376,40 @@ class TestReconstruction:
             assert gap == pytest.approx(want, rel=1e-6, abs=1e-10)
 
 
-def _exact_value(poly, u: Fraction) -> float:
-    acc = Fraction(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * u + c
-    return float(acc)
+def _exact_at(poly, u) -> np.ndarray:
+    """poly at the float abscissae ``u`` from its exact coefficients, not
+    through the recurrence that fills the measure: every float u is a
+    binary rational t / 2^s, so Horner runs on the integer numerators with
+    all u over one power of two, and each point is rounded once."""
+    u = np.asarray(u, dtype=float)
+    coeffs = poly.coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ratios = [v.as_integer_ratio() for v in u.ravel().tolist()]
+    shift = max(d.bit_length() - 1 for _, d in ratios)
+    t = np.array([n << (shift - d.bit_length() + 1) for n, d in ratios], dtype=object)
+    acc = np.zeros(t.size, dtype=object)
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * t + ((c.numerator * (den // c.denominator)) << (shift * i))
+    bottom = den << (shift * max(len(coeffs) - 1, 0))
+    return np.array([x / bottom for x in acc], dtype=float).reshape(u.shape)
+
+
+def _member_at_mass(family, k, mass) -> float:
+    """P_k at a Case B point mass as the measure holds it, from the
+    library's float recurrence.  At a mass P_k is the recessive solution of
+    the recurrence, and against exact values at the same float y the
+    recurrence misses the 1e-15 |term| allowance of the mass terms (by up
+    to 6x the bar of the B(3/2) coefficients at n = 12, and 8e3x at
+    B(73/10)); the oracle sums share these values until the measure's mass
+    values are exact."""
+    vals, scale = family_values(family, k, np.array(mass.y))
+    return scale[k] * vals[k]
 
 
 def _oracle_member(family, n):
     """x -> P_n(x^2) for the oracle integrands."""
-    def pn(x):
-        values, scale = family_values(family, n, x * x)
-        return scale[n] * values[n]
-    return pn
+    member = monic_from_recurrence(family, n)[n]
+    return lambda x: _exact_at(member, x * x)
 
 
 class TestFamilyValues:
@@ -387,24 +421,69 @@ class TestFamilyValues:
         values, scale = family_values(family, n, np.array([float(u) for u in us]))
         for k in (12, 20):
             for j, u in enumerate(us):
-                want = _exact_value(table[k], u)
+                want = _exact_at(table[k], float(u))
                 got = scale[k] * values[k, j]
                 assert abs(got - want) <= 1e-12 * max(abs(want), scale[k]), (k, float(u))
+
+
+def _assert_orthogonal(family, n_max):
+    """Every inner product of the members n, m <= n_max against the closed
+    norms, within the 1e-8 of ``verify.check_orthogonality``."""
+    table = monic_from_recurrence(family, n_max)
+    norms = [float(norm_closed_form(family, n)) for n in range(n_max + 1)]
+    for n in range(n_max + 1):
+        for m in range(n, n_max + 1):
+            val = float(np.real(inner_product(family, table[n], table[m])[0]))
+            if n == m:
+                assert abs(val - norms[n]) <= 1e-8 * norms[n], (n, m)
+            else:
+                assert abs(val) <= 1e-8 * math.sqrt(norms[n] * norms[m]), (n, m)
 
 
 class TestDiscreteMeasure:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_orthogonality_to_degree_twenty(self, family):
-        n_max = 20
-        table = monic_from_recurrence(family, n_max)
-        norms = [float(norm_closed_form(family, n)) for n in range(n_max + 1)]
-        for n in range(n_max + 1):
-            for m in range(n, n_max + 1):
-                val = float(np.real(inner_product(family, table[n], table[m])[0]))
-                if n == m:
-                    assert abs(val - norms[n]) <= 1e-8 * norms[n], (n, m)
-                else:
-                    assert abs(val) <= 1e-8 * math.sqrt(norms[n] * norms[m]), (n, m)
+        _assert_orthogonal(family, 20)
+
+    @pytest.mark.parametrize("family", [CASE_A, FAMILIES[3]], ids=lambda f: f.label())
+    def test_orthogonality_to_degree_sixty_four(self, family):
+        # the Gram at degree bound 64, where the values near the cutoff are
+        # large enough that a product of two of them, taken before the
+        # density, overflows; an overflow warning is an error in this suite
+        _assert_orthogonal(family, 64)
+
+    def test_gram_is_built_on_the_first_inner_product_only(self):
+        expand._build_measure.cache_clear()
+        project(RationalPolynomial([1, 1]), CASE_B_32, 12)
+        parity_coefficients(CASE_B_32, 12)
+        parity_coefficients(CASE_B_32, 12, route="projection")
+        reconstruction_residual(CASE_B_32, 12)
+        measure = discrete_measure(CASE_B_32, 12)
+        assert "_gram" not in vars(measure)
+        table = monic_from_recurrence(CASE_B_32, 12)
+        inner_product(CASE_B_32, table[3], table[12])
+        gram, absolute = vars(measure)["_gram"]
+        assert gram.shape == (2, measure.panels, 17, 17) and absolute.shape == (17, 17)
+        inner_product(CASE_B_32, table[0], table[1])
+        assert vars(measure)["_gram"][0] is gram
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_non_member_inner_products_agree_with_adaptive_oracle(self, family):
+        # several nonzero basis coefficients per factor: the |a|^T A |b|
+        # magnitude and the tail probes of a multi-term polynomial
+        weight = family_weight(family)
+        table = monic_from_recurrence(family, 6)
+        powers = [RationalPolynomial([0] * k + [1]) for k in range(7)]
+        for i, p in enumerate(powers + [MIXED]):
+            for m in (1, 6):
+                val, err = inner_product(family, p, table[m])
+                degree = 2 * (p.degree + m)
+                want, want_err = oracles.integrate(
+                    lambda x: weight.evaluate(x) * _exact_at(p, x * x)
+                    * _exact_at(table[m], x * x), auto_cutoff(degree), growth_degree=degree)
+                for mass in weight.point_masses:
+                    want += mass.mass * _exact_at(p, mass.y) * _member_at_mass(family, m, mass)
+                assert abs(val - want) <= err + want_err, (i, m)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_inner_products_agree_with_adaptive_oracle(self, family):
@@ -418,9 +497,7 @@ class TestDiscreteMeasure:
                 lambda x: weight.evaluate(x) * pn(x) * pm(x), auto_cutoff(degree),
                 growth_degree=degree)
             for mass in weight.point_masses:
-                u = np.array(mass.y)
-                vals, scale = family_values(family, max(n, m), u)
-                want += mass.mass * scale[n] * vals[n] * scale[m] * vals[m]
+                want += mass.mass * _exact_at(table[n], mass.y) * _exact_at(table[m], mass.y)
             assert abs(val - want) <= err + want_err, (n, m)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
@@ -438,8 +515,7 @@ class TestDiscreteMeasure:
                 lambda x: weight.evaluate(x) * f_target(x) * pk(x), auto_cutoff(degree),
                 growth_degree=degree)
             for mass in weight.point_masses:
-                vals, scale = family_values(family, k, np.array(mass.y))
-                num += mass.mass * f_masses(mass.t) * scale[k] * vals[k]
+                num += mass.mass * f_masses(mass.t) * _member_at_mass(family, k, mass)
             norm = float(norm_closed_form(family, k))
             want, want_err = (-1) ** k * num / norm, num_err / norm
             for table in (closed, proj):
@@ -456,17 +532,22 @@ class TestDiscreteMeasure:
         offset = 1 if family.case == "A" else 0
         coeffs = np.array([(-1) ** n * table.coefficient(n + offset)
                            for n in range(n_trunc + 1)])
+        members = monic_from_recurrence(family, n_trunc)
         for N in (0, 8, 16, 24):
-            def integrand(x, N=N):
-                values, scale = family_values(family, N, x * x)
-                s = (coeffs[: N + 1] * scale) @ values
-                return weight.evaluate(x) * np.abs(f_target(x) - s) ** 2
+            # S_N from the exact members, with its float coefficients taken exactly
+            parts = [sum((members[n] * Fraction(float(part(c))) for n, c in
+                          enumerate(coeffs[: N + 1])), RationalPolynomial())
+                     for part in (np.real, np.imag)]
+
+            def partial(u, parts=parts):
+                return _exact_at(parts[0], u) + 1j * _exact_at(parts[1], u)
+
+            def integrand(x, partial=partial):
+                return weight.evaluate(x) * np.abs(f_target(x) - partial(x * x)) ** 2
             want, want_err = oracles.integrate(integrand, auto_cutoff(4 * n_trunc),
                                                growth_degree=4 * N)
             for mass in weight.point_masses:
-                vals, scale = family_values(family, N, np.array(mass.y))
-                s = (coeffs[: N + 1] * scale) @ vals
-                want += mass.mass * abs(f_masses(mass.t) - s) ** 2
+                want += mass.mass * abs(f_masses(mass.t) - partial(mass.y)) ** 2
             # the measure's own bar on the squared residual is its budget
             assert abs(res[N] ** 2 - want) <= want_err + 1e-10 * want + 1e-13, N
 
@@ -474,7 +555,7 @@ class TestDiscreteMeasure:
         # the measure's panels cannot resolve cos(40 x); there is no second path
         f = lambda x: np.cos(40.0 * x)  # noqa: E731
         with pytest.raises(NoConvergence) as info:
-            inner_product(CASE_A, f, RationalPolynomial([1]))
+            project(f, CASE_A, 0)
         msg = str(info.value)
         assert "row 0 (growth degree 0)" in msg
         assert "misses its budget" in msg and "against budget/2" in msg
