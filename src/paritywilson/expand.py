@@ -17,15 +17,16 @@ in one call.  The measure holds the panel_order- and 2*panel_order-point
 Gauss-Legendre weights of every panel, the density at the nodes, the Case
 B point masses, and the values of P_0..P_bound at the nodes and the
 masses, run forward in float through the three-term recurrence
-(``family_values``).  Polynomials are expanded exactly in the family
-basis, so an inner product of two is a quadratic form of the measure's
-per-panel Gram of those values, built on the first inner product; a
-callable integrand goes through ``project``.  Every integral takes the
-continuous and the discrete part together and returns its own error
-estimate: the per-panel difference of the two rules, the analytic tail
-bound beyond the cutoff and a roundoff allowance.  An integral that
-misses its budget raises ``NoConvergence``, as does a measure whose panel
-loop exceeds max_panels or meets a non-finite integrand.
+(``family_values``, one table of terms per family).  Polynomials are
+expanded exactly in the family basis, so an inner product of two is a
+quadratic form of the measure's per-panel Gram of those values, built on
+the first inner product; a callable integrand goes through ``project``.
+Every integral takes the continuous and the discrete part together and
+returns its own error estimate: the per-panel difference of the two
+rules, the analytic tail bound beyond the cutoff and a roundoff
+allowance, checked in floats after two numpy sums per row.  An integral
+that misses its budget raises ``NoConvergence``, as does a measure whose
+panel loop exceeds max_panels or meets a non-finite integrand.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -92,6 +93,9 @@ class QuadratureConfig:
             raise ValueError(f"max_panels must be at least 1, got {self.max_panels}")
         if self.panel_order < 3:  # no family measure builds at order 2
             raise ValueError(f"panel_order must be at least 3, got {self.panel_order}")
+
+
+_DEFAULT_CONFIG = QuadratureConfig()
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,30 +215,34 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
 # the families in float: one evaluator, the three-term recurrence
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _recurrence_term(family: WilsonFamily, n: int):
-    """Exact (beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2}
-    (gamma_1 multiplies P_{-1} = 0)."""
-    if family.symbolic:
-        raise ValueError("float evaluation needs a numeric B")
-    return standard_recurrence_terms(family, n)
+_RECURRENCES: dict[WilsonFamily, tuple] = {}  # per family; a race costs only a rebuild
 
 
-@functools.lru_cache(maxsize=None)
-def _float_recurrence(family: WilsonFamily, n_max: int):
-    """(beta_1..beta_{n+1}, sqrt(gamma_1)..sqrt(gamma_{n+1}), scale_0..scale_n)
-    in float, scale_k = sqrt(gamma_2 ... gamma_{k+1}); scale_k is inf past
-    the float range (Case A from k = 115)."""
+def _recurrence(family: WilsonFamily, n_max: int) -> tuple:
+    """The family's table for n = 1..m, m > n_max, at least twice the last
+    m: the exact (beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n
+    P_{n-2} (gamma_1 multiplies P_{-1} = 0); beta_n, sqrt(gamma_n) and
+    scale_{n-1} = sqrt(gamma_2 ... gamma_n) in read-only float arrays (a
+    sequential product, so a prefix keeps its bits; inf past the float
+    range, Case A from n = 116); L, (L beta_n), (L gamma_n) in ints."""
     if family.case == CASE_B:
         family.require_nondegenerate(n_max)
-    terms = [_recurrence_term(family, n) for n in range(1, n_max + 2)]
-    beta = np.array([float(b) for b, _ in terms])
-    root = np.sqrt(np.array([float(g) for _, g in terms]))
-    with np.errstate(over="ignore"):
-        scale = np.concatenate(([1.0], np.cumprod(root[1:])))
-    for array in (beta, root, scale):
-        array.flags.writeable = False  # cached
-    return beta, root, scale
+    if family.symbolic:
+        raise ValueError("float evaluation needs a numeric B")
+    table = _RECURRENCES.get(family, ((),))
+    if len(table[0]) <= n_max:
+        terms = table[0] + tuple(standard_recurrence_terms(family, n) for n in
+                                 range(len(table[0]) + 1, max(n_max + 1, 2 * len(table[0])) + 1))
+        beta = np.array([float(b) for b, _ in terms])
+        root = np.sqrt(np.array([float(g) for _, g in terms]))
+        with np.errstate(over="ignore", invalid="ignore"):  # nan only past a gamma_n = 0
+            scale = np.concatenate(([1.0], np.cumprod(root[1:])))
+        for array in (beta, root, scale):
+            array.flags.writeable = False  # cached
+        den = math.lcm(*(t.denominator for pair in terms for t in pair))
+        table = _RECURRENCES[family] = (terms, (beta, root, scale), (den, *(
+            tuple(t.numerator * (den // t.denominator) for t in col) for col in zip(*terms))))
+    return table
 
 
 def family_values(family: WilsonFamily, n_max: int, u):
@@ -248,7 +256,7 @@ def family_values(family: WilsonFamily, n_max: int, u):
     positive measure, so the rows stay of unit order where the measure
     lives.
     """
-    beta, root, scale = _float_recurrence(family, n_max)
+    beta, root, scale = _recurrence(family, n_max)[1]
     u = np.asarray(u, dtype=float)
     values = np.empty((n_max + 1,) + u.shape)
     values[0] = 1.0
@@ -257,17 +265,7 @@ def family_values(family: WilsonFamily, n_max: int, u):
         if n >= 2:
             prev -= root[n - 1] * values[n - 2]
         values[n] = prev / root[n]
-    return values, scale
-
-
-@functools.lru_cache(maxsize=None)
-def _integer_recurrence(family: WilsonFamily, n_max: int):
-    """(L, L beta_n, L gamma_n) for n = 1..n_max in ints, L their common
-    denominator."""
-    terms = [t for n in range(1, n_max + 1) for t in _recurrence_term(family, n)]
-    den = math.lcm(*(t.denominator for t in terms))
-    scaled = tuple(t.numerator * (den // t.denominator) for t in terms)
-    return den, scaled[::2], scaled[1::2]
+    return values, scale[: n_max + 1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -276,23 +274,25 @@ def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     poly = sum_k a_k P_k: the coefficients of poly against the scaled value
     rows.  The a_k come from Horner in the family basis, using
     u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}, on integer
-    numerators over one common denominator, with one correctly rounded
-    division per entry at the end."""
+    numerators over a denominator, both divided by their gcd after every
+    step, with one correctly rounded division per entry at the end."""
     coeffs = poly.coeffs
     degree = max(len(coeffs) - 1, 0)
-    _, _, scale = _float_recurrence(family, degree)
-    if np.isinf(scale[-1]):
+    _, (_, _, scale), (ell, beta, gamma) = _recurrence(family, degree)
+    if np.isinf(scale[degree]):
         raise NoConvergence(f"{family.label()} polynomial of degree {degree}: the basis "
                             f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
     den = math.lcm(*(c.denominator for c in coeffs))
-    ell, beta, gamma = _integer_recurrence(family, degree)
-    a: list = []  # after j products with u, a_k = a[k] / (den * ell^j)
-    for j, c in enumerate(reversed(coeffs)):
+    a, d = [], 1  # a_k = a[k] / (den * d)
+    for c in reversed(coeffs):
         a = [up + mid + down for up, mid, down in zip(
             [0] + [ell * x for x in a], [-b * x for b, x in zip(beta, a)] + [0],
             [g * x for g, x in zip(gamma[1:], a[1:])] + [0, 0])]
-        a[0] += c.numerator * (den // c.denominator) * ell ** j
-    row = np.array([x / (den * ell ** degree) for x in a] or [0.0]) * scale
+        d *= ell
+        a[0] += c.numerator * (den // c.denominator) * d
+        g = math.gcd(d, *a)
+        a, d = [x // g for x in a], d // g
+    row = np.array([x / (den * d) for x in a] or [0.0]) * scale[: degree + 1]
     row.flags.writeable = False  # cached
     return row
 
@@ -344,9 +344,9 @@ class DiscreteMeasure:
         """Certified integrals of the integrands row * factor * row_scale,
         each row sampled at ``x`` (the density included in ``factor`` or the
         rows where it belongs), plus the point-mass terms: ``at_masses`` is
-        the integrand at the masses as factors f_1, f_2, ... broadcast to
-        (rows, masses), and mass j adds (mass_j * f_1[r, j]) * f_2[r, j] ...
-        to row r in scalar arithmetic.  ``None`` leaves the masses out.
+        the integrand at the masses as factors f_1, f_2, ... of shape (masses,)
+        or (rows, masses), and mass j adds (mass_j * f_1[r, j]) * f_2[r, j]
+        ... to row r in scalar arithmetic.  ``None`` leaves the masses out.
         Returns (values, error estimates) from ``_certify``."""
         k = self.cfg.panel_order
         rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
@@ -377,39 +377,42 @@ class DiscreteMeasure:
         quarter; otherwise NoConvergence names the first row that misses it.
         """
         cfg = self.cfg
-        total = fine.sum(axis=-1)
-        err = np.abs(fine - coarse).sum(axis=-1)
-        budget = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total)),
-                            ROUNDOFF * magnitude)
-        at = self.x[-3 * cfg.panel_order:][:3]
-        tails = np.array([tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, self.x_max)
-                          for v, p in zip(probes, growth_degrees)])
-        ok = err <= 0.5 * budget
-        if cfg.x_max is None:
-            ok &= tails <= 0.25 * budget
-        if not ok.all():
-            missed = np.flatnonzero(~ok)
+        totals = fine.sum(axis=-1)
+        errs, mags = np.abs(fine - coarse).sum(axis=-1).tolist(), magnitude.tolist()
+        # numpy's |total| (its complex abs rounds unlike Python's); nan stays nan
+        budgets = [max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
+                   if size == size and mag == mag else math.nan
+                   for size, mag in zip(np.abs(totals).tolist(), mags)]
+        at = self.x[-3 * cfg.panel_order:][:3].tolist()
+        tails = [tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, self.x_max)
+                 for v, p in zip(probes.tolist(), growth_degrees)]
+        missed = [r for r, (err, tail, budget) in enumerate(zip(errs, tails, budgets)) if not (
+            err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget))]
+        if missed:
             i = missed[0]
-            tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budget[i]:.3e}"
+            tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budgets[i]:.3e}"
                     if cfg.x_max is None else "")
             raise NoConvergence(
                 f"{self.family.label()} measure at degree bound {self.degree}: row {i} "
-                f"(growth degree {growth_degrees[i]}) misses its budget {budget[i]:.3e}, "
-                f"err {err[i]:.3e} against budget/2 {0.5 * budget[i]:.3e}{tail} "
-                f"({missed.size} of {ok.size} rows miss theirs); {self.panels} panels, "
+                f"(growth degree {growth_degrees[i]}) misses its budget {budgets[i]:.3e}, "
+                f"err {errs[i]:.3e} against budget/2 {0.5 * budgets[i]:.3e}{tail} "
+                f"({len(missed)} of {len(errs)} rows miss theirs); {self.panels} panels, "
                 f"x_max {self.x_max:.6g}")
-        err = err + tails + magnitude * (1e-15 * math.sqrt(self.panels)
-                                         + EPSILON * np.asarray(growth_degrees))
+        errs = [err + tail + mag * (1e-15 * math.sqrt(self.panels) + EPSILON * p)
+                for err, tail, mag, p in zip(errs, tails, mags, growth_degrees)]
+        values = totals.tolist()
         if at_masses is not None and self.masses:
-            total = total.astype(complex)
-            for r, j, *factors in np.broadcast(np.arange(total.size)[:, None],
-                                               np.arange(len(self.masses)), *at_masses):
-                term = self.masses[j].mass
-                for f in factors:
-                    term = term * complex(f)
-                total[r] += term
-                err[r] += 1e-15 * abs(term)
-        return total, err
+            values = [complex(v) for v in values]
+            factors = [f.tolist() if f.ndim == 2 else [f.tolist()] * len(values)
+                       for f in map(np.asarray, at_masses)]
+            for r, row in enumerate(zip(*factors)):
+                for j, pm in enumerate(self.masses):
+                    term = pm.mass
+                    for f in row:
+                        term = term * complex(f[j])
+                    values[r] += term
+                    errs[r] += 1e-15 * abs(term)
+        return np.array(values), np.array(errs)
 
     @functools.cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +489,7 @@ def discrete_measure(family: WilsonFamily, degree: int,
     loop exceeds max_panels or meets a non-finite integrand (past the
     degree ceiling, where the value rows overflow)."""
     bound = max(MEASURE_MIN_DEGREE, 1 << max(degree - 1, 0).bit_length())
-    return _build_measure(family, cfg or QuadratureConfig(), bound)
+    return _build_measure(family, cfg or _DEFAULT_CONFIG, bound)
 
 
 # ---------------------------------------------------------------------------

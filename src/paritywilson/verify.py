@@ -141,7 +141,7 @@ def check_hypergeometric_prefactors(results: list[CheckResult]) -> None:
     worst = 0.0
     for n in range(5):
         pref = float(Fraction(math.factorial(n) ** 2, math.factorial(2 * n))
-                     * wilson._pochhammer_pairs(fam.b, n))
+                     * wilson._pochhammer_pairs(fam, n))
         g = spectral.g_polynomial(CASE_B, n, fam.b)
         for z in (Fraction(1), Fraction(5, 2)):
             val = pref * hyp_pfq_terminating(

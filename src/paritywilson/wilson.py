@@ -32,7 +32,6 @@ from .numcore import (
     hyp_2f1_series,
     _horner,
     hyp_pfq_series,
-    poly_eval,
 )
 
 CASE_A = "A"
@@ -188,20 +187,16 @@ def standard_recurrence_terms(family: WilsonFamily, n: int):
     re-derived from the standard monic Wilson recurrence coefficients
     A_{n-1} C_n for this family's parameters.
 
-    For symbolic Case B the terms are polynomials in B (s only ever enters
-    through s^2 = B + 1).
+    Case B evaluates one expression in B, a Fraction or (symbolic) the
+    indeterminate; s only ever enters through s^2 = B + 1.
     """
     if family.case == CASE_A:
-        beta = -Fraction(n * (n + 1), 2) + Fraction(1, 4)
-        gamma = Fraction((n - 1) ** 2 * n ** 2 * (n + 1) ** 2,
-                         4 * (2 * n - 1) * (2 * n + 1))
-        return beta, gamma
-    beta = _B_SYMBOL * Fraction(1, 2) + (Fraction(1, 4) - Fraction(n * (n - 1), 2))
-    root = RationalPolynomial([n * n - 2 * n, -1])  # n^2 - 2n - B
-    gamma = root * root * Fraction((n - 1) ** 2, 4 * (2 * n - 3) * (2 * n - 1))
-    if not family.symbolic:
-        return poly_eval(beta, family.b), poly_eval(gamma, family.b)
-    return beta, gamma
+        return -Fraction(n * (n + 1), 2) + Fraction(1, 4), Fraction(
+            (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1))
+    b = _B_SYMBOL if family.symbolic else family.b
+    root = (n * n - 2 * n) - b
+    return (b * Fraction(1, 2) + (Fraction(1, 4) - Fraction(n * (n - 1), 2)),
+            root * root * Fraction((n - 1) ** 2, 4 * (2 * n - 3) * (2 * n - 1)))
 
 
 def printed_recurrence_terms(family: WilsonFamily, n: int):
@@ -210,12 +205,10 @@ def printed_recurrence_terms(family: WilsonFamily, n: int):
     if family.case == CASE_A:
         return -Fraction(n * (n + 1), 2), Fraction(
             (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1
-    beta = _B_SYMBOL * Fraction(-1, 2) + (Fraction(n * (n + 1), 2) - Fraction(1, 4))
-    root = RationalPolynomial([-(n - 1) * (n + 1), 1])  # B - (n-1)(n+1)
-    gamma = root * root * Fraction(n ** 2, 4 * (2 * n - 1) * (2 * n + 1))
-    if not family.symbolic:
-        return poly_eval(beta, family.b), poly_eval(gamma, family.b), +1
-    return beta, gamma, +1
+    b = _B_SYMBOL if family.symbolic else family.b
+    root = b - (n - 1) * (n + 1)
+    return (b * Fraction(-1, 2) + (Fraction(n * (n + 1), 2) - Fraction(1, 4)),
+            root * root * Fraction(n ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1)
 
 
 def _seeds(family: WilsonFamily):
@@ -403,12 +396,17 @@ def family_weight(family: WilsonFamily) -> WeightFunction:
     return WeightFunction(family, w, tuple(masses))
 
 
-def _pochhammer_pairs(b: Fraction, n: int) -> Fraction:
-    """(1-s)_n (1+s)_n = prod_{j=1..n} (j^2 - 1 - B), s = sqrt(B+1), exactly."""
-    prod = Fraction(1)
-    for j in range(1, n + 1):
-        prod *= j * j - 1 - b
-    return prod
+_POCHHAMMER: dict[WilsonFamily, list] = {}  # per numeric Case B family, append-only
+
+
+def _pochhammer_pairs(family: WilsonFamily, n: int) -> Fraction:
+    """(1-s)_n (1+s)_n = prod_{j=1..n} (j^2 - 1 - B), s = sqrt(B+1), exactly:
+    the family's prefix products, extended in a loop."""
+    with _TABLES_LOCK:
+        prods = _POCHHAMMER.setdefault(family, [Fraction(1)])
+        while len(prods) <= n:
+            prods.append(prods[-1] * (len(prods) ** 2 - 1 - family.b))
+    return prods[n]
 
 
 def norm_closed_form(family: WilsonFamily, n: int):
@@ -419,22 +417,21 @@ def norm_closed_form(family: WilsonFamily, n: int):
     :func:`printed_norm_rhs` and disagrees for n >= 1).
     Case B: the printed closed form, with every Gamma ratio rewritten via
     Pochhammer products and the reflection identity, evaluated as a float.
+    The products come from the family's prefix table; a norm is never
+    derived from the recurrence, which it verifies.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    f = math.factorial
     if family.case == CASE_A:
-        return Fraction(
-            math.factorial(n) ** 3 * math.factorial(n + 1) ** 3 * math.factorial(n + 2) ** 2,
-            math.factorial(2 * n + 1) * math.factorial(2 * n + 3))
+        return Fraction(f(n) ** 3 * f(n + 1) ** 3 * f(n + 2) ** 2, f(2 * n + 1) * f(2 * n + 3))
     if family.symbolic:
         raise ValueError("norms need a numeric B")
     family.require_nondegenerate()
     s = family.s_value()
-    prod = _pochhammer_pairs(family.b, n)
+    prod = _pochhammer_pairs(family, n)
     refl = math.pi * s / math.sin(math.pi * s)  # Gamma(1-s)Gamma(1+s)
-    return (Fraction(math.factorial(n) ** 4,
-                     math.factorial(2 * n) * math.factorial(2 * n + 1))
-            * prod * prod) * refl * refl
+    return Fraction(f(n) ** 4, f(2 * n) * f(2 * n + 1)) * prod * prod * refl * refl
 
 
 def printed_norm_rhs(family: WilsonFamily, n: int):
@@ -486,7 +483,7 @@ def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int) -> float:
     # identities 2 and 3 share the left side; Gamma(n+1±s) rewritten via
     # Pochhammer pairs (exact polynomial in B) and the reflection identity
     s = family.s_value()
-    prod = _pochhammer_pairs(family.b, n)
+    prod = _pochhammer_pairs(family, n)
     return float(Fraction(f(2 * n), f(n) ** 2) / prod) * math.sin(math.pi * s) / (math.pi * s)
 
 

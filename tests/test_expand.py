@@ -3,6 +3,9 @@ reconstruction residuals."""
 
 import ast
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +15,8 @@ import oracles
 import pytest
 
 import paritywilson
-from paritywilson import expand, verify
-from paritywilson.errors import NoConvergence
+from paritywilson import expand, verify, wilson
+from paritywilson.errors import DegenerateFamily, NoConvergence
 from paritywilson.expand import (
     QuadratureConfig,
     auto_cutoff,
@@ -239,6 +242,130 @@ class TestInnerProduct:
         for p, q in ((lambda x: np.exp(-x), member), (member, lambda x: np.exp(-x))):
             with pytest.raises(TypeError, match="project"):
                 inner_product(CASE_A, p, q)
+
+
+class TestCertification:
+    def _rows(self, measure):
+        # rows 2 and 3 oscillate too fast for the panels; the others resolve
+        x = measure.x
+        return np.stack([measure.values[0], measure.values[3], np.cos(40.0 * x),
+                         np.cos(30.0 * x), measure.values[2]])
+
+    def test_a_later_row_that_misses_is_named_with_the_count(self):
+        measure = discrete_measure(CASE_A, 8)
+        with pytest.raises(NoConvergence) as info:
+            measure.sums(self._rows(measure), [0, 6, 5, 2, 4], measure.density)
+        msg = str(info.value)
+        assert msg.startswith("A measure at degree bound 8: row 2 (growth degree 5) misses "
+                              "its budget ")
+        assert "(2 of 5 rows miss theirs)" in msg
+        # an automatic cutoff is certified by its tail too
+        assert ", tail " in msg and " against budget/4 " in msg
+
+    def test_a_fixed_cutoff_reports_no_tail(self):
+        measure = discrete_measure(CASE_A, 8, QuadratureConfig(x_max=20.0))
+        with pytest.raises(NoConvergence) as info:
+            measure.sums(self._rows(measure)[1:], [6, 5, 2, 4], measure.density)
+        msg = str(info.value)
+        assert "row 1 (growth degree 5) misses its budget" in msg
+        assert "(2 of 4 rows miss theirs)" in msg and "x_max 20" in msg
+        assert "tail" not in msg
+
+
+def _cold_tables():
+    """Empty every per-family table of the expansion layer."""
+    expand._basis_row.cache_clear()
+    expand._RECURRENCES.clear()
+    wilson._POCHHAMMER.clear()
+
+
+class TestFamilyTables:
+    def test_tables_do_not_depend_on_call_order(self):
+        family = FAMILIES[3]  # B(73/10)
+        table = monic_from_recurrence(family, 64)
+        polys = [table[n] + MIXED for n in (12, 20, 64)] + [LARGE_DENOMINATORS]
+        u = np.linspace(-6.0, 40.0, 9) ** 2
+
+        def run(order):
+            _cold_tables()
+            for n in order:
+                expand._recurrence(family, n)
+                norm_closed_form(family, n)
+            return ([a.tobytes() for n in (12, 64) for a in family_values(family, n, u)],
+                    [expand._basis_row(family, p).tobytes() for p in polys],
+                    [norm_closed_form(family, n) for n in range(65)])
+
+        low_first = run((12, 20, 64))
+        assert run((64, 20, 12)) == low_first
+        s = family.s_value()
+        refl = math.pi * s / math.sin(math.pi * s)
+        for n, norm in enumerate(low_first[2]):
+            prod = Fraction(1)
+            for j in range(1, n + 1):
+                prod *= j * j - 1 - family.b
+            f = math.factorial
+            want = Fraction(f(n) ** 4, f(2 * n) * f(2 * n + 1)) * prod * prod * refl * refl
+            assert norm.hex() == want.hex(), n
+
+    def test_concurrent_interleaved_degrees(self):
+        family = FAMILIES[3]  # B(73/10)
+        table = monic_from_recurrence(family, 40)
+
+        def build(degrees):
+            return [(norm_closed_form(family, n), expand._basis_row(family, table[n] + MIXED)
+                     .tobytes()) for n in degrees]
+
+        _cold_tables()
+        want = build(range(41))
+        _cold_tables()
+        start = threading.Barrier(4, timeout=30)
+
+        def interleaved(offset):
+            start.wait()
+            return build(range(offset, 41, 4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(interleaved, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, got in enumerate(results):
+            assert got == want[offset::4], offset
+        # an entry appended twice would shift every later product
+        prods = wilson._POCHHAMMER[family]
+        assert len(prods) == 41
+        assert all(prods[j] == prods[j - 1] * (j * j - 1 - family.b) for j in range(1, 41))
+
+    def test_degenerate_family_raises_whatever_was_asked_before(self):
+        degenerate = WilsonFamily.case_b(3)  # s = 2
+        one, u = RationalPolynomial([1]), RationalPolynomial([0, 1])
+        _cold_tables()
+        # below s the recurrence is fine, and the exact products exist for any n
+        expand._recurrence(degenerate, 1)
+        expand._basis_row(degenerate, u)
+        wilson._pochhammer_pairs(degenerate, 8)
+        for call in (lambda: norm_closed_form(degenerate, 0),
+                     lambda: norm_closed_form(degenerate, 5),
+                     lambda: expand._recurrence(degenerate, 2),
+                     lambda: inner_product(degenerate, one, u),
+                     lambda: project(one, degenerate, 3)):
+            with pytest.raises(DegenerateFamily, match=r"sqrt\(B\+1\) = 2 is a positive integer"):
+                call()
+
+    def test_symbolic_family_and_negative_degree_raise(self):
+        symbolic = WilsonFamily.case_b()
+        one = RationalPolynomial([1])
+        with pytest.raises(ValueError, match="norms need a numeric B"):
+            norm_closed_form(symbolic, 3)
+        for call in (lambda: expand._recurrence(symbolic, 3),
+                     lambda: inner_product(symbolic, one, one)):
+            with pytest.raises(ValueError, match="float evaluation needs a numeric B"):
+                call()
+        for family in (CASE_A, FAMILIES[3]):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                norm_closed_form(family, -1)
 
 
 class TestProjection:
