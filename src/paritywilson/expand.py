@@ -51,6 +51,7 @@ from .wilson import (
     TWO_PI,
     PointMass,
     WilsonFamily,
+    _check_case,
     _sinh_over_cosh_cubed,
     family_weight,
     norm_closed_form,
@@ -498,12 +499,8 @@ def discrete_measure(family: WilsonFamily, degree: int,
 
 def _on(measure: DiscreteMeasure, f, continuation: Callable | None = None) -> tuple:
     """(values at the measure's points, values at its point masses) of a
-    polynomial in the squared variable, expanded exactly in the family
-    basis, or of a callable of the abscissa with its continuation
-    t -> f(i t) to the point masses."""
-    if isinstance(f, RationalPolynomial):
-        row = _basis_row(measure.family, f)
-        return row @ measure.values[:row.size], row @ measure.mass_values[:row.size]
+    callable of the abscissa with its continuation t -> f(i t) to the point
+    masses."""
     if measure.masses and continuation is None:
         raise ValueError("callable factor needs values at the point masses "
                          "(its continuation to x = i t)")
@@ -576,15 +573,17 @@ def project(f_target, family: WilsonFamily, n_max: int,
             f_at_masses: Callable | None = None) -> CoefficientTable:
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
     n = 0..n_max under the family measure, all numerators from one pass
-    over the shared measure.  Denominators use the closed-form norms."""
+    over the shared measure.  F is a callable of the abscissa; with Case B
+    point masses ``f_at_masses`` is its continuation t -> F(i t).  A
+    polynomial goes through ``inner_product``.  Denominators use the
+    closed-form norms."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    degree = (_basis_row(family, f_target).size - 1  # first: it names a scale overflow
-              if isinstance(f_target, RationalPolynomial) else 0)
-    measure = discrete_measure(family, max(n_max, degree), cfg)
+    if isinstance(f_target, RationalPolynomial):
+        raise TypeError("project takes a callable; inner_product takes polynomials")
+    measure = discrete_measure(family, n_max, cfg)
     at_x, at_masses = _on(measure, f_target, f_at_masses)
-    nums = _basis_rows(measure, n_max, measure.density * at_x,
-                       lambda n: 2 * degree + 2 * n, at_masses)
+    nums = _basis_rows(measure, n_max, measure.density * at_x, lambda n: 2 * n, at_masses)
     entries = []
     for n, (num, err) in enumerate(zip(*nums)):
         norm = float(norm_closed_form(family, n))
@@ -595,6 +594,7 @@ def project(f_target, family: WilsonFamily, n_max: int,
 def parity_target(case: str):
     """(vectorized target, continuation t -> F(i t)) for the
     reconstruction identity of each case."""
+    _check_case(case)
     if case == CASE_A:
         def f(x):
             return -4.0 * (np.exp(-np.pi * x) + 1j) / (1.0 + 4.0 * x * x)
@@ -630,28 +630,18 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
         if family.b is None:
             raise ValueError("parity coefficients need a numeric B")
         family.require_nondegenerate()
+    offset = 1 if family.case == CASE_A else 0  # c_0 = -i; c_n pairs with P_{n-offset}
+    entries = [(0, -1j, 0.0)] * offset
     if route == "projection":
         f_target, f_masses = parity_target(family.case)
-        proj = project(f_target, family, n_max if family.case == CASE_B else max(n_max - 1, 0),
-                       cfg, f_at_masses=f_masses)
-        entries = []
-        for n in range(n_max + 1):
-            if family.case == CASE_A:
-                if n == 0:
-                    entries.append((0, -1j, 0.0))
-                else:
-                    a, e = proj.coefficient(n - 1), proj.error(n - 1)
-                    entries.append((n, (-1) ** (n - 1) * a, e))
-            else:
-                a, e = proj.coefficient(n), proj.error(n)
-                entries.append((n, (-1) ** n * a, e))
+        proj = project(f_target, family, max(n_max - offset, 0), cfg, f_at_masses=f_masses)
+        for k, a, e in proj.entries[: n_max + 1 - offset]:
+            entries.append((k + offset, (-1) ** k * a, e))
         return CoefficientTable(family.case, family.b, route, tuple(entries))
     if route not in ("closed_form", "printed"):
         raise ValueError(f"unknown route {route!r}")
 
-    entries = []
     if family.case == CASE_A:
-        entries.append((0, -1j, 0.0))
         if n_max >= 1:
             measure = discrete_measure(family, n_max - 1, cfg)
             integrals = _basis_rows(measure, n_max - 1, _case_a_moment(measure.x),
@@ -686,9 +676,9 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
-    if table is None:
-        table = parity_coefficients(family, n_trunc + (1 if family.case == CASE_A else 0), cfg)
     offset = 1 if family.case == CASE_A else 0
+    if table is None:
+        table = parity_coefficients(family, n_trunc + offset, cfg)
     signed = np.array([(-1) ** n * table.coefficient(n + offset) for n in range(n_trunc + 1)],
                       dtype=complex)
     measure = discrete_measure(family, n_trunc, cfg)

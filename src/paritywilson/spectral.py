@@ -32,6 +32,7 @@ from .wilson import (
     CASE_A,
     CASE_B,
     WilsonFamily,
+    _check_case,
     alternating_reflect,
     monic_from_recurrence,
 )
@@ -54,6 +55,7 @@ def g_polynomial(case: str, n: int, b=None):
     exception 1/(z^2 - 1/4) and returns None.
     Case B: degree n; symbolic in B when b is None.
     """
+    _check_case(case)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if case == CASE_A:
@@ -163,6 +165,7 @@ def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:
 
 
 def eigenfunction(case: str, n: int, b=None) -> EigenpairRecord:
+    _check_case(case)
     return eigenfunction_case_a(n) if case == CASE_A else eigenfunction_case_b(n, b)
 
 
@@ -170,24 +173,18 @@ def eigenfunction(case: str, n: int, b=None) -> EigenpairRecord:
 # residual evaluators
 # ---------------------------------------------------------------------------
 
-def _as_g_values(g, points, b):
-    if isinstance(g, BParamPolynomial):
-        if b is None:
-            raise ValueError("BParamPolynomial residual needs a numeric b")
-        g = g.substitute_b(b if isinstance(b, Fraction) else Fraction(b))
-    if isinstance(g, RationalPolynomial):
-        return [poly_eval(g, z * z) for z in points]
-    return [g(z) for z in points]
-
-
 def residual_g(case: str, g, ell1, z, b=None):
     """LHS minus RHS of the z-space three-point relation at z.
 
-    ``g`` may be a polynomial in z^2, a BParamPolynomial (with numeric b
-    supplied), or a callable of z.  Exact for exact inputs.  The Case B
-    form divides by 2z, so z = 0 raises DomainPole.
+    ``g`` is a callable of z, such as ``g_callable`` builds from the
+    polynomial part (a polynomial lives in z^2, so it is refused rather
+    than called at z).  Exact for exact inputs.  The Case B form divides by
+    2z, so z = 0 raises DomainPole.
     """
-    gm, g0, gp = _as_g_values(g, (z - 1, z, z + 1), b)
+    _check_case(case)
+    if isinstance(g, RationalPolynomial):
+        raise TypeError("residual_g takes a callable of z; g_callable builds one")
+    gm, g0, gp = g(z - 1), g(z), g(z + 1)
     if case == CASE_A:
         lhs = ((2 * z + 1) * (2 * z + 3) ** 2 * gp
                - 4 * z * (2 * z - 1) * (2 * z + 1) * g0

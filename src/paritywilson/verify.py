@@ -595,17 +595,3 @@ TRACEABILITY: tuple[tuple[str, tuple[str, ...], str], ...] = (
 REQUIRED_ANCHORS = tuple(
     [f"eq-{k}" for k in (3, *range(6, 20), *range(23, 60))]
     + [f"eq-A{k}" for k in range(1, 5)] + [f"eq-B{k}" for k in range(1, 6)])
-
-
-def all_check_ids() -> set[str]:
-    """Every check id referenced by the traceability table."""
-    ids = set()
-    for row in TRACEABILITY:
-        ids.update(row[1])
-    return ids
-
-
-def registered_check_ids() -> set[str]:
-    """Check ids actually produced by running the full suite."""
-    report = run_suites()
-    return {r.check_id for r in report.results}

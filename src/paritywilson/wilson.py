@@ -52,6 +52,12 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _check_case(case: str) -> None:
+    """Refuse a case tag other than CASE_A and CASE_B."""
+    if case not in (CASE_A, CASE_B):
+        raise ValueError(f"unknown case {case!r}: expected {CASE_A!r} or {CASE_B!r}")
+
+
 @dataclass(frozen=True)
 class WilsonFamily:
     """Parameter bundle: case tag plus the Case B parameter value.
@@ -68,6 +74,7 @@ class WilsonFamily:
     b: Fraction | None = None
 
     def __post_init__(self):
+        _check_case(self.case)
         # equal families hash alike and share cached tables, so an int or
         # float B must build the same exact tables as its Fraction
         if self.b is not None and not isinstance(self.b, Fraction):
@@ -243,6 +250,8 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if form not in ("corrected", "printed"):
+        raise ValueError(f"unknown recurrence form {form!r}")
     key = (family, form)
     polys = _TABLES.get(key) or _seeds(family)
     if len(polys) <= n_max:
@@ -252,10 +261,8 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
             if form == "corrected":
                 beta, gamma = standard_recurrence_terms(family, n)
                 sign = -1
-            elif form == "printed":
-                beta, gamma, sign = printed_recurrence_terms(family, n)
             else:
-                raise ValueError(f"unknown recurrence form {form!r}")
+                beta, gamma, sign = printed_recurrence_terms(family, n)
             shift = cls([beta, 1])
             polys.append(shift * polys[n - 1] + polys[n - 2] * (gamma * sign))
         polys = tuple(polys)
@@ -418,7 +425,8 @@ def norm_closed_form(family: WilsonFamily, n: int):
     Case B: the printed closed form, with every Gamma ratio rewritten via
     Pochhammer products and the reflection identity, evaluated as a float.
     The products come from the family's prefix table; a norm is never
-    derived from the recurrence, which it verifies.
+    derived from the recurrence, which it verifies.  A Case B norm past the
+    float range raises OverflowError, naming the family and the degree.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -431,7 +439,13 @@ def norm_closed_form(family: WilsonFamily, n: int):
     s = family.s_value()
     prod = _pochhammer_pairs(family, n)
     refl = math.pi * s / math.sin(math.pi * s)  # Gamma(1-s)Gamma(1+s)
-    return Fraction(f(n) ** 4, f(2 * n) * f(2 * n + 1)) * prod * prod * refl * refl
+    try:  # float() of the exact part overflows first, or the product does
+        norm = Fraction(f(n) ** 4, f(2 * n) * f(2 * n + 1)) * prod * prod * refl * refl
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise OverflowError(f"{family.label()} norm of degree {n} exceeds the float range")
+    return norm
 
 
 def printed_norm_rhs(family: WilsonFamily, n: int):
@@ -543,6 +557,8 @@ def generating_function_check(family: WilsonFamily, identity_id: int, x: float, 
         raise ValueError("identity_id must be 1, 2, or 3")
     if abs(t) > 0.3:
         raise ValueError("generating-function check is restricted to |t| <= 0.3")
+    if form not in ("corrected", "printed"):
+        raise ValueError(f"unknown recurrence form {form!r}")
     if family.case == CASE_B:
         if family.b is None:
             raise ValueError("generating functions need a numeric B")

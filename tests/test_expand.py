@@ -29,7 +29,7 @@ from paritywilson.expand import (
     reconstruction_residual,
     tail_bound,
 )
-from paritywilson.numcore import RationalPolynomial, poly_eval
+from paritywilson.numcore import BParamPolynomial, RationalPolynomial, poly_eval
 from paritywilson.wilson import (
     WilsonFamily,
     family_weight,
@@ -350,7 +350,8 @@ class TestFamilyTables:
                      lambda: norm_closed_form(degenerate, 5),
                      lambda: expand._recurrence(degenerate, 2),
                      lambda: inner_product(degenerate, one, u),
-                     lambda: project(one, degenerate, 3)):
+                     lambda: project(lambda x: np.exp(-x), degenerate, 3,
+                                     f_at_masses=lambda t: complex(np.exp(-1j * t)))):
             with pytest.raises(DegenerateFamily, match=r"sqrt\(B\+1\) = 2 is a positive integer"):
                 call()
 
@@ -371,17 +372,30 @@ class TestFamilyTables:
 class TestProjection:
     def test_basis_element_projects_to_itself(self):
         tab = monic_from_recurrence(CASE_A, 4)
-        table = project(tab[2], CASE_A, 4)
-        for n, c, _ in table.entries:
+        for n in range(5):
+            c = inner_product(CASE_A, tab[2], tab[n])[0] / float(norm_closed_form(CASE_A, n))
             want = 1.0 if n == 2 else 0.0
             assert abs(c - want) <= 1e-8
 
     def test_basis_element_case_b(self):
         tab = monic_from_recurrence(CASE_B_32, 3)
-        table = project(tab[1], CASE_B_32, 3)
-        for n, c, _ in table.entries:
+        for n in range(4):
+            c = inner_product(CASE_B_32, tab[1], tab[n])[0] / float(norm_closed_form(CASE_B_32, n))
             want = 1.0 if n == 1 else 0.0
             assert abs(c - want) <= 1e-8
+
+    @pytest.mark.parametrize("poly", [RationalPolynomial([1, 1]), BParamPolynomial([1, 1])],
+                             ids=["rational", "symbolic"])
+    def test_polynomial_is_refused(self, poly):
+        # a polynomial is callable at u, not at the abscissa; it goes through
+        # the Gram of inner_product instead
+        with pytest.raises(TypeError, match="^project takes a callable; inner_product "
+                                            "takes polynomials$"):
+            project(poly, CASE_A, 3)
+
+    def test_unknown_case_target_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown case 'a': expected 'A' or 'B'$"):
+            parity_target("a")
 
     def test_callable_needs_mass_continuation(self):
         with pytest.raises(ValueError, match="continuation"):
@@ -458,7 +472,7 @@ class TestParityCoefficients:
 
 @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
 @pytest.mark.parametrize("call", [
-    lambda fam, n: project(RationalPolynomial([1]), fam, n),
+    lambda fam, n: project(lambda x: np.ones_like(x), fam, n),
     lambda fam, n: parity_coefficients(fam, n),
     lambda fam, n: parity_coefficients(fam, n, route="printed"),
     lambda fam, n: parity_coefficients(fam, n, route="projection"),
@@ -581,7 +595,7 @@ class TestDiscreteMeasure:
 
     def test_gram_is_built_on_the_first_inner_product_only(self):
         expand._build_measure.cache_clear()
-        project(RationalPolynomial([1, 1]), CASE_B_32, 12)
+        project(lambda x: 1.0 + x * x, CASE_B_32, 12, f_at_masses=lambda t: 1.0 - t * t)
         parity_coefficients(CASE_B_32, 12)
         parity_coefficients(CASE_B_32, 12, route="projection")
         reconstruction_residual(CASE_B_32, 12)
@@ -690,7 +704,8 @@ class TestDiscreteMeasure:
     @pytest.mark.parametrize("call", [
         lambda fam, cfg: discrete_measure(fam, 6, cfg),
         lambda fam, cfg: inner_product(fam, *monic_from_recurrence(fam, 2)[1:], cfg),
-        lambda fam, cfg: project(monic_from_recurrence(fam, 2)[2], fam, 4, cfg),
+        lambda fam, cfg: project(lambda x: np.exp(-x), fam, 4, cfg,
+                                 f_at_masses=lambda t: complex(np.exp(-1j * t))),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="printed"),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="projection"),
@@ -718,7 +733,7 @@ class TestDiscreteMeasure:
                                                 "at degree 115"):
             inner_product(CASE_A, p, RationalPolynomial([1]))
         with pytest.raises(NoConvergence, match="overflows at degree 115"):
-            project(p, CASE_A, 2)
+            inner_product(CASE_A, RationalPolynomial([1]), p)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_panel_order_below_three_is_rejected(self, order):

@@ -88,24 +88,40 @@ class TestResidualZ:
     def test_exact_zero_on_eigenpair(self):
         g2 = g_polynomial("A", 2)
         assert g2 == RationalPolynomial([fr("3/4"), 1])
-        assert residual_g("A", g2, 5, fr(2)) == 0
+        assert residual_g("A", g_callable("A", 2), 5, fr(2)) == 0
 
     def test_perturbed_eigenvalue_detected(self):
-        g2 = g_polynomial("A", 2)
-        assert abs(residual_g("A", g2, 5 + 1e-3, 2.0)) > 1e-6
+        assert abs(residual_g("A", g_callable("A", 2), 5 + 1e-3, 2.0)) > 1e-6
 
     def test_case_b_constant_solution(self):
-        val = residual_g("B", g_polynomial("B", 0, fr("3/2")), 1, 1.7, b=1.5)
+        val = residual_g("B", g_callable("B", 0, fr("3/2")), 1, 1.7, b=1.5)
         assert abs(val) < 1e-12
 
     def test_case_b_exact_zeros(self):
         for n in range(6):
-            g = g_polynomial("B", n)
+            g = g_callable("B", n, fr("3/2"))
             assert residual_g("B", g, 2 * n + 1, fr(3), b=fr("3/2")) == 0
 
     def test_case_b_z_zero_pole(self):
         with pytest.raises(DomainPole):
-            residual_g("B", g_polynomial("B", 1, fr("1/2")), 3, 0, b=fr("1/2"))
+            residual_g("B", g_callable("B", 1, fr("1/2")), 3, 0, b=fr("1/2"))
+
+    @pytest.mark.parametrize("case,b", [("A", None), ("B", None), ("B", fr("3/2"))],
+                             ids=["case-a", "symbolic", "numeric-b"])
+    def test_polynomial_is_refused(self, case, b):
+        # a polynomial lives in u = z^2: called at z it would give a wrong
+        # value without an error
+        with pytest.raises(TypeError, match="^residual_g takes a callable of z; "
+                                            "g_callable builds one$"):
+            residual_g(case, g_polynomial(case, 2, b), 5, fr(3), b=fr("3/2"))
+
+    def test_unknown_case_is_refused(self):
+        # a lowercase tag used to take the Case B branch without an error
+        for call in (lambda: g_polynomial("a", 2), lambda: g_callable("a", 2),
+                     lambda: eigenfunction("a", 2),
+                     lambda: residual_g("a", g_callable("A", 2), 5, fr(2), b=0)):
+            with pytest.raises(ValueError, match="^unknown case 'a': expected 'A' or 'B'$"):
+                call()
 
     def test_rational_exception_solves_relation(self):
         g0 = g_callable("A", 0)

@@ -2,6 +2,7 @@
 generating functions."""
 
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -93,6 +94,19 @@ class TestRecurrenceRoute:
             assert symbolic[n].substitute_b(b) == numeric[n]
         assert numeric[20] == monic_from_hypergeometric(WilsonFamily.case_b(b), 20)
         assert symbolic[20].substitute_b(b) == monic_from_hypergeometric(CASE_B_SYM, 20).substitute_b(b)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_unknown_form_is_refused_before_any_table(self, n_max):
+        # the seeds used to come back for n_max <= 1 whatever the form
+        with pytest.raises(ValueError, match="^unknown recurrence form 'bogus'$"):
+            monic_from_recurrence(CASE_A, n_max, form="bogus")
+
+    def test_unknown_case_is_refused(self):
+        # a lowercase tag used to fail later, inside the recurrence
+        for case in ("a", "b", None):
+            with pytest.raises(ValueError, match=f"^unknown case {case!r}: "
+                                                 "expected 'A' or 'B'$"):
+                WilsonFamily(case)
 
     @pytest.mark.parametrize("family", [CASE_A, CASE_B_SYM])
     def test_monic(self, family):
@@ -348,6 +362,16 @@ class TestMeasure:
         for pm, m_solved in zip(weight.point_masses, solved):
             assert abs(pm.mass - m_solved) < 1e-8 * pm.mass
 
+    def test_case_b_norm_past_the_float_range_is_named(self):
+        # the exact part leaves the float range first (B(3/2) at 69, B(7.3)
+        # at 70), or the float product with the reflection factor does
+        assert norm_closed_form(CASE_B_32, 68) == 8.392865305465899e+303
+        for b, n in (("3/2", 69), ("73/10", 69), ("73/10", 70), ("-1/2", 200)):
+            family = WilsonFamily.case_b(fr(b))
+            with pytest.raises(OverflowError, match=rf"^{re.escape(family.label())} norm of "
+                                                    rf"degree {n} exceeds the float range$"):
+                norm_closed_form(family, n)
+
     def test_degenerate_norms_rejected(self):
         with pytest.raises(DegenerateFamily):
             family_weight(WilsonFamily.case_b(0))
@@ -434,6 +458,11 @@ class TestGeneratingFunctions:
     def test_t_domain_enforced(self):
         with pytest.raises(ValueError):
             generating_function_check(CASE_A, 1, 0.5, 0.4)
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    def test_unknown_form_is_refused(self, family):
+        with pytest.raises(ValueError, match="^unknown recurrence form 'bogus'$"):
+            generating_function_check(family, 1, 0.5, 0.1, form="bogus")
 
 
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=8))
