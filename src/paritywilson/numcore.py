@@ -64,23 +64,21 @@ def _lincomb(a, wa: int, fa: int, b, wb: int, fb: int):
 
 
 def _conv(a, wa: int, b, wb: int):
-    """Product of two grids: a convolution along both axes."""
+    """Product of two grids: a convolution along both axes.  b, widened
+    once to the product's row width, takes one contiguous pass per nonzero
+    entry of a, the narrower grid (the shorter one when the widths tie)."""
     if not a or not b:
         return [], 1
-    if len(a) > len(b):
+    if (wa, len(a)) > (wb, len(b)):
         a, wa, b, wb = b, wb, a, wa
-    w, nb = wa + wb - 1, len(b)
-    out = [0] * ((len(a) // wa + nb // wb - 1) * w)
+    w = wa + wb - 1
+    b = _widen(b, wb, w)[:len(b) // wb * w - wa + 1]  # the last row unpadded
+    nb = len(b)
+    out = [0] * (nb + (len(a) // wa - 1) * w + wa - 1)
     for k, x in enumerate(a):
-        if not x:
-            continue
-        base = (k // wa) * w + k % wa
-        if wa == 1:  # rows of b land contiguously
+        if x:
+            base = k // wa * w + k % wa
             out[base:base + nb] = [o + x * y for o, y in zip(out[base:base + nb], b)]
-            continue
-        for r in range(0, nb, wb):
-            at = base + r // wb * w
-            out[at:at + wb] = [o + x * y for o, y in zip(out[at:at + wb], b[r:r + wb])]
     return out, w
 
 

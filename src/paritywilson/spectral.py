@@ -17,7 +17,6 @@ with negative radicand are rejected (DomainPole), never continued.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -33,8 +32,10 @@ from .wilson import (
     CASE_B,
     WilsonFamily,
     _check_case,
+    _recurrence_table,
     alternating_reflect,
     monic_from_recurrence,
+    standard_recurrence_terms,
 )
 
 
@@ -58,17 +59,11 @@ def g_polynomial(case: str, n: int, b=None):
     _check_case(case)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if case == CASE_A:
-        if n == 0:
-            return None
-        fam = WilsonFamily.case_a()
-        poly = monic_from_recurrence(fam, n - 1)[n - 1]
-        return alternating_reflect(poly, n - 1)
-    fam = WilsonFamily.case_b()
-    poly = alternating_reflect(monic_from_recurrence(fam, n)[n], n)
-    if b is None:
-        return poly
-    return poly.substitute_b(b if isinstance(b, Fraction) else Fraction(b))
+    if case == CASE_A:  # g_n pairs with P_{n-1}
+        table = monic_from_recurrence(WilsonFamily.case_a(), max(n - 1, 0))
+        return alternating_reflect(table[n - 1], n - 1) if n else None
+    poly = alternating_reflect(monic_from_recurrence(WilsonFamily.case_b(), n)[n], n)
+    return poly if b is None else poly.substitute_b(b)
 
 
 def g_callable(case: str, n: int, b=None) -> Callable:
@@ -125,42 +120,43 @@ class EigenpairRecord:
         return f
 
 
+def _reflected_table(family: WilsonFamily, n_max: int) -> tuple:
+    """R_0..R_{n_max}, R_k(W) = (-1)^k P_k(-W - c) with c = B + 1/4 (1/4 in
+    Case A), one cached table per family: f_n = R_n in Case B, W R_{n-1} in
+    Case A.  At u = -W - c the monic recurrence gives
+    R_k = (W + c - beta_k) R_{k-1} - gamma_k R_{k-2}, one product with a
+    linear polynomial per degree instead of a Taylor shift of g_k.
+    """
+    c = (RationalPolynomial([0, 1]) if family.symbolic else family.b or 0) + Fraction(1, 4)
+    cls = BParamPolynomial if family.symbolic else RationalPolynomial
+
+    def terms(k):
+        beta, gamma = standard_recurrence_terms(family, k)
+        return c - beta, gamma
+    return _recurrence_table((family, "reflected"), n_max,
+                             lambda: (cls([1]), cls([terms(1)[0], 1])), terms)
+
+
 def eigenfunction_case_a(n: int) -> EigenpairRecord:
     """Case A eigenpair: f_0 is the bare prefactor; for n >= 1 the
     polynomial part is W times a monic degree n-1 polynomial in W."""
     ell1, alpha = eigenvalue(n)
-    if n == 0:
-        return EigenpairRecord(0, CASE_A, None, ell1, alpha, None,
-                               "exp(i*pi*sqrt(W+1/4))", rational_g=True)
-    g = g_polynomial(CASE_A, n)
-    poly = g.shift_variable(Fraction(1, 4)) * RationalPolynomial([0, 1])
-    return EigenpairRecord(n, CASE_A, None, ell1, alpha, poly, "exp(i*pi*sqrt(W+1/4))")
-
-
-@functools.lru_cache(maxsize=None)
-def _case_b_f_symbolic(n: int) -> BParamPolynomial:
-    """Polynomial part of the n-th Case B f in W, symbolic in B."""
-    g = g_polynomial(CASE_B, n)  # symbolic, in u = z^2
-    return g.shift_variable(RationalPolynomial([Fraction(1, 4), 1]))  # u = W + (B + 1/4)
+    poly = (_reflected_table(WilsonFamily.case_a(), n - 1)[n - 1] * RationalPolynomial([0, 1])
+            if n else None)
+    return EigenpairRecord(n, CASE_A, None, ell1, alpha, poly, "exp(i*pi*sqrt(W+1/4))",
+                           rational_g=not n)
 
 
 def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:
-    """Case B eigenpair; b=None keeps the coefficients symbolic in B.
-
-    Built symbolically and substituted exactly, so integer sqrt(B+1)
-    (e.g. B = 0) yields the smooth limiting polynomial rather than an
-    error; degeneracy is enforced where norms/prefactor normalizations
-    are actually needed.
-    """
+    """Case B eigenpair; b=None keeps the coefficients symbolic in B.  Each
+    B has its own exact table, so integer sqrt(B+1) (e.g. B = 0) yields the
+    smooth limiting polynomial rather than an error; degeneracy is enforced
+    where norms/prefactor normalizations are actually needed."""
     ell1, alpha = eigenvalue(n)
-    poly = _case_b_f_symbolic(n)
-    if b is None:
-        return EigenpairRecord(n, CASE_B, None, ell1, alpha, poly,
-                               "exp(i*pi*sqrt(W+B+1/4))")
-    bq = b if isinstance(b, Fraction) else Fraction(b)
-    if bq <= -1:
+    family = WilsonFamily(CASE_B, b)
+    if b is not None and family.b <= -1:
         raise DomainPole("Case B needs B > -1")
-    return EigenpairRecord(n, CASE_B, bq, ell1, alpha, poly.substitute_b(bq),
+    return EigenpairRecord(n, CASE_B, family.b, ell1, alpha, _reflected_table(family, n)[n],
                            "exp(i*pi*sqrt(W+B+1/4))")
 
 

@@ -92,14 +92,11 @@ F_TABLE_B = {
 
 
 def _poly_matches(poly, table_entry) -> bool:
-    if table_entry is None:
-        return poly is None
-    if poly is None:
-        return False
-    want = [(Fraction(c) if isinstance(c, str) else c) for c in table_entry]
+    if table_entry is None or poly is None:
+        return table_entry is poly
     if isinstance(table_entry[0], list):
-        want = [RationalPolynomial([Fraction(c) for c in cs]) for cs in table_entry]
-    return list(poly.coeffs) == want
+        return list(poly.coeffs) == [RationalPolynomial(cs) for cs in table_entry]
+    return list(poly.coeffs) == [Fraction(c) for c in table_entry]
 
 
 def check_tables(results: list[CheckResult]) -> None:

@@ -79,6 +79,14 @@ class WilsonFamily:
         # float B must build the same exact tables as its Fraction
         if self.b is not None and not isinstance(self.b, Fraction):
             object.__setattr__(self, "b", Fraction(self.b))
+        # hashed once: a family keys every table and cache lookup
+        object.__setattr__(self, "_hash", hash((self.case, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a str hash differs between processes
+        return WilsonFamily, (self.case, self.b)
 
     @staticmethod
     def case_a() -> "WilsonFamily":
@@ -219,19 +227,36 @@ def printed_recurrence_terms(family: WilsonFamily, n: int):
 
 
 def _seeds(family: WilsonFamily):
-    if family.case == CASE_A:
-        return RationalPolynomial([1]), RationalPolynomial([Fraction(-3, 4), 1])
-    if family.symbolic:
-        return (BParamPolynomial([1]),
-                BParamPolynomial([_B_SYMBOL * Fraction(1, 2) + Fraction(1, 4),
-                                  RationalPolynomial([1])]))
-    return (RationalPolynomial([1]),
-            RationalPolynomial([family.b / 2 + Fraction(1, 4), 1]))
+    """P_0 and P_1 as printed: 1, and u - 3/4 (Case A) or u + B/2 + 1/4."""
+    cls = BParamPolynomial if family.symbolic else RationalPolynomial
+    b = _B_SYMBOL if family.symbolic else family.b
+    return cls([1]), cls([Fraction(-3, 4) if family.case == CASE_A else b / 2 + Fraction(1, 4), 1])
 
 
-# P_0..P_k per (family, form), only ever replaced by a longer tuple
+# T_0..T_k per (family, kind), only ever replaced by a longer tuple: the
+# monic tables ("corrected", "printed") and spectral's "reflected" tables
 _TABLES: dict[tuple[WilsonFamily, str], tuple] = {}
 _TABLES_LOCK = threading.Lock()
+
+
+def _recurrence_table(key: tuple[WilsonFamily, str], n_max: int, seeds: Callable,
+                      terms: Callable) -> tuple:
+    """T_0..T_{n_max} of the table under ``key``: the two seeds() run on by
+    T_n = (u + a_n) T_{n-1} - c_n T_{n-2}, (a_n, c_n) = terms(n), from the
+    cached prefix.  A longer table is built in a local list and published
+    as a new tuple, so concurrent callers never see a partial one."""
+    polys = _TABLES.get(key) or seeds()
+    if len(polys) <= n_max:
+        cls = BParamPolynomial if key[0].symbolic else RationalPolynomial
+        polys = list(polys)
+        for n in range(len(polys), n_max + 1):
+            a, c = terms(n)
+            polys.append(cls([a, 1]) * polys[n - 1] - polys[n - 2] * c)
+        polys = tuple(polys)
+        with _TABLES_LOCK:
+            if len(polys) > len(_TABLES.get(key, ())):
+                _TABLES[key] = polys
+    return polys[: n_max + 1]
 
 
 def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "corrected") -> tuple:
@@ -242,34 +267,20 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
     form="corrected" uses the re-derived standard terms and must agree with
     :func:`monic_from_hypergeometric` exactly; form="printed" applies the
     appendix tables verbatim (seeds honored, recurrence from n=2) and is the
-    input to the discrepancy detector.
-
-    Tables are cached per (family, form) and a longer request extends the
-    cached prefix.  A longer table is built in a local list and published
-    as a new tuple, so concurrent callers never see a partial one.
+    input to the discrepancy detector.  Tables are cached per (family, form)
+    by :func:`_recurrence_table`.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if form not in ("corrected", "printed"):
         raise ValueError(f"unknown recurrence form {form!r}")
-    key = (family, form)
-    polys = _TABLES.get(key) or _seeds(family)
-    if len(polys) <= n_max:
-        cls = BParamPolynomial if family.symbolic else RationalPolynomial
-        polys = list(polys)
-        for n in range(len(polys), n_max + 1):
-            if form == "corrected":
-                beta, gamma = standard_recurrence_terms(family, n)
-                sign = -1
-            else:
-                beta, gamma, sign = printed_recurrence_terms(family, n)
-            shift = cls([beta, 1])
-            polys.append(shift * polys[n - 1] + polys[n - 2] * (gamma * sign))
-        polys = tuple(polys)
-        with _TABLES_LOCK:
-            if len(polys) > len(_TABLES.get(key, ())):
-                _TABLES[key] = polys
-    return polys[: n_max + 1]
+
+    def terms(n):
+        if form == "corrected":
+            return standard_recurrence_terms(family, n)
+        beta, gamma, sign = printed_recurrence_terms(family, n)
+        return beta, -sign * gamma
+    return _recurrence_table((family, form), n_max, lambda: _seeds(family), terms)
 
 
 @dataclass(frozen=True)
@@ -307,9 +318,7 @@ def recurrence_discrepancy_report(family: WilsonFamily, n_max: int = 4) -> Recur
             first, printed_entry, oracle_entry = n, printed[n], oracle
             break
     p0, p1 = _seeds(family)
-    beta1, _, _ = printed_recurrence_terms(family, 1)
-    cls = BParamPolynomial if family.symbolic else RationalPolynomial
-    rec_p1 = cls([beta1, 1]) * p0
+    rec_p1 = type(p0)([printed_recurrence_terms(family, 1)[0], 1]) * p0
     note = ("printed Case B terms coincide with the recurrence satisfied by the "
             "reflected family (u -> -u, index shifted by one) in the linear "
             "coefficient and in the magnitude of the second coefficient, but "

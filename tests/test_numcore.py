@@ -309,6 +309,57 @@ def test_scalar_operations_match_reference(symbolic, data):
     check(a - p, ref_add({(0, 0): a} if a else {}, x, -1), symbolic)
 
 
+# -- grid products against a naive double loop --------------------------------
+# A dense matrix [power of u][power of B] of Fractions, zero entries included,
+# so that grids of every width meet, and rows and columns of zeros occur.
+
+def matrices(width: int):
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    return st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6)
+
+
+def from_matrix(m, symbolic: bool):
+    if symbolic:
+        return BParamPolynomial([RationalPolynomial(row) for row in m])
+    return RationalPolynomial([row[0] for row in m])
+
+
+def naive_product(x, y) -> dict:
+    """The schoolbook product of two matrices, entry by entry on Fractions."""
+    out: dict = {}
+    for i, row in enumerate(x):
+        for j, a in enumerate(row):
+            for k, other in enumerate(y):
+                for m, b in enumerate(other):
+                    out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_grid_product_matches_naive_double_loop(symbolic, data):
+    wa, wb = (data.draw(st.integers(1, 5)) for _ in range(2)) if symbolic else (1, 1)
+    x, y = data.draw(matrices(wa)), data.draw(matrices(wb))
+    p, q = from_matrix(x, symbolic), from_matrix(y, symbolic)
+    want = naive_product(x, y)
+    check(p * q, want, symbolic)
+    assert p * q == q * p
+    assert hash(p * q) == hash(q * p)
+
+
+@given(st.lists(rationals, min_size=1, max_size=8), st.lists(rationals, min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_outer_product_of_a_b_row_and_a_u_column(row, column):
+    # beside a BParamPolynomial a plain RationalPolynomial is one row in B,
+    # so a u-column of constants times it is an outer product
+    b_row = RationalPolynomial(row)
+    u_column = BParamPolynomial(column)
+    want = naive_product([[c] for c in column], [row])
+    for product in (u_column * b_row, b_row * u_column):
+        check(product, want, True)
+
+
 @pytest.mark.parametrize("symbolic", [False, True])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)

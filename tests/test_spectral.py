@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritywilson import wilson
 from paritywilson.errors import DomainPole, IllConditioned, LatticePole
 from paritywilson.numcore import RationalPolynomial
 from paritywilson.spectral import (
@@ -70,6 +71,20 @@ class TestEigenfunctions:
         assert r3.poly.coeffs[0] == RationalPolynomial([0, fr("6/5"), fr("19/20"), fr("1/20")])
         assert r3.poly.coeffs[1] == RationalPolynomial([fr("12/5"), fr("22/5"), fr("3/5")])
         assert r3.poly.coeffs[2] == RationalPolynomial([4, fr("3/2")])
+
+    def test_tables_equal_the_composition_route(self, monkeypatch):
+        # the route the tables replaced, kept as the oracle: f = g(W + c) by
+        # a Taylor shift of g, then B substituted into the symbolic f
+        monkeypatch.setattr(wilson, "_TABLES", {})
+        w = RationalPolynomial([0, 1])
+        for n in range(41):
+            symbolic = g_polynomial("B", n).shift_variable(RationalPolynomial([fr("1/4"), 1]))
+            assert eigenfunction_case_b(n).poly == symbolic
+            for b in (fr("-1/2"), fr("3/2"), fr("73/10"), 0, 3):
+                rec = eigenfunction_case_b(n, b)
+                assert rec.poly == symbolic.substitute_b(b) and rec.b == b
+            if n:
+                assert eigenfunction_case_a(n).poly == g_polynomial("A", n).shift_variable(fr("1/4")) * w
 
     def test_b_zero_reduces_to_case_a(self):
         for n in range(7):

@@ -2,7 +2,10 @@
 generating functions."""
 
 import math
+import os
+import pickle
 import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritywilson import spectral, verify, wilson
+from paritywilson import verify, wilson
 from paritywilson.errors import DegenerateFamily
 from paritywilson.numcore import RationalPolynomial, poly_eval
 from paritywilson.wilson import (
@@ -157,7 +160,8 @@ class TestRecurrenceRoute:
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """An empty recurrence-table cache for the test's duration."""
+    """An empty table cache for the test's duration: the monic tables and
+    the eigenfunction tables of ``spectral`` share it."""
     monkeypatch.setattr(wilson, "_TABLES", {})
 
 
@@ -240,9 +244,32 @@ class TestTableCache:
         assert status["recurrence-corrected-match-b"] == "pass"
 
     def test_verdict_identical_on_cold_and_warm_cache(self, cold_tables):
-        spectral._case_b_f_symbolic.cache_clear()
         cold = repr(verify.run_suites().results)
+        assert (CASE_B_SYM, "reflected") in wilson._TABLES  # built cold
         assert repr(verify.run_suites().results) == cold
+
+    @pytest.mark.parametrize("b", [0, 0.5, Fraction(3, 2), Fraction(73, 10)])
+    def test_equal_families_hash_alike(self, b):
+        family = WilsonFamily.case_b(b)
+        others = [WilsonFamily("B", b), WilsonFamily("B", Fraction(b))]
+        if Fraction(float(b)) == b:  # a float B is its exact binary value
+            others.append(WilsonFamily.case_b(float(b)))
+        for other in others:
+            assert other == family and hash(other) == hash(family)
+        assert WilsonFamily.case_b(Fraction(b) + 1) != family
+
+    def test_hash_is_made_again_in_a_new_process(self):
+        # a str hash is salted per process, so a stored hash must not travel
+        code = ("import pickle, sys; from fractions import Fraction; "
+                "from paritywilson.wilson import WilsonFamily; "
+                "f = pickle.loads(sys.stdin.buffer.read()); "
+                "assert hash(f) == hash(WilsonFamily('B', Fraction(73, 10))), 'stale hash'; "
+                "assert {f: 1}[WilsonFamily.case_b(Fraction(73, 10))] == 1")
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              input=pickle.dumps(WilsonFamily.case_b(Fraction(73, 10))))
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestAdjudication:
