@@ -20,7 +20,6 @@ from .numcore import (
     hyp_2f1_series,
     hyp_pfq_series,
     hyp_pfq_terminating,
-    pochhammer,
     poly_eval,
 )
 from .wilson import (
@@ -47,8 +46,6 @@ from .spectral import (
     conjecture_scan,
     default_w_grid,
     eigenfunction,
-    eigenfunction_case_a,
-    eigenfunction_case_b,
     eigenvalue,
     g_callable,
     g_polynomial,

@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expand, lorentz, spectral, verify, wilson
@@ -50,19 +49,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Resolved run options: config-file values overridden by flags."""
-
-    quadrature_options: dict = field(default_factory=dict)  # keys of _QUADRATURE_OPTIONS
-    format: str = "json"
-    format_requested: bool = False  # by --format or the config file
-    out_dir: str | None = None
-
-    def quadrature(self) -> expand.QuadratureConfig:
-        return expand.QuadratureConfig(**self.quadrature_options)
-
-
 def load_config(path: str) -> dict:
     """Flat key=value file; blank lines and #-comments ignored.  Values are
     converted and checked as their flags are; an error names the file and
@@ -88,18 +74,18 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _resolve_config(args) -> RunConfig:
-    values = load_config(args.config) if getattr(args, "config", None) else {}
-    for key in (*_QUADRATURE_OPTIONS, "format"):
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    cfg = RunConfig(format_requested="format" in values, out_dir=os.environ.get(OUT_DIR_ENV))
+def _resolve_config(args) -> None:
+    """Config-file options where no flag set them; out_dir defaults to $PARITYWILSON_OUT."""
+    values = load_config(args.config) if args.config else {}
+    args.out_dir = values.pop("out_dir", os.environ.get(OUT_DIR_ENV))
     for key, val in values.items():
-        if key in _QUADRATURE_OPTIONS:
-            cfg.quadrature_options[key] = val
-        else:
-            setattr(cfg, key, val)
-    return cfg
+        if getattr(args, key, None) is None:
+            setattr(args, key, val)
+
+
+def _quadrature(args) -> expand.QuadratureConfig:
+    return expand.QuadratureConfig(**{key: getattr(args, key) for key in _QUADRATURE_OPTIONS
+                                      if getattr(args, key) is not None})
 
 
 def _value(v):
@@ -125,27 +111,25 @@ def _records(header: list[str], rows) -> list[dict]:
     return [dict(zip(header, row)) for row in rows]
 
 
-def _emit(args, cfg: RunConfig, header: list[str], rows, obj=None, text=None) -> None:
+def _emit(args, header: list[str], rows, obj=None, text=None) -> None:
     """The one output path: ``header`` and ``rows`` as CSV, or ``obj`` as
     JSON (default: the rows as records), to --out resolved against
-    $PARITYWILSON_OUT, else to stdout.  ``text`` is verify's report: it is
+    ``args.out_dir``, else to stdout.  ``text`` is verify's report: it is
     printed instead of the data when neither a format nor --out was asked
     for, and beside a --out file."""
-    out = getattr(args, "out", None)
-    as_data = text is None or bool(out) or cfg.format_requested
+    out = args.out and os.path.join(args.out_dir or "", args.out)  # an absolute --out stays
+    as_data = text is None or bool(out) or args.format is not None
     if as_data:
-        if cfg.format == "json":
-            body = json.dumps(_value(_records(header, rows) if obj is None else obj),
-                              indent=2) + "\n"
-        else:
+        if args.format == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([_cell(c) for c in row] for row in rows)
             body = buf.getvalue()
+        else:
+            body = json.dumps(_value(_records(header, rows) if obj is None else obj),
+                              indent=2) + "\n"
         if out:
-            if cfg.out_dir and not os.path.isabs(out):
-                out = os.path.join(cfg.out_dir, out)
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(body)
         else:
@@ -168,18 +152,18 @@ def _family_from_args(args) -> WilsonFamily:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_poly(args, cfg: RunConfig) -> int:
+def _cmd_poly(args) -> int:
     family = _family_from_args(args)
     table = wilson.monic_from_recurrence(family, args.n, form=args.form)
     entries = [[n, list(table[n].coeffs)] for n in range(args.n + 1)]
     rows = [[n, power, c] for n, coeffs in entries for power, c in enumerate(coeffs)]
-    _emit(args, cfg, ["n", "power", "coeff"], rows,
+    _emit(args, ["n", "power", "coeff"], rows,
           {"case": family.case, "B": family.b, "form": args.form,
            "entries": _records(["n", "coeffs"], entries)})
     return 0
 
 
-def _cmd_eigen(args, cfg: RunConfig) -> int:
+def _cmd_eigen(args) -> int:
     family = _family_from_args(args)
     rec = spectral.eigenfunction(family.case, args.n, family.b)
     coeffs = list(rec.poly.coeffs) if rec.poly is not None else None
@@ -189,11 +173,11 @@ def _cmd_eigen(args, cfg: RunConfig) -> int:
     obj["prefactor"] = rec.prefactor
     if rec.rational_g:
         obj["z_space_part"] = "1/(z^2 - 1/4)"
-    _emit(args, cfg, ["power", "coeff"], list(enumerate(coeffs or [])), obj)
+    _emit(args, ["power", "coeff"], list(enumerate(coeffs or [])), obj)
     return 0
 
 
-def _cmd_residual(args, cfg: RunConfig) -> int:
+def _cmd_residual(args) -> int:
     family = _family_from_args(args)
     b = family.b
     ell1 = args.ell1 if args.ell1 is not None else 2 * args.n + 1
@@ -216,41 +200,41 @@ def _cmd_residual(args, cfg: RunConfig) -> int:
         x = args.start + k * args.step
         val = complex(residual(x))
         rows.append([_fmt_float(v) for v in (x, val.real, val.imag, abs(val))])
-    _emit(args, cfg, header, rows,
+    _emit(args, header, rows,
           {"case": family.case, "B": family.b, "n": args.n, "ell1": _fmt_float(ell1),
            "space": args.space, "rows": _records(header, rows)})
     return 0
 
 
-def _cmd_second_solution(args, cfg: RunConfig) -> int:
+def _cmd_second_solution(args) -> int:
     u, h = spectral.second_solution(args.n, Fraction(args.z0), args.length)
     g = spectral.g_callable(CASE_A, args.n)
     header = ["z", "g", "u", "h"]
     rows = [[z, g(z), u(z), h(z)] for z in u.points()]
-    _emit(args, cfg, header, rows, {"n": args.n, "z0": Fraction(args.z0),
-                                    "length": args.length, "rows": _records(header, rows)})
+    _emit(args, header, rows, {"n": args.n, "z0": Fraction(args.z0),
+                               "length": args.length, "rows": _records(header, rows)})
     return 0
 
 
-def _cmd_coeffs(args, cfg: RunConfig) -> int:
+def _cmd_coeffs(args) -> int:
     family = _family_from_args(args)
-    table = expand.parity_coefficients(family, args.n_max, cfg.quadrature(),
+    table = expand.parity_coefficients(family, args.n_max, _quadrature(args),
                                        route=args.route)
     header = ["n", "re", "im", "err"]
     rows = [[n, _fmt_float(c.real), _fmt_float(c.imag), _fmt_float(e)]
             for n, c, e in table.entries]
-    _emit(args, cfg, header, rows, {"case": family.case, "B": family.b, "route": args.route,
-                                    "entries": _records(header, rows)})
+    _emit(args, header, rows, {"case": family.case, "B": family.b, "route": args.route,
+                               "entries": _records(header, rows)})
     return 0
 
 
-def _cmd_reconstruct(args, cfg: RunConfig) -> int:
+def _cmd_reconstruct(args) -> int:
     family = _family_from_args(args)
-    residuals = expand.reconstruction_residual(family, args.n_max, cfg.quadrature())
+    residuals = expand.reconstruction_residual(family, args.n_max, _quadrature(args))
     header = ["N", "residual"]
     rows = [[n, _fmt_float(r)] for n, r in enumerate(residuals)]
-    _emit(args, cfg, header, rows, {"case": family.case, "B": family.b,
-                                    "residuals": _records(header, rows)})
+    _emit(args, header, rows, {"case": family.case, "B": family.b,
+                               "residuals": _records(header, rows)})
     return 0
 
 
@@ -270,19 +254,19 @@ _N0_ROWS = (("n0-consistent", "residual_consistent"),
             ("n0-traceless", "traceless_residual"))
 
 
-def _cmd_lorentz(args, cfg: RunConfig) -> int:
+def _cmd_lorentz(args) -> int:
     rep = _parse_rep(args.rep)
     ext = lorentz.n0_extraction(rep)
     header = ["relation", "residual"]
     relations = [[k, _fmt_float(v)] for k, v in lorentz.algebra_audit(rep).items()]
     spin0 = {key: _fmt_float(getattr(ext, key)) for _, key in _N0_ROWS}
-    _emit(args, cfg, header, relations + [[name, spin0[key]] for name, key in _N0_ROWS],
+    _emit(args, header, relations + [[name, spin0[key]] for name, key in _N0_ROWS],
           {"rep": rep.label, "dim": rep.dim, "relations": _records(header, relations),
            "spin0_extraction": spin0})
     return 0
 
 
-def _cmd_scan(args, cfg: RunConfig) -> int:
+def _cmd_scan(args) -> int:
     b = float(Fraction(args.b))
     if args.grid_start is None:
         grid = spectral.default_w_grid(b, count=args.grid_count, step=args.grid_step)
@@ -293,13 +277,13 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
            "degree": rep.degree, "ell1_sq": _fmt_float(rep.ell1_sq),
            "residual": _fmt_float(rep.residual), "iterations": rep.iterations,
            "converged": rep.converged}
-    _emit(args, cfg, ["field", "value"], list(obj.items()), obj)
+    _emit(args, ["field", "value"], list(obj.items()), obj)
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.traceability:
-        _emit(args, cfg, ["anchor", "checks", "note"], verify.TRACEABILITY)
+        _emit(args, ["anchor", "checks", "note"], verify.TRACEABILITY)
         return 0
     suites = args.suite.split(",") if args.suite else ["all"]
     report = verify.run_suites(suites, extended=args.extended,
@@ -316,7 +300,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     for name, secs in report.elapsed.items():
         lines.append(f"# suite {name}: {secs:.2f}s")
     lines.append(f"# {len(report.results)} checks, {len(report.failed)} failed")
-    _emit(args, cfg, ["check", "anchor", "status", "measured", "threshold", "note"], rows,
+    _emit(args, ["check", "anchor", "status", "measured", "threshold", "note"], rows,
           text="\n".join(lines) + "\n")
     return report.exit_code
 
@@ -446,8 +430,8 @@ def run_subcommand(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        return args.fn(args, cfg)
+        _resolve_config(args)
+        return args.fn(args)
     except (ParityWilsonError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,9 @@
 
 Substrate for every other module: arbitrary-precision rationals (stdlib
 ``fractions.Fraction``), dense polynomials in one (squared) variable whose
-coefficients may themselves be polynomials in a second symbol, Pochhammer
-symbols, terminating p+1Fp sums evaluated exactly, and convergent 2F1 / pFq
-partial sums with reported error bounds.
+coefficients may themselves be polynomials in a second symbol, terminating
+p+1Fp sums evaluated exactly, and convergent 2F1 / pFq partial sums with
+reported error bounds.
 
 Polynomials are stored in the squared variable throughout (every printed
 table is even), so callers pass u = x*x or u = z*z already squared.
@@ -128,7 +128,7 @@ class RationalPolynomial:
     zeros, so the zero polynomial has an empty tuple and is falsy.
     """
 
-    __slots__ = ("_c", "_w", "_den")
+    __slots__ = ("_c", "_w", "_den", "_floats")
 
     def __init__(self, coeffs: Iterable = ()):
         qs = [Fraction(c) for c in coeffs]
@@ -165,9 +165,6 @@ class RationalPolynomial:
     @property
     def leading(self):
         return self._entry(self.degree) if self._c else Fraction(0)
-
-    def is_monic(self) -> bool:
-        return bool(self._c) and self.leading == 1
 
     def coefficient(self, k: int):
         return self._entry(k) if 0 <= k <= self.degree else Fraction(0)
@@ -238,10 +235,6 @@ class RationalPolynomial:
             return NotImplemented
         return self * (1 / Fraction(scalar))
 
-    def shift_variable(self, a):
-        """Compose with the affine substitution u -> u + a (exact)."""
-        return self.compose(type(self)([a, 1]))
-
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(u)), with inner a polynomial in u: Horner's rule on the
         integer grids, sum_k c_k inner^k den_inner^(d-k), reduced once."""
@@ -273,8 +266,11 @@ class RationalPolynomial:
 
     def float_coeffs(self) -> tuple:
         """float(c) for every coefficient (integer true division rounds the
-        exact quotient once, as ``float`` of the reduced Fraction does)."""
-        return tuple(x / self._den for x in self._c)
+        exact quotient once, as ``float`` of the reduced Fraction does),
+        computed on the first call and kept on the polynomial."""
+        if not hasattr(self, "_floats"):
+            self._floats = tuple(x / self._den for x in self._c)
+        return self._floats
 
 
 class BParamPolynomial(RationalPolynomial):
@@ -335,8 +331,8 @@ def poly_eval(p: RationalPolynomial, u):
 
     Exact at rational u, on the integer grid with one reduction (a
     BParamPolynomial gives a RationalPolynomial in B).  At a float u the
-    scheme runs over ``float(c)``, at any other u (complex, mpmath) over
-    the exact coefficients.  The zero polynomial evaluates to 0.
+    scheme runs over the kept ``float_coeffs()``, at any other u (complex,
+    mpmath) over the exact coefficients.  The zero polynomial evaluates to 0.
     """
     if isinstance(u, (int, Fraction)):
         a, b = u.numerator, u.denominator
@@ -354,19 +350,6 @@ def poly_eval(p: RationalPolynomial, u):
     if isinstance(u, float) and not isinstance(p, BParamPolynomial):
         return _horner(p.float_coeffs(), u)
     return _horner(p.coeffs, u)
-
-
-def pochhammer(a, k: int):
-    """Rising factorial a(a+1)...(a+k-1); 1 for k = 0.
-
-    Works for exact rationals, floats, complex values, and mpmath types.
-    """
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    result = Fraction(1) if isinstance(a, (int, Fraction)) else 1.0
-    for i in range(k):
-        result = result * (a + i)
-    return result
 
 
 def _nonpositive_int(a) -> int | None:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainPole, IllConditioned, LatticePole
-from .numcore import BParamPolynomial, RationalPolynomial, _horner, poly_eval
+from .numcore import BParamPolynomial, RationalPolynomial, poly_eval
 from .wilson import (
     CASE_A,
     CASE_B,
@@ -37,6 +37,9 @@ from .wilson import (
     monic_from_recurrence,
     standard_recurrence_terms,
 )
+
+_SCAN_MAX_ITER = 200  # alternating solves before the conjecture scan gives up
+_SCAN_TOL = 1e-14  # relative change of mu that ends the alternation
 
 
 def eigenvalue(n: int) -> tuple[int, Fraction]:
@@ -108,15 +111,15 @@ class EigenpairRecord:
 
     def as_callable(self) -> Callable:
         """f as a function of a float W: exp(i*pi*sqrt(W+shift)) times the
-        polynomial part."""
+        polynomial part, evaluated by ``poly_eval``."""
         shift_f = float(self.prefactor_shift())
-        cs_f = (1.0,) if self.poly is None else self.poly.float_coeffs()
 
         def f(w):
             rad = w + shift_f
             if rad < 0:
                 raise DomainPole("negative radicand in prefactor")
-            return cmath.exp(1j * math.pi * math.sqrt(rad)) * _horner(cs_f, w)
+            part = 1.0 if self.poly is None else poly_eval(self.poly, w)
+            return cmath.exp(1j * math.pi * math.sqrt(rad)) * part
         return f
 
 
@@ -137,32 +140,27 @@ def _reflected_table(family: WilsonFamily, n_max: int) -> tuple:
                              lambda: (cls([1]), cls([terms(1)[0], 1])), terms)
 
 
-def eigenfunction_case_a(n: int) -> EigenpairRecord:
-    """Case A eigenpair: f_0 is the bare prefactor; for n >= 1 the
-    polynomial part is W times a monic degree n-1 polynomial in W."""
-    ell1, alpha = eigenvalue(n)
-    poly = (_reflected_table(WilsonFamily.case_a(), n - 1)[n - 1] * RationalPolynomial([0, 1])
-            if n else None)
-    return EigenpairRecord(n, CASE_A, None, ell1, alpha, poly, "exp(i*pi*sqrt(W+1/4))",
-                           rational_g=not n)
+def eigenfunction(case: str, n: int, b=None) -> EigenpairRecord:
+    """The n-th eigenpair of the master equation at M = 0.
 
-
-def eigenfunction_case_b(n: int, b=None) -> EigenpairRecord:
-    """Case B eigenpair; b=None keeps the coefficients symbolic in B.  Each
-    B has its own exact table, so integer sqrt(B+1) (e.g. B = 0) yields the
-    smooth limiting polynomial rather than an error; degeneracy is enforced
-    where norms/prefactor normalizations are actually needed."""
+    Case A (B = M = 0, b unread): f_0 is the bare prefactor; for n >= 1 the
+    polynomial part is W times a monic degree n-1 polynomial in W.  Case B:
+    b=None keeps the coefficients symbolic in B.  Each B has its own exact
+    table, so integer sqrt(B+1) (e.g. B = 0) yields the smooth limiting
+    polynomial rather than an error; degeneracy is enforced where
+    norms/prefactor normalizations are actually needed."""
+    _check_case(case)
     ell1, alpha = eigenvalue(n)
+    if case == CASE_A:
+        poly = (_reflected_table(WilsonFamily.case_a(), n - 1)[n - 1] * RationalPolynomial([0, 1])
+                if n else None)
+        return EigenpairRecord(n, CASE_A, None, ell1, alpha, poly, "exp(i*pi*sqrt(W+1/4))",
+                               rational_g=not n)
     family = WilsonFamily(CASE_B, b)
     if b is not None and family.b <= -1:
         raise DomainPole("Case B needs B > -1")
     return EigenpairRecord(n, CASE_B, family.b, ell1, alpha, _reflected_table(family, n)[n],
                            "exp(i*pi*sqrt(W+B+1/4))")
-
-
-def eigenfunction(case: str, n: int, b=None) -> EigenpairRecord:
-    _check_case(case)
-    return eigenfunction_case_a(n) if case == CASE_A else eigenfunction_case_b(n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,7 @@ class ScanReport:
 
 
 def conjecture_scan(b: float, m: float, n: int, degree: int,
-                    grid: Sequence[float] | None = None,
-                    max_iter: int = 200, tol: float = 1e-14) -> ScanReport:
+                    grid: Sequence[float] | None = None) -> ScanReport:
     """Fit exp(i*pi*sqrt(W+B+1/4)) times a degree-``degree`` polynomial in W
     to the master equation over a W grid, minimizing jointly over the
     coefficients and ell_1^2 by alternating linear solves (the equation is
@@ -390,7 +387,7 @@ def conjecture_scan(b: float, m: float, n: int, degree: int,
     coeff = None
     iters = 0
     converged = False
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _SCAN_MAX_ITER + 1):
         _, svals, vh = np.linalg.svd(lmat - mu * fmat)
         coeff = vh[-1].conj()
         fa = fmat @ coeff
@@ -399,7 +396,7 @@ def conjecture_scan(b: float, m: float, n: int, degree: int,
         if denom < 1e-300:
             raise IllConditioned("normal equations singular in the mu update")
         mu_new = (np.vdot(fa, la).real) / denom
-        if abs(mu_new - mu) <= tol * (1.0 + abs(mu)):
+        if abs(mu_new - mu) <= _SCAN_TOL * (1.0 + abs(mu)):
             mu = mu_new
             converged = True
             break

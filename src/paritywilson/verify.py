@@ -103,17 +103,17 @@ def check_tables(results: list[CheckResult]) -> None:
     ok = all(_poly_matches(spectral.g_polynomial(CASE_A, n), Z_TABLE_A[n])
              for n in range(1, 6))
     _check(results, "tables-z-family-a", "eq-29", ok, "exact" if ok else "mismatch", "exact")
-    ok = all(_poly_matches(spectral.eigenfunction_case_a(n).poly, F_TABLE_A[n])
+    ok = all(_poly_matches(spectral.eigenfunction(CASE_A, n).poly, F_TABLE_A[n])
              for n in range(6))
     _check(results, "tables-f-family-a", "eq-33", ok, "exact" if ok else "mismatch", "exact")
     ok = all(_poly_matches(spectral.g_polynomial(CASE_B, n), Z_TABLE_B[n])
              for n in range(4))
     _check(results, "tables-z-family-b", "eq-52", ok, "exact" if ok else "mismatch", "exact")
-    ok = all(_poly_matches(spectral.eigenfunction_case_b(n).poly, F_TABLE_B[n])
+    ok = all(_poly_matches(spectral.eigenfunction(CASE_B, n).poly, F_TABLE_B[n])
              for n in range(4))
     _check(results, "tables-f-family-b", "eq-54", ok, "exact" if ok else "mismatch", "exact")
-    ok = all(spectral.eigenfunction_case_b(n, 0).poly ==
-             (spectral.eigenfunction_case_a(n).poly or RationalPolynomial([1]))
+    ok = all(spectral.eigenfunction(CASE_B, n, 0).poly ==
+             (spectral.eigenfunction(CASE_A, n).poly or RationalPolynomial([1]))
              for n in range(7))
     _check(results, "tables-b-zero-crosscheck", "eq-54", ok,
            "exact" if ok else "mismatch", "exact",
@@ -215,7 +215,7 @@ def check_consistency_chain(results: list[CheckResult]) -> None:
     worst = 0.0
     for n in range(6):
         g = spectral.g_callable(CASE_A, n)
-        f = spectral.eigenfunction_case_a(n).as_callable()
+        f = spectral.eigenfunction(CASE_A, n).as_callable()
         ell = 2 * n + 1 + 0.37
         for k in range(20):
             z = 1.3 + 0.45 * k
@@ -231,7 +231,7 @@ def check_consistency_chain(results: list[CheckResult]) -> None:
     b = Fraction(3, 2)
     for n in range(6):
         g = spectral.g_callable(CASE_B, n, b)
-        f = spectral.eigenfunction_case_b(n, b).as_callable()
+        f = spectral.eigenfunction(CASE_B, n, b).as_callable()
         ell = 2 * n + 1 + 0.37
         for k in range(20):
             z = 1.3 + 0.45 * k

@@ -30,13 +30,14 @@ from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
     hyp_2f1_series,
-    _horner,
     hyp_pfq_series,
+    poly_eval,
 )
 
 CASE_A = "A"
 CASE_B = "B"
 TWO_PI = 2.0 * math.pi
+_GENFUN_TOL = 1e-10  # absolute part of a generating-function check's budget
 
 _B_SYMBOL = RationalPolynomial([0, 1])  # the indeterminate B
 
@@ -510,11 +511,6 @@ def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int) -> float:
     return float(Fraction(f(2 * n), f(n) ** 2) / prod) * math.sin(math.pi * s) / (math.pi * s)
 
 
-@functools.lru_cache(maxsize=256)
-def _float_coeffs(poly: RationalPolynomial) -> tuple:
-    return poly.float_coeffs()
-
-
 def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
                form: str, tol: float):
     if family.case == CASE_A:
@@ -551,8 +547,7 @@ def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
 
 
 def generating_function_check(family: WilsonFamily, identity_id: int, x: float, t: float,
-                              n_terms: int = 25, tol: float = 1e-10,
-                              form: str = "corrected") -> GenFunReport:
+                              n_terms: int = 25, form: str = "corrected") -> GenFunReport:
     """Compare the truncated polynomial generating sum against its closed
     hypergeometric right-hand side.
 
@@ -560,12 +555,17 @@ def generating_function_check(family: WilsonFamily, identity_id: int, x: float, 
     and the quadratic-argument 4F3 identity; Case B: the 2F1 product, the
     split-parameter 2F1 product, and the 4F3 form).  form="printed" keeps
     the two Case A misprints (wrong denominator parameter in identity 1,
-    missing factor 2 in identity 3) for the discrepancy detector.
+    missing factor 2 in identity 3) for the discrepancy detector.  Needs
+    |t| <= 0.3, and for identity 3 t > -(3 - 2*sqrt(2)) so that its 4F3
+    argument 4t/(1+t)^2 stays in the unit disk; other t raise ValueError.
     """
     if identity_id not in (1, 2, 3):
         raise ValueError("identity_id must be 1, 2, or 3")
     if abs(t) > 0.3:
         raise ValueError("generating-function check is restricted to |t| <= 0.3")
+    if identity_id == 3 and abs(4 * t / (1 + t) ** 2) >= 1:
+        raise ValueError(f"identity 3 needs t > -(3 - 2*sqrt(2)): at t = {t} its 4F3 "
+                         f"argument 4t/(1+t)^2 = {4 * t / (1 + t) ** 2} leaves the unit disk")
     if form not in ("corrected", "printed"):
         raise ValueError(f"unknown recurrence form {form!r}")
     if family.case == CASE_B:
@@ -577,19 +577,18 @@ def generating_function_check(family: WilsonFamily, identity_id: int, x: float, 
     mags: list[float] = []
     u = float(x * x)
     for n in range(n_terms + 1):
-        # Horner over float(c) is what poly_eval does at a float u
         term = complex(_lhs_coefficient(family, identity_id, n)
-                       * _horner(_float_coeffs(table[n]), u) * t ** n)
+                       * poly_eval(table[n], u) * t ** n)
         lhs += term
         mags.append(abs(term))
     ratios = [mags[i + 1] / mags[i] for i in range(len(mags) - 1) if mags[i] > 0 and mags[i + 1] > 0]
     rho = min(0.95, max(max(ratios[-3:], default=abs(t)), abs(t)) * 1.5) if ratios else 0.5
     trunc = (mags[-1] if mags[-1] > 0 else max(mags[-3:])) * rho / (1.0 - rho)
-    rhs, rhs_err = _rhs_value(family, identity_id, x, t, form, tol * 1e-3)
+    rhs, rhs_err = _rhs_value(family, identity_id, x, t, form, _GENFUN_TOL * 1e-3)
     diff = abs(lhs - rhs)
-    budget = tol + trunc + rhs_err
+    budget = _GENFUN_TOL + trunc + rhs_err
     return GenFunReport(family.case, identity_id, form, x, t, n_terms,
-                        lhs, rhs, diff, trunc, tol, diff <= budget)
+                        lhs, rhs, diff, trunc, _GENFUN_TOL, diff <= budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name bound by a top-level import of a library module is used there."""
+"""Every name bound by a top-level import of a library module is used
+there, and only numcore names the Horner loop beneath ``poly_eval``."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,25 @@ def test_an_orphaned_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_in(source: str) -> set[str]:
+    """Every name, attribute and imported name that ``source`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_numcore_names_the_horner_loop():
+    # poly_eval is the one evaluator of the exact polynomials; every other
+    # module goes through it
+    package = Path(paritywilson.__file__).parent
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if "_horner" in names_in(path.read_text(encoding="utf-8")))
+    assert naming == ["numcore.py"]

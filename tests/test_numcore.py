@@ -1,4 +1,4 @@
-"""Exactness, Pochhammer, terminating/convergent hypergeometric sums."""
+"""Exactness, terminating/convergent hypergeometric sums."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,6 @@ from paritywilson.numcore import (
     hyp_2f1_series,
     hyp_pfq_series,
     hyp_pfq_terminating,
-    pochhammer,
     poly_eval,
 )
 
@@ -31,23 +30,6 @@ def test_rational_add_round_trip(a, b):
 @given(rationals, rationals.filter(lambda q: q != 0))
 def test_rational_mul_round_trip(a, b):
     assert (a * b) / b == a
-
-
-def test_pochhammer_examples():
-    assert pochhammer(2, 3) == 24
-    assert pochhammer(Fraction(7, 3), 0) == 1
-    assert pochhammer(-2, 3) == 0  # terminates hypergeometric series
-
-
-@given(rationals, st.integers(min_value=0, max_value=50))
-@settings(max_examples=60)
-def test_pochhammer_recurrence(a, k):
-    assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
-
-
-def test_pochhammer_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
 
 
 class TestTerminatingPFQ:
@@ -187,7 +169,7 @@ def test_polynomial_normalization_strips_zeros():
 
 def test_polynomial_shift_and_reflect():
     p = RationalPolynomial([0, 0, 1])  # u^2
-    assert p.shift_variable(Fraction(1)) == RationalPolynomial([1, 2, 1])
+    assert p.compose(RationalPolynomial([1, 1])) == RationalPolynomial([1, 2, 1])
     q = RationalPolynomial([1, 1])
     assert q.reflect() == RationalPolynomial([1, -1])
 
@@ -370,12 +352,13 @@ def test_substitutions_match_reference(symbolic, data):
     check(p.reflect(), {(i, j): (-1) ** i * v for (i, j), v in x.items()}, symbolic)
     a = data.draw(rationals)
     shift = ref_add({(1, 0): Fraction(1)}, {(0, 0): a} if a else {})
-    check(p.shift_variable(a), ref_compose(x, shift), symbolic)
+    check(p.compose(type(p)([a, 1])), ref_compose(x, shift), symbolic)
     if symbolic:
         # a shift by a polynomial in B, and B set to a rational
         r = data.draw(grids(True).map(lambda d: {(0, j): v for (i, j), v in d.items() if i == 0}))
         b_shift = RationalPolynomial([r.get((0, j), 0) for j in range(4)])
-        check(p.shift_variable(b_shift), ref_compose(x, ref_add({(1, 0): Fraction(1)}, r)), True)
+        check(p.compose(BParamPolynomial([b_shift, 1])),
+              ref_compose(x, ref_add({(1, 0): Fraction(1)}, r)), True)
         b = data.draw(rationals)
         check(p.substitute_b(b), ref_at_b(x, b), False)
 
@@ -401,7 +384,10 @@ def test_evaluation_matches_reference(symbolic, data):
         want = float(c) if k == 0 else want * uf + float(c)
     got = poly_eval(p, uf)
     assert type(got) is float and (got == want or (got != got and want != want))
-    assert p.float_coeffs() == tuple(float(c) for c in cs)
+    first = p.float_coeffs()
+    assert first == tuple(float(c) for c in cs)
+    assert p.float_coeffs() is first  # kept on the polynomial
+    assert RationalPolynomial([]).float_coeffs() == ()
 
 
 @pytest.mark.parametrize("symbolic", [False, True])

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from paritywilson import wilson
 from paritywilson.errors import DomainPole, IllConditioned, LatticePole
-from paritywilson.numcore import RationalPolynomial
+from paritywilson.numcore import BParamPolynomial, RationalPolynomial
 from paritywilson.spectral import (
     casoratian,
     conjecture_scan,
     default_w_grid,
     eigenfunction,
-    eigenfunction_case_a,
-    eigenfunction_case_b,
     eigenvalue,
     g_callable,
     g_polynomial,
@@ -49,25 +47,25 @@ class TestEigenvalue:
 
 class TestEigenfunctions:
     def test_case_a_table(self):
-        assert eigenfunction_case_a(0).poly is None
-        assert eigenfunction_case_a(0).rational_g
-        assert eigenfunction_case_a(2).poly == RationalPolynomial([0, 1, 1])
-        assert eigenfunction_case_a(3).poly == RationalPolynomial([0, fr("12/5"), 4, 1])
+        assert eigenfunction("A", 0).poly is None
+        assert eigenfunction("A", 0).rational_g
+        assert eigenfunction("A", 2).poly == RationalPolynomial([0, 1, 1])
+        assert eigenfunction("A", 3).poly == RationalPolynomial([0, fr("12/5"), 4, 1])
 
     def test_case_a_divisible_by_w(self):
         for n in range(1, 9):
-            rec = eigenfunction_case_a(n)
+            rec = eigenfunction("A", n)
             assert rec.poly.coefficient(0) == 0
             assert rec.poly.degree == n
-            assert rec.poly.is_monic()
+            assert rec.poly.leading == 1
 
     def test_case_b_symbolic_table(self):
-        r1 = eigenfunction_case_b(1)
+        r1 = eigenfunction("B", 1)
         assert r1.poly.coeffs[0] == RationalPolynomial([0, fr("1/2")])
-        r2 = eigenfunction_case_b(2)
+        r2 = eigenfunction("B", 2)
         assert r2.poly.coeffs[0] == RationalPolynomial([0, fr("1/2"), fr("1/6")])
         assert r2.poly.coeffs[1] == RationalPolynomial([1, 1])
-        r3 = eigenfunction_case_b(3)
+        r3 = eigenfunction("B", 3)
         assert r3.poly.coeffs[0] == RationalPolynomial([0, fr("6/5"), fr("19/20"), fr("1/20")])
         assert r3.poly.coeffs[1] == RationalPolynomial([fr("12/5"), fr("22/5"), fr("3/5")])
         assert r3.poly.coeffs[2] == RationalPolynomial([4, fr("3/2")])
@@ -77,24 +75,26 @@ class TestEigenfunctions:
         # a Taylor shift of g, then B substituted into the symbolic f
         monkeypatch.setattr(wilson, "_TABLES", {})
         w = RationalPolynomial([0, 1])
+        b_symbol = RationalPolynomial([0, 1])
         for n in range(41):
-            symbolic = g_polynomial("B", n).shift_variable(RationalPolynomial([fr("1/4"), 1]))
-            assert eigenfunction_case_b(n).poly == symbolic
+            symbolic = g_polynomial("B", n).compose(BParamPolynomial([b_symbol + fr("1/4"), 1]))
+            assert eigenfunction("B", n).poly == symbolic
             for b in (fr("-1/2"), fr("3/2"), fr("73/10"), 0, 3):
-                rec = eigenfunction_case_b(n, b)
+                rec = eigenfunction("B", n, b)
                 assert rec.poly == symbolic.substitute_b(b) and rec.b == b
             if n:
-                assert eigenfunction_case_a(n).poly == g_polynomial("A", n).shift_variable(fr("1/4")) * w
+                shifted = g_polynomial("A", n).compose(RationalPolynomial([fr("1/4"), 1]))
+                assert eigenfunction("A", n).poly == shifted * w
 
     def test_b_zero_reduces_to_case_a(self):
         for n in range(7):
-            a = eigenfunction_case_a(n)
-            b0 = eigenfunction_case_b(n, 0)
+            a = eigenfunction("A", n)
+            b0 = eigenfunction("B", n, 0)
             want = a.poly if a.poly is not None else RationalPolynomial([1])
             assert b0.poly == want
 
     def test_prefactor_domain(self):
-        f = eigenfunction_case_a(1).as_callable()
+        f = eigenfunction("A", 1).as_callable()
         with pytest.raises(DomainPole):
             f(-1.0)
 
@@ -145,19 +145,19 @@ class TestResidualZ:
 
 class TestResidualMaster:
     def test_case_a_eigenpair(self):
-        f = eigenfunction_case_a(1).as_callable()
+        f = eigenfunction("A", 1).as_callable()
         assert abs(residual_master(f, 0.0, 0.0, 3.0, 2.3)) < 1e-12
 
     def test_case_b_eigenpair(self):
-        f = eigenfunction_case_b(2, fr("3/2")).as_callable()
+        f = eigenfunction("B", 2, fr("3/2")).as_callable()
         assert abs(residual_master(f, 1.5, 0.0, 5.0, 1.1)) < 1e-12
 
     def test_perturbed_eigenvalue(self):
-        f = eigenfunction_case_a(1).as_callable()
+        f = eigenfunction("A", 1).as_callable()
         assert abs(residual_master(f, 0.0, 0.0, 3.01, 2.3)) > 1e-6
 
     def test_domain_poles(self):
-        f = eigenfunction_case_a(1).as_callable()
+        f = eigenfunction("A", 1).as_callable()
         with pytest.raises(DomainPole):
             residual_master(f, 1.0, 0.0, 3.0, -1.0)
         with pytest.raises(DomainPole):
@@ -168,7 +168,7 @@ class TestResidualMaster:
         # exact substitutions; compared off-eigenvalue so both sides are O(1)
         for n in range(4):
             g = g_callable("A", n)
-            f = eigenfunction_case_a(n).as_callable()
+            f = eigenfunction("A", n).as_callable()
             ell = 2 * n + 1 + 0.37
             for z in (1.4, 2.6, 5.1):
                 w = z * z - 0.25
@@ -181,7 +181,7 @@ class TestResidualMaster:
         b = fr("3/2")
         for n in range(4):
             g = g_callable("B", n, b)
-            f = eigenfunction_case_b(n, b).as_callable()
+            f = eigenfunction("B", n, b).as_callable()
             ell = 2 * n + 1 + 0.37
             for z in (1.4, 2.6, 5.1):
                 w = z * z - float(b) - 0.25
@@ -193,7 +193,7 @@ class TestResidualMaster:
         # below W = 3/4 - B the lower shifted argument crosses the branch
         # point and the constructed eigenfunction no longer solves the
         # equation with the principal root; the default grid avoids this
-        f = eigenfunction_case_a(1).as_callable()
+        f = eigenfunction("A", 1).as_callable()
         assert abs(residual_master(f, 0.0, 0.0, 3.0, 0.5)) > 1e-3
         assert min(default_w_grid(0.0)) > 0.75
         assert min(default_w_grid(-0.5)) > 1.25
@@ -248,7 +248,7 @@ class TestMasterResidualPolynomial:
 
     def test_off_eigenvalue_part_is_odd(self):
         # (ell'^2 - ell^2) enters as 2s (ell'^2 - ell^2) p(W)
-        rec = eigenfunction_case_b(2, fr("3/2"))
+        rec = eigenfunction("B", 2, fr("3/2"))
         d = fr(5) + fr("1/1000")
         want = 2 * (d * d - 25) * RationalPolynomial([0, 1]) * rec.poly.compose(
             RationalPolynomial([-fr("7/4"), 0, 1]))
@@ -266,7 +266,7 @@ class TestMasterResidualPolynomial:
 
     def test_symbolic_record_is_refused(self):
         with pytest.raises(ValueError):
-            master_residual_polynomial(eigenfunction_case_b(2), 5)
+            master_residual_polynomial(eigenfunction("B", 2), 5)
 
 
 class TestSecondSolution:

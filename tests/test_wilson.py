@@ -115,7 +115,7 @@ class TestRecurrenceRoute:
     def test_monic(self, family):
         table = monic_from_recurrence(family, 10)
         for n in range(11):
-            assert table[n].is_monic()
+            assert table[n].leading == 1
             assert table[n].degree == n
 
     def test_b_zero_seed(self):
@@ -485,6 +485,18 @@ class TestGeneratingFunctions:
     def test_t_domain_enforced(self):
         with pytest.raises(ValueError):
             generating_function_check(CASE_A, 1, 0.5, 0.4)
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
+    @pytest.mark.parametrize("t,refused", [(-0.3, True), (-0.2, True), (-0.17, False)])
+    def test_identity_3_needs_its_4f3_argument_in_the_unit_disk(self, family, t, refused):
+        # 4t/(1+t)^2 leaves the unit disk below t = -(3 - 2 sqrt 2) ~ -0.1716
+        if refused:
+            message = re.escape(f"identity 3 needs t > -(3 - 2*sqrt(2)): at t = {t} its 4F3 "
+                                f"argument 4t/(1+t)^2 = {4 * t / (1 + t) ** 2} leaves")
+            with pytest.raises(ValueError, match="^" + message):
+                generating_function_check(family, 3, 0.5, t)
+        else:
+            assert generating_function_check(family, 3, 0.5, t).passed
 
     @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
     def test_unknown_form_is_refused(self, family):
