@@ -119,6 +119,26 @@ def _operand(x, symbolic: bool):
     return None
 
 
+def _three_term(p1, a, p2, c):
+    """(u + a) p1 - c p2, the step of every recurrence table, for p1, p2 of
+    one class and rationals a, c (polynomials in B beside BParamPolynomials):
+    one contiguous pass per nonzero entry of u + a and of c into one grid
+    over the common denominator, reduced once."""
+    (ra, wa, da), (rc, wc, dc) = (_operand(x, isinstance(p1, BParamPolynomial)) for x in (a, c))
+    den = math.lcm(p1._den * da, p2._den * dc)
+    f1, f2 = den // p1._den, den // p2._den
+    w = max(p1._w + wa - 1, p2._w + wc - 1)
+    out = [0] * (max(len(p1._c) // p1._w + 1, len(p2._c) // p2._w) * w)
+    # u + a as one flat row: a at B-powers 0.., then u, one grid row down
+    for p, row in ((p1, [x * (f1 // da) for x in ra] + [0] * (w - len(ra)) + [f1]),
+                   (p2, [-x * (f2 // dc) for x in rc])):
+        q = _widen(p._c, p._w, w)[:len(p._c) // p._w * w - w + p._w]  # last row unpadded
+        for i, x in enumerate(row):
+            if x:
+                out[i:i + len(q)] = [o + x * y for o, y in zip(out[i:i + len(q)], q)]
+    return type(p1)._make(out, w, den)
+
+
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -260,6 +280,11 @@ class RationalPolynomial:
         return self._raw(tuple(-x if k // w % 2 else x for k, x in enumerate(self._c)),
                          w, self._den)
 
+    def odd_part(self) -> "RationalPolynomial":
+        """(p(u) - p(-u))/2: the odd powers of u."""
+        w = self._w
+        return self._make([x if k // w % 2 else 0 for k, x in enumerate(self._c)], w, self._den)
+
     # -- evaluation / export -------------------------------------------------
     def __call__(self, u):
         return poly_eval(self, u)
@@ -339,7 +364,10 @@ def poly_eval(p: RationalPolynomial, u):
         c, w = p._c, p._w
         acc, scale = [0] * w, 1
         for k in range(len(c) - w, -1, -w):
-            acc = [x * a + y * scale for x, y in zip(acc, c[k:k + w])]
+            if w == 1:  # a polynomial in u alone: plain ints, no row lists
+                acc[0] = acc[0] * a + c[k] * scale
+            else:
+                acc = [x * a + y * scale for x, y in zip(acc, c[k:k + w])]
             if k:
                 scale *= b
         if isinstance(p, BParamPolynomial):

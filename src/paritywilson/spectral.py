@@ -239,15 +239,15 @@ def master_residual_polynomial(rec: EigenpairRecord, ell1) -> RationalPolynomial
     -exp(i*pi*s) and P = 2s (2W - 1 + ell1^2) p(W) - c+ p(W+) - c- p(W-)
     with c+- = +-(2B + 4W) + W(2s -+ 1).  Reflection s -> -s maps c+ to
     -c- and W+ to W-, so with t = c+ p(W+) the shifted terms are
-    t(s) - t(-s): P is odd in s for every p and ell1.  Needs a numeric B.
+    t(s) - t(-s), twice t's odd part: P is odd in s for every p and ell1.
+    Each factor is one polynomial in s (W = s^2 - B - 1/4).  Needs a numeric B.
     """
     shift = rec.prefactor_shift()
-    b = shift - Fraction(1, 4)
-    s = RationalPolynomial([0, 1])
-    w = s * s - shift
     p = RationalPolynomial([1]) if rec.poly is None else rec.poly
-    t = (2 * b + 4 * w + w * (2 * s - 1)) * p.compose(w + 2 * s + 1)  # W+ = w + 2s + 1
-    return 2 * s * (2 * w - 1 + Fraction(ell1) ** 2) * p.compose(w) - (t - t.reflect())
+    t = (RationalPolynomial([-shift - Fraction(1, 2), -2 * shift, 3, 2])
+         * p.compose(RationalPolynomial([1 - shift, 2, 1])))
+    lead = RationalPolynomial([0, 2 * Fraction(ell1) ** 2 - 2 - 4 * shift, 0, 4])
+    return lead * p.compose(RationalPolynomial([-shift, 0, 1])) - 2 * t.odd_part()
 
 
 def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float, ...]:

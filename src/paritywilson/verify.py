@@ -190,12 +190,14 @@ def check_quantization(results: list[CheckResult], n_max: int = 8,
             ell = Fraction(2 * n + 1)
             big_p = spectral.master_residual_polynomial(rec, ell)
             q = RationalPolynomial(big_p.coeffs[1::2]) / 2
-            res = [q(w + shift) for w in ws] if big_p else [0] * len(ws)
-            delta = (ell + Fraction(1, 1000)) ** 2 - ell ** 2
+            res = [q(w + shift) for w in ws]
+            dn, dd = ((ell + Fraction(1, 1000)) ** 2 - ell ** 2).as_integer_ratio()
             p = RationalPolynomial([1]) if rec.poly is None else rec.poly
             worst = max(worst, *(abs(float(r)) for r in res))
-            worst_pert = min(worst_pert, max(abs(float(r + delta * p(w)))
-                                             for r, w in zip(res, ws)))
+            # r + (dn/dd) p(w) as one int quotient, rounded once as float(Fraction) is
+            worst_pert = min(worst_pert, max(
+                abs(r.numerator * dd * v.denominator + dn * v.numerator * r.denominator)
+                / (r.denominator * dd * v.denominator) for r, v in zip(res, map(p, ws))))
         tag = "a" if case == CASE_A else f"b{float(b)}"
         _check(results, f"eigen-quantization-{tag}",
                "eq-24" if case == CASE_A else "eq-47",

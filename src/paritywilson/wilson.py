@@ -29,6 +29,7 @@ from .errors import DegenerateFamily
 from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
+    _three_term,
     hyp_2f1_series,
     hyp_pfq_series,
     poly_eval,
@@ -248,11 +249,10 @@ def _recurrence_table(key: tuple[WilsonFamily, str], n_max: int, seeds: Callable
     as a new tuple, so concurrent callers never see a partial one."""
     polys = _TABLES.get(key) or seeds()
     if len(polys) <= n_max:
-        cls = BParamPolynomial if key[0].symbolic else RationalPolynomial
         polys = list(polys)
         for n in range(len(polys), n_max + 1):
             a, c = terms(n)
-            polys.append(cls([a, 1]) * polys[n - 1] - polys[n - 2] * c)
+            polys.append(_three_term(polys[n - 1], a, polys[n - 2], c))
         polys = tuple(polys)
         with _TABLES_LOCK:
             if len(polys) > len(_TABLES.get(key, ())):

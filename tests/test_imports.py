@@ -1,5 +1,6 @@
 """Every name bound by a top-level import of a library module is used
-there, and only numcore names the Horner loop beneath ``poly_eval``."""
+there, only numcore names the Horner loop beneath ``poly_eval``, and the
+hypergeometric route never names the recurrence tables' fused step."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,21 @@ def test_only_numcore_names_the_horner_loop():
     naming = sorted(path.name for path in package.glob("*.py")
                     if "_horner" in names_in(path.read_text(encoding="utf-8")))
     assert naming == ["numcore.py"]
+
+
+def test_the_hypergeometric_route_does_not_name_the_fused_step():
+    # the hypergeometric tables are the oracle of the recurrence tables, so
+    # they keep the generic products and never share the fused step
+    package = Path(paritywilson.__file__).parent
+    naming, hypergeometric = set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if "_three_term" in names_in(ast.unparse(node)):
+                    naming.add(node.name)
+                if "hypergeometric" in node.name:
+                    hypergeometric.add(node.name)
+    assert hypergeometric >= {"_case_a_hypergeometric", "_case_b_hypergeometric_symbolic",
+                              "monic_from_hypergeometric"}
+    assert not naming & hypergeometric
+    assert naming == {"_recurrence_table"}  # the step's one caller

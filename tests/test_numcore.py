@@ -12,6 +12,7 @@ from paritywilson.errors import DenominatorPole, NoConvergence
 from paritywilson.numcore import (
     BParamPolynomial,
     RationalPolynomial,
+    _three_term,
     frac_to_str,
     hyp_2f1_series,
     hyp_pfq_series,
@@ -342,6 +343,51 @@ def test_outer_product_of_a_b_row_and_a_u_column(row, column):
         check(product, want, True)
 
 
+# -- the fused three-term step against the product route ---------------------
+# The step every recurrence table takes, (u + a) p1 - c p2, against the
+# generic route: the linear factor, two products and one difference, each
+# reduced on its own.
+
+def scalars(symbolic: bool, width: int):
+    """A rational, or beside a BParamPolynomial a row in B of ``width``
+    entries; zero entries (and a zero scalar) included."""
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    if not symbolic:
+        return entry
+    return st.lists(entry, min_size=width, max_size=width).map(RationalPolynomial)
+
+
+def assert_same_grid(got, want):
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want)
+    assert (got._c, got._w, got._den) == (want._c, want._w, want._den)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_three_term_step_matches_the_product_route(symbolic, data):
+    w1, w2, wa, wc = (data.draw(st.integers(1, 3)) for _ in range(4)) if symbolic else (1,) * 4
+    p1 = from_matrix(data.draw(matrices(w1)), symbolic)
+    p2 = from_matrix(data.draw(matrices(w2)), symbolic)  # often zero
+    a, c = data.draw(scalars(symbolic, wa)), data.draw(scalars(symbolic, wc))
+    cls = type(p1)
+    # the corrected tables subtract c = gamma, the printed ones add gamma
+    for c_n in (c, -c):
+        assert_same_grid(_three_term(p1, a, p2, c_n), cls([a, 1]) * p1 - p2 * c_n)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_three_term_step_with_a_zero_second_polynomial(symbolic):
+    cls = BParamPolynomial if symbolic else RationalPolynomial
+    a = RationalPolynomial([Fraction(1, 3), -2]) if symbolic else Fraction(1, 3)
+    p1 = cls([Fraction(-3, 4), 1])
+    for c in (Fraction(0), Fraction(5, 7)):
+        assert_same_grid(_three_term(p1, a, cls([]), c), cls([a, 1]) * p1)
+    assert_same_grid(_three_term(cls([]), a, p1, Fraction(2)), p1 * -2)
+    assert not _three_term(cls([]), a, cls([]), Fraction(2))
+
+
 @pytest.mark.parametrize("symbolic", [False, True])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
@@ -350,6 +396,7 @@ def test_substitutions_match_reference(symbolic, data):
     p = build(x, symbolic)
     check(p.compose(build(inner, symbolic)), ref_compose(x, inner), symbolic)
     check(p.reflect(), {(i, j): (-1) ** i * v for (i, j), v in x.items()}, symbolic)
+    check(p.odd_part(), {(i, j): v for (i, j), v in x.items() if i % 2}, symbolic)
     a = data.draw(rationals)
     shift = ref_add({(1, 0): Fraction(1)}, {(0, 0): a} if a else {})
     check(p.compose(type(p)([a, 1])), ref_compose(x, shift), symbolic)

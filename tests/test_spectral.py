@@ -264,6 +264,25 @@ class TestMasterResidualPolynomial:
         big_p = master_residual_polynomial(rec, ell)
         assert big_p.reflect() == -big_p
 
+    @pytest.mark.parametrize("case,b", [("A", None)] + [
+        ("B", fr(b)) for b in ("-1/2", "3/2", "73/10", "0", "3")],
+        ids=FAMILY_IDS + ["B0", "B3"])
+    def test_equals_the_composition_chain(self, case, b):
+        # P by a chain of small products and a reflection, the oracle of the
+        # closed-form factors
+        for n in range(41):
+            rec = eigenfunction(case, n, b)
+            shift = rec.prefactor_shift()
+            s = RationalPolynomial([0, 1])
+            w = s * s - shift
+            p = RationalPolynomial([1]) if rec.poly is None else rec.poly
+            t = (2 * (shift - fr("1/4")) + 4 * w + w * (2 * s - 1)) * p.compose(w + 2 * s + 1)
+            for ell in (fr(2 * n + 1), fr(2 * n + 1) + fr("1/1000"), fr("7/3")):
+                want = 2 * s * (2 * w - 1 + ell ** 2) * p.compose(w) - (t - t.reflect())
+                got = master_residual_polynomial(rec, ell)
+                assert type(got) is RationalPolynomial
+                assert got == want and hash(got) == hash(want), (n, ell)
+
     def test_symbolic_record_is_refused(self):
         with pytest.raises(ValueError):
             master_residual_polynomial(eigenfunction("B", 2), 5)

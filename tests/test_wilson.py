@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritywilson import verify, wilson
+from paritywilson import spectral, verify, wilson
 from paritywilson.errors import DegenerateFamily
-from paritywilson.numcore import RationalPolynomial, poly_eval
+from paritywilson.numcore import BParamPolynomial, RationalPolynomial, poly_eval
 from paritywilson.wilson import (
     WilsonFamily,
     alternating_reflect,
@@ -257,6 +257,44 @@ class TestTableCache:
         for other in others:
             assert other == family and hash(other) == hash(family)
         assert WilsonFamily.case_b(Fraction(b) + 1) != family
+
+    @pytest.mark.parametrize("family", [CASE_A, CASE_B_SYM] + [
+        WilsonFamily.case_b(fr(b)) for b in ("-1/2", "3/2", "73/10", "0", "3")],
+        ids=lambda family: family.label())
+    def test_tables_equal_the_product_route(self, cold_tables, family):
+        # every table the fused step builds, against the generic route:
+        # T_n = (u + a_n) T_{n-1} - c_n T_{n-2} as the linear factor, two
+        # products and one difference
+        cls = BParamPolynomial if family.symbolic else RationalPolynomial
+        b = RationalPolynomial([0, 1]) if family.symbolic else family.b or 0
+
+        def product_route(p0, p1, terms):
+            polys = [p0, p1]
+            for n in range(2, 41):
+                a, c = terms(n)
+                polys.append(cls([a, 1]) * polys[n - 1] - polys[n - 2] * c)
+            return polys
+
+        def printed(n):
+            beta, gamma, sign = wilson.printed_recurrence_terms(family, n)
+            return beta, -sign * gamma
+
+        def reflected(n):
+            beta, gamma = standard_recurrence_terms(family, n)
+            return b + fr("1/4") - beta, gamma
+
+        seeds = cls([1]), cls([fr("-3/4") if family.case == "A" else b / 2 + fr("1/4"), 1])
+        reflected_seeds = cls([1]), cls([reflected(1)[0], 1])
+        want = {"corrected": product_route(*seeds, lambda n: standard_recurrence_terms(family, n)),
+                "printed": product_route(*seeds, printed),
+                "reflected": product_route(*reflected_seeds, reflected)}
+        got = {"corrected": monic_from_recurrence(family, 40),
+               "printed": monic_from_recurrence(family, 40, "printed"),
+               "reflected": spectral._reflected_table(family, 40)}
+        for kind, table in got.items():
+            assert len(table) == 41
+            for p, q in zip(table, want[kind]):
+                assert type(p) is type(q) and p == q and hash(p) == hash(q), (kind, p.degree)
 
     def test_hash_is_made_again_in_a_new_process(self):
         # a str hash is salted per process, so a stored hash must not travel
