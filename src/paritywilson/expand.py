@@ -20,7 +20,8 @@ masses, run forward in float through the three-term recurrence
 (``family_values``, one table of terms per family).  Polynomials are
 expanded exactly in the family basis, so an inner product of two is a
 quadratic form of the measure's per-panel Gram of those values, built on
-the first inner product; a callable integrand goes through ``project``.
+the first inner product; a callable integrand goes through ``project``,
+which reads it at a Case B point mass x = i t as f(1j * t).
 Every integral takes the continuous and the discrete part together and
 returns its own error estimate: the per-panel difference of the two
 rules, the analytic tail bound beyond the cutoff and a roundoff
@@ -497,14 +498,11 @@ def discrete_measure(family: WilsonFamily, degree: int,
 # inner products under a family measure
 # ---------------------------------------------------------------------------
 
-def _on(measure: DiscreteMeasure, f, continuation: Callable | None = None) -> tuple:
+def _on(measure: DiscreteMeasure, f) -> tuple:
     """(values at the measure's points, values at its point masses) of a
-    callable of the abscissa with its continuation t -> f(i t) to the point
-    masses."""
-    if measure.masses and continuation is None:
-        raise ValueError("callable factor needs values at the point masses "
-                         "(its continuation to x = i t)")
-    return np.asarray(f(measure.x)), [continuation(pm.t) for pm in measure.masses]
+    callable of the abscissa; a point mass sits at x = i t, where f is read
+    as f(1j * t)."""
+    return np.asarray(f(measure.x)), [f(1j * pm.t) for pm in measure.masses]
 
 
 def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial,
@@ -569,20 +567,19 @@ def _basis_rows(measure: DiscreteMeasure, n_max: int, factor: np.ndarray,
 
 
 def project(f_target, family: WilsonFamily, n_max: int,
-            cfg: QuadratureConfig | None = None,
-            f_at_masses: Callable | None = None) -> CoefficientTable:
+            cfg: QuadratureConfig | None = None) -> CoefficientTable:
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
     n = 0..n_max under the family measure, all numerators from one pass
-    over the shared measure.  F is a callable of the abscissa; with Case B
-    point masses ``f_at_masses`` is its continuation t -> F(i t).  A
-    polynomial goes through ``inner_product``.  Denominators use the
-    closed-form norms."""
+    over the shared measure.  F is a callable of the abscissa, analytic
+    where the measure lives: called on the array of nodes, and at each Case
+    B point mass x = i t on the complex scalar 1j * t.  A polynomial goes
+    through ``inner_product``.  Denominators use the closed-form norms."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if isinstance(f_target, RationalPolynomial):
         raise TypeError("project takes a callable; inner_product takes polynomials")
     measure = discrete_measure(family, n_max, cfg)
-    at_x, at_masses = _on(measure, f_target, f_at_masses)
+    at_x, at_masses = _on(measure, f_target)
     nums = _basis_rows(measure, n_max, measure.density * at_x, lambda n: 2 * n, at_masses)
     entries = []
     for n, (num, err) in enumerate(zip(*nums)):
@@ -591,15 +588,14 @@ def project(f_target, family: WilsonFamily, n_max: int,
     return CoefficientTable(family.case, family.b, "projection", tuple(entries))
 
 
-def parity_target(case: str):
-    """(vectorized target, continuation t -> F(i t)) for the
-    reconstruction identity of each case."""
+def parity_target(case: str) -> Callable:
+    """The target F of the reconstruction identity of each case, a callable
+    of the abscissa: vectorized over real arrays, and analytic, so that a
+    Case B point mass reads it at x = i t."""
     _check_case(case)
     if case == CASE_A:
-        def f(x):
-            return -4.0 * (np.exp(-np.pi * x) + 1j) / (1.0 + 4.0 * x * x)
-        return f, None
-    return (lambda x: np.exp(-np.pi * x) + 0j), (lambda t: complex(np.exp(-1j * np.pi * t)))
+        return lambda x: -4.0 * (np.exp(-np.pi * x) + 1j) / (1.0 + 4.0 * x * x)
+    return lambda x: np.exp(-np.pi * x) + 0j
 
 
 def _case_a_moment(x):
@@ -633,8 +629,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     offset = 1 if family.case == CASE_A else 0  # c_0 = -i; c_n pairs with P_{n-offset}
     entries = [(0, -1j, 0.0)] * offset
     if route == "projection":
-        f_target, f_masses = parity_target(family.case)
-        proj = project(f_target, family, max(n_max - offset, 0), cfg, f_at_masses=f_masses)
+        proj = project(parity_target(family.case), family, max(n_max - offset, 0), cfg)
         for k, a, e in proj.entries[: n_max + 1 - offset]:
             entries.append((k + offset, (-1) ** k * a, e))
         return CoefficientTable(family.case, family.b, route, tuple(entries))
@@ -652,7 +647,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
         measure = discrete_measure(family, n_max, cfg)
-        _, target_masses = _on(measure, *parity_target(CASE_B))
+        _, target_masses = _on(measure, parity_target(CASE_B))
         integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
                                 lambda n: 2 * n + 1,
                                 target_masses if route == "closed_form" else None)
@@ -685,7 +680,7 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
     scale = measure.scale[: n_trunc + 1]
     partial = (signed * scale)[:, None] * measure.values[: n_trunc + 1]
     np.cumsum(partial, axis=0, out=partial)
-    target_x, target_masses = _on(measure, *parity_target(family.case))
+    target_x, target_masses = _on(measure, parity_target(family.case))
     partial -= target_x
     gap = np.asarray(target_masses) - np.cumsum(
         signed[:, None] * (scale[:, None] * measure.mass_values[: n_trunc + 1]), axis=0)

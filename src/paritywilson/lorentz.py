@@ -230,8 +230,7 @@ def n0_extraction(rep: LorentzRep) -> SpinZeroExtraction:
     n1 = [2j * kj @ p for kj in k]
     tensor = [[-1j * _comm(n1[j], k[i]) for j in range(3)] for i in range(3)]
     n0 = (tensor[0][0] + tensor[1][1] + tensor[2][2]) / 3.0
-    w = sum(ki @ ki for ki in k)
-    target = (4.0 / 3.0) * w @ p
+    target = (4.0 / 3.0) * derived_operators(rep).w @ p
     spin2_trace = sum(tensor[i][i] for i in range(3)) - 3.0 * n0
     return SpinZeroExtraction(
         n0=n0,

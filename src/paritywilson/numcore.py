@@ -256,10 +256,10 @@ class RationalPolynomial:
         return self * (1 / Fraction(scalar))
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """self(inner(u)), with inner a polynomial in u: Horner's rule on the
-        integer grids, sum_k c_k inner^k den_inner^(d-k), reduced once."""
+        """self(inner(u)), with inner a polynomial in u (not a scalar): Horner's
+        rule on the integer grids, sum_k c_k inner^k den_inner^(d-k), reduced once."""
         if not isinstance(inner, RationalPolynomial):
-            inner = RationalPolynomial([inner])
+            raise TypeError("compose takes a polynomial; poly_eval evaluates at a scalar")
         cls = (BParamPolynomial if isinstance(self, BParamPolynomial)
                or isinstance(inner, BParamPolynomial) else RationalPolynomial)
         c, w = self._c, self._w
@@ -342,8 +342,7 @@ class BParamPolynomial(RationalPolynomial):
 
 
 def _horner(cs, u):
-    """Horner's rule over cs (lowest power first, nonempty), in whatever
-    arithmetic cs and u carry."""
+    """Horner's rule over cs (lowest power first, nonempty)."""
     it = reversed(cs)
     acc = next(it)
     for c in it:
@@ -356,8 +355,8 @@ def poly_eval(p: RationalPolynomial, u):
 
     Exact at rational u, on the integer grid with one reduction (a
     BParamPolynomial gives a RationalPolynomial in B).  At a float u the
-    scheme runs over the kept ``float_coeffs()``, at any other u (complex,
-    mpmath) over the exact coefficients.  The zero polynomial evaluates to 0.
+    scheme runs over the kept ``float_coeffs()``; any other u (complex, an
+    array) is a TypeError.  The zero polynomial evaluates to 0.
     """
     if isinstance(u, (int, Fraction)):
         a, b = u.numerator, u.denominator
@@ -373,11 +372,9 @@ def poly_eval(p: RationalPolynomial, u):
         if isinstance(p, BParamPolynomial):
             return RationalPolynomial._make(acc, 1, p._den * scale)
         return Fraction(acc[0], p._den * scale)
-    if not p:
-        return 0.0 * u
-    if isinstance(u, float) and not isinstance(p, BParamPolynomial):
-        return _horner(p.float_coeffs(), u)
-    return _horner(p.coeffs, u)
+    if not isinstance(u, float):
+        raise TypeError(f"poly_eval takes a rational or a float, got {type(u).__name__}")
+    return _horner(p.float_coeffs(), u) if p else 0.0 * u
 
 
 def _nonpositive_int(a) -> int | None:

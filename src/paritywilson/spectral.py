@@ -5,10 +5,10 @@ parameters B and M) quantizes ell_1 = 2n+1 when its solution, a prefactor
 exp(i*pi*sqrt(W+B+1/4)) times a polynomial, is required to be pole-free.
 This module builds the eigenpairs exactly for the two solved parameter
 regimes (B = M = 0, and M = 0 with free B), evaluates residuals of the
-master equation and of its z-space reduction (exactly at M = 0, as a
-polynomial in s = sqrt(W+B+1/4)), constructs second solutions
-on unit lattices by reduction of order, and runs the exploratory
-least-squares eigenvalue scan for M != 0.
+master equation (in floats, and exactly at M = 0 as a polynomial in
+s = sqrt(W+B+1/4)) and of its z-space reduction, constructs exact second
+solutions on unit lattices by reduction of order, and runs the
+exploratory least-squares eigenvalue scan for M != 0.
 
 Square roots always take the principal nonnegative real branch; arguments
 with negative radicand are rejected (DomainPole), never continued.
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -198,30 +197,24 @@ def residual_g(case: str, g, ell1, z, b=None):
     return lhs - (1 - ell1 * ell1) * g0
 
 
-def _numeric_ctx(*values):
-    # an mpmath argument means the caller has imported mpmath already
-    mp = sys.modules.get("mpmath")
-    if mp is not None and any(isinstance(v, (mp.mpf, mp.mpc)) for v in values):
-        return mp.sqrt
-    return math.sqrt
-
-
 def residual_master(f: Callable, b, m, ell1, w):
     """LHS minus RHS of the master three-point equation in W at (B, M, W) =
-    (b, m, w) with eigenvalue parameter ell1.
+    (b, m, w) with eigenvalue parameter ell1, in float arithmetic.
 
     ``f`` is a callable of W evaluated at W and the two shifted arguments
-    W + 1 +- sqrt(1+4B+4W).  Works in float arithmetic, or in mpmath when
-    an argument is an mpmath number.  Raises DomainPole when B+W = 0 or the
-    shift radicand is nonpositive.
+    W + 1 +- sqrt(1+4B+4W).  Any parameter other than an int or a float
+    (a Fraction, an mpmath mpf) is a TypeError, not silently rounded.
+    Raises DomainPole when B+W = 0 or the shift radicand is nonpositive.
     """
+    for value in (b, m, ell1, w):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"residual_master works in floats, got {type(value).__name__}")
     if b + w == 0:
         raise DomainPole("B + W = 0 is a pole of the M-coupling term")
     rad = 1 + 4 * b + 4 * w
     if rad <= 0:
         raise DomainPole("nonpositive radicand 1 + 4B + 4W")
-    sqrt = _numeric_ctx(b, m, ell1, w)
-    r = sqrt(rad)
+    r = math.sqrt(rad)
     coupling = m / (b + w)
     c_plus = 2 * b + 4 * w + (w - coupling) * (r - 1)
     c_minus = -2 * b - 4 * w + (w - coupling) * (r + 1)
@@ -266,7 +259,7 @@ def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float,
 class LatticeFunction:
     """Values on the unit lattice anchor, anchor+1, ..."""
 
-    anchor: Union[Fraction, float]
+    anchor: Fraction
     values: tuple
 
     def points(self):
@@ -284,16 +277,16 @@ def second_solution(n: int, z0=Fraction(2), length: int = 8):
     """Second, non-polynomial solution of the Case A z-space relation at
     eigenvalue 2n+1, by reduction of order on the lattice z0, z0+1, ...
 
+    The anchor is read as ``Fraction(z0)`` (a float at its exact value).
     The free additive constant and overall scale are fixed by u(z0) = 0 and
     a unit numerator in the first-order step, so h = g*u is determined only
     up to an admixture of g; tests compare residuals and Casoratians.
-    Returns (u, h) as LatticeFunctions, exact when z0 is rational.
+    Returns (u, h) as LatticeFunctions of Fractions.
     """
     if length < 4:
         raise ValueError("length must be at least 4")
-    z0 = Fraction(z0) if isinstance(z0, (int, Fraction, str)) else z0
+    z0 = Fraction(z0)
     g = g_callable(CASE_A, n)
-    exact = isinstance(z0, Fraction)
     pts = [z0 + k for k in range(length)]
     for x in pts + [z0 - 1]:
         for factor in (2 * x - 3, 2 * x - 1, 2 * x + 1):
@@ -301,18 +294,17 @@ def second_solution(n: int, z0=Fraction(2), length: int = 8):
                 raise LatticePole(f"denominator factor vanishes at lattice point {x}")
     gvals = {}
     for x in [z0 - 1] + pts:
-        if n == 0 and (x * x == Fraction(1, 4) if exact else abs(float(x * x) - 0.25) < 1e-12):
+        if n == 0 and x * x == Fraction(1, 4):
             raise LatticePole(f"rational eigenfunction pole at lattice point {x}")
         gx = g(x)
         if not gx:
             raise LatticePole(f"base solution vanishes at lattice point {x}")
         gvals[x] = gx
-    one = Fraction(1) if exact else 1.0
-    uvals = [0 * one]
+    uvals = [Fraction(0)]
     for k in range(1, length):
         x = z0 + k
-        step = one / ((2 * x - 3) ** 2 * (2 * x - 1) ** 3 * (2 * x + 1) ** 2
-                      * gvals[x - 1] * gvals[x])
+        step = 1 / ((2 * x - 3) ** 2 * (2 * x - 1) ** 3 * (2 * x + 1) ** 2
+                    * gvals[x - 1] * gvals[x])
         uvals.append(uvals[-1] + step)
     hvals = [gvals[z0 + k] * uvals[k] for k in range(length)]
     return (LatticeFunction(z0, tuple(uvals)), LatticeFunction(z0, tuple(hvals)))

@@ -151,12 +151,13 @@ def check_hypergeometric_prefactors(results: list[CheckResult]) -> None:
 
 def check_recurrence(results: list[CheckResult]) -> None:
     fam = WilsonFamily.case_a()
-    printed = wilson.monic_from_recurrence(fam, 2, form="printed")[2]
+    rep = wilson.recurrence_discrepancy_report(fam, 2)
+    printed = rep.printed_entry
     want = RationalPolynomial([Fraction(57, 20), Fraction(-15, 4), 1])
-    oracle = wilson.monic_from_hypergeometric(fam, 2)
-    ok = printed == want and printed != oracle
+    ok = rep.first_table_mismatch == 2 and printed == want
     _check(results, "recurrence-printed-mismatch", "eq-A3", ok,
-           str([str(c) for c in printed.coeffs]), "x^4 - 15/4 x^2 + 57/20",
+           "no mismatch" if printed is None else str([str(c) for c in printed.coeffs]),
+           "x^4 - 15/4 x^2 + 57/20",
            note="printed recurrence output disagrees with the hypergeometric oracle")
     tab = wilson.monic_from_recurrence(fam, 10)
     ok = all(tab[n] == wilson.monic_from_hypergeometric(fam, n) for n in range(11))

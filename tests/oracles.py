@@ -1,11 +1,14 @@
-"""Independent quadrature oracle for the tests.
+"""Independent oracles for the tests; this module imports nothing from
+``paritywilson``.
 
-A fixed rule on (0, inf) that shares nothing with the library's measure:
-uniform panels of width 1/4 on [0, X] (X chosen by the caller), the
-20- and 41-point Gauss-Legendre rules on every panel (the measure uses 24
-and 48 points on graded, adaptively split panels), and an analytic tail
-bound beyond X from the upper incomplete gamma function in mpmath.  This
-module imports nothing from ``paritywilson``.
+``integrate`` is a fixed rule on (0, inf) that shares nothing with the
+library's measure: uniform panels of width 1/4 on [0, X] (X chosen by the
+caller), the 20- and 41-point Gauss-Legendre rules on every panel (the
+measure uses 24 and 48 points on graded, adaptively split panels), and an
+analytic tail bound beyond X from the upper incomplete gamma function in
+mpmath.  ``master_terms`` is the master three-point equation in mpmath at
+the working precision, the high-precision reference of the library's float
+residual and of its exact quantization certificate.
 """
 
 import math
@@ -48,3 +51,18 @@ def integrate(f, x_max: float, growth_degree: int = 0, decay_rate: float = 2 * m
     bar = (np.abs(fine - coarse).sum() + tail(f, x_max, growth_degree, decay_rate)
            + 1e-15 * magnitude * math.sqrt(panels))
     return fine.sum(), float(bar)
+
+
+def master_terms(f, b, m, ell1, w):
+    """The three terms of LHS minus RHS of the master equation in W at
+    (B, M, W) = (b, m, w), in mpmath: the f(W) term with the eigenvalue
+    part, and the terms at the shifted arguments W + 1 +- r, r =
+    sqrt(1 + 4B + 4W).  Their sum is the residual; ``f`` is a callable of
+    an mpmath W."""
+    b, m, ell1, w = (mpmath.mpmathify(v) for v in (b, m, ell1, w))
+    r = mpmath.sqrt(1 + 4 * b + 4 * w)
+    coupling = m / (b + w)
+    c_plus = 2 * b + 4 * w + (w - coupling) * (r - 1)
+    c_minus = -2 * b - 4 * w + (w - coupling) * (r + 1)
+    return ((2 * (w + coupling) - (1 - ell1 * ell1)) * f(w),
+            c_plus * f(w + 1 + r) / r, c_minus * f(w + 1 - r) / r)

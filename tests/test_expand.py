@@ -350,8 +350,7 @@ class TestFamilyTables:
                      lambda: norm_closed_form(degenerate, 5),
                      lambda: expand._recurrence(degenerate, 2),
                      lambda: inner_product(degenerate, one, u),
-                     lambda: project(lambda x: np.exp(-x), degenerate, 3,
-                                     f_at_masses=lambda t: complex(np.exp(-1j * t)))):
+                     lambda: project(lambda x: np.exp(-x), degenerate, 3)):
             with pytest.raises(DegenerateFamily, match=r"sqrt\(B\+1\) = 2 is a positive integer"):
                 call()
 
@@ -397,12 +396,34 @@ class TestProjection:
         with pytest.raises(ValueError, match="^unknown case 'a': expected 'A' or 'B'$"):
             parity_target("a")
 
-    def test_callable_needs_mass_continuation(self):
-        with pytest.raises(ValueError, match="continuation"):
-            project(lambda x: np.exp(-x), CASE_B_32, 0)
-        project(lambda x: np.exp(-x), CASE_B_32, 0,
-                f_at_masses=lambda t: complex(np.exp(-1j * t)))
-        project(lambda x: np.exp(-x), CASE_A, 0)  # Case A has no masses
+    def test_one_callable_serves_case_a_and_case_b(self):
+        # the integrand at a Case B point mass x = i t is the target itself,
+        # read at the complex scalar 1j * t; Case A has no masses
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(-x)
+        for family in (CASE_A, CASE_B_32):
+            seen.clear()
+            table = project(f, family, 2)
+            assert len(table.entries) == 3
+            masses = family_weight(family).point_masses
+            assert isinstance(seen[0], np.ndarray)
+            assert seen[1:] == [1j * pm.t for pm in masses]
+        assert masses  # Case B(3/2) has point masses
+
+    def test_point_masses_read_the_target_at_i_t(self):
+        # the sums route against the Gram route: 1 + x^2 is 1 + u, so at a
+        # point mass x = i t it is 1 - t^2 (read at x = t it would be 1 + t^2)
+        family = FAMILIES[3]
+        table = project(lambda x: 1 + x * x, family, 4)
+        one_plus_u = RationalPolynomial([1, 1])
+        members = monic_from_recurrence(family, 4)
+        for n in range(5):
+            norm = float(norm_closed_form(family, n))
+            val, err = inner_product(family, one_plus_u, members[n])
+            assert abs(table.coefficient(n) - val / norm) <= table.error(n) + err / norm, n
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_basis_row_is_cached_read_only_and_exact(self, family):
@@ -595,7 +616,7 @@ class TestDiscreteMeasure:
 
     def test_gram_is_built_on_the_first_inner_product_only(self):
         expand._build_measure.cache_clear()
-        project(lambda x: 1.0 + x * x, CASE_B_32, 12, f_at_masses=lambda t: 1.0 - t * t)
+        project(lambda x: 1.0 + x * x, CASE_B_32, 12)
         parity_coefficients(CASE_B_32, 12)
         parity_coefficients(CASE_B_32, 12, route="projection")
         reconstruction_residual(CASE_B_32, 12)
@@ -647,7 +668,7 @@ class TestDiscreteMeasure:
         closed = parity_coefficients(family, n_max)
         proj = parity_coefficients(family, n_max, route="projection")
         weight = family_weight(family)
-        f_target, f_masses = parity_target(family.case)
+        f_target = parity_target(family.case)
         for n in range(1, n_max + 1):
             k = n - 1 if family.case == "A" else n
             pk = _oracle_member(family, k)
@@ -656,7 +677,7 @@ class TestDiscreteMeasure:
                 lambda x: weight.evaluate(x) * f_target(x) * pk(x), auto_cutoff(degree),
                 growth_degree=degree)
             for mass in weight.point_masses:
-                num += mass.mass * f_masses(mass.t) * _member_at_mass(family, k, mass)
+                num += mass.mass * f_target(1j * mass.t) * _member_at_mass(family, k, mass)
             norm = float(norm_closed_form(family, k))
             want, want_err = (-1) ** k * num / norm, num_err / norm
             for table in (closed, proj):
@@ -669,7 +690,7 @@ class TestDiscreteMeasure:
         table = parity_coefficients(family, n_trunc + (1 if family.case == "A" else 0))
         res = reconstruction_residual(family, n_trunc, table=table)
         weight = family_weight(family)
-        f_target, f_masses = parity_target(family.case)
+        f_target = parity_target(family.case)
         offset = 1 if family.case == "A" else 0
         coeffs = np.array([(-1) ** n * table.coefficient(n + offset)
                            for n in range(n_trunc + 1)])
@@ -688,7 +709,7 @@ class TestDiscreteMeasure:
             want, want_err = oracles.integrate(integrand, auto_cutoff(4 * n_trunc),
                                                growth_degree=4 * N)
             for mass in weight.point_masses:
-                want += mass.mass * abs(f_masses(mass.t) - partial(mass.y)) ** 2
+                want += mass.mass * abs(f_target(1j * mass.t) - partial(mass.y)) ** 2
             # the measure's own bar on the squared residual is its budget
             assert abs(res[N] ** 2 - want) <= want_err + 1e-10 * want + 1e-13, N
 
@@ -704,8 +725,7 @@ class TestDiscreteMeasure:
     @pytest.mark.parametrize("call", [
         lambda fam, cfg: discrete_measure(fam, 6, cfg),
         lambda fam, cfg: inner_product(fam, *monic_from_recurrence(fam, 2)[1:], cfg),
-        lambda fam, cfg: project(lambda x: np.exp(-x), fam, 4, cfg,
-                                 f_at_masses=lambda t: complex(np.exp(-1j * t))),
+        lambda fam, cfg: project(lambda x: np.exp(-x), fam, 4, cfg),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="printed"),
         lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="projection"),

@@ -1,6 +1,7 @@
 """Every name bound by a top-level import of a library module is used
-there, only numcore names the Horner loop beneath ``poly_eval``, and the
-hypergeometric route never names the recurrence tables' fused step."""
+there, only numcore names the Horner loop beneath ``poly_eval``, the
+hypergeometric route never names the recurrence tables' fused step, and no
+library module names mpmath, the tests' high-precision oracle."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,45 @@ def test_the_hypergeometric_route_does_not_name_the_fused_step():
                               "monic_from_hypergeometric"}
     assert not naming & hypergeometric
     assert naming == {"_recurrence_table"}  # the step's one caller
+
+
+def mpmath_mentions(source: str) -> list[str]:
+    """The places where ``source`` names the mpmath module: an import, a
+    name, an attribute, or a string constant that is the module's name or a
+    dotted path in it (prose that mentions mpmath is not a lookup)."""
+    def is_mpmath(name) -> bool:
+        return isinstance(name, str) and name.split(".")[0] == "mpmath"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        found += [f"{type(node).__name__} at line {node.lineno}" for name in names
+                  if is_mpmath(name)]
+    return found
+
+
+def test_every_way_of_naming_mpmath_is_found():
+    source = ('"""Docstrings may say mpmath."""\nimport sys\nimport mpmath.libmp\n'
+              'from mpmath import mpf as m\n'
+              'def f(x, y=mpmath):\n    return sys.modules.get("mpmath"), x.mpmath\n')
+    assert sorted(mpmath_mentions(source)) == [
+        "Attribute at line 6", "Constant at line 6", "Import at line 3",
+        "ImportFrom at line 4", "Name at line 5"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_library_module_names_mpmath(path):
+    # mpmath is the tests' oracle only; a lookup in sys.modules would switch
+    # arithmetic on whenever the caller had loaded it, which the runtime
+    # check with mpmath blocked cannot see
+    assert mpmath_mentions(path.read_text(encoding="utf-8")) == []

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,17 @@ class TestPolyEval:
     def test_degree_one_table_entry(self):
         p = RationalPolynomial([Fraction(3, 4), 1])
         assert poly_eval(p, Fraction(1)) == Fraction(7, 4)
+
+    def test_rationals_and_floats_only(self):
+        p = RationalPolynomial([Fraction(3, 4), 1])
+        for u in (1j, np.array([1.0, 2.0]), mp.mpf(1)):
+            with pytest.raises(TypeError, match="^poly_eval takes a rational or a float"):
+                poly_eval(p, u)
+
+
+def test_compose_takes_a_polynomial_only():
+    with pytest.raises(TypeError, match="poly_eval"):
+        RationalPolynomial([1, 1]).compose(3)
 
 
 coeff_lists = st.lists(rationals, min_size=0, max_size=6)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,30 @@ class TestResidualMaster:
         assert min(default_w_grid(0.0)) > 0.75
         assert min(default_w_grid(-0.5)) > 1.25
 
+    def test_floats_only(self):
+        f = eigenfunction("A", 1).as_callable()
+        for bad in (mp.mpf(2.3), fr("23/10")):
+            with pytest.raises(TypeError, match="residual_master works in floats"):
+                residual_master(f, 0.0, 0.0, 3.0, bad)
+        with pytest.raises(TypeError, match="got mpf"):
+            residual_master(f, mp.mpf(0), 0.0, 3.0, 2.3)
+
+    @pytest.mark.parametrize("case,b", [("A", None), ("B", fr("3/2"))], ids=["A", "B1.5"])
+    def test_matches_the_mpmath_residual_off_eigenvalue(self, case, b):
+        # off the eigenvalue the three terms no longer cancel; the float
+        # residual must agree with the mpmath one relative to the largest
+        bf = float(b or 0)
+        for n in range(7):
+            rec = eigenfunction(case, n, b)
+            ell = 2 * n + 1 + 0.37
+            with mp.workdps(40):
+                f_mp = _mp_eigenfunction(rec)
+                for w in default_w_grid(bf):
+                    got = residual_master(rec.as_callable(), bf, 0.0, ell, w)
+                    terms = oracles.master_terms(f_mp, bf, 0, ell, w)
+                    want, largest = sum(terms), max(abs(t) for t in terms)
+                    assert abs(got - complex(want)) <= 1e-14 * float(largest), (n, w)
+
 
 def _mpf(q):
     return mp.mpf(q.numerator) / q.denominator
@@ -222,7 +247,7 @@ class TestMasterResidualPolynomial:
     @pytest.mark.parametrize("n", [0, 3, 24])
     @pytest.mark.parametrize("case,b", FAMILIES, ids=FAMILY_IDS)
     def test_matches_the_sampled_residual_in_mpmath(self, case, b, n):
-        # residual_master on mpf inputs against exp(i pi s) P(s) / (2s), at the
+        # the tests' mpmath residual against exp(i pi s) P(s) / (2s), at the
         # eigenvalue (P = 0) and off it; the working precision grows with n
         # because the three terms reach |f| ~ 1e41 at n = 24
         rec = eigenfunction(case, n, b)
@@ -236,7 +261,7 @@ class TestMasterResidualPolynomial:
                     w = mp.mpf(w)
                     s = mp.sqrt(w + shift)
                     want = mp.expjpi(s) * (mp.polyval(cs, s) if cs else 0) / (2 * s)
-                    got = residual_master(f, bm, mp.mpf(0), _mpf(ell), w)
+                    got = sum(oracles.master_terms(f, bm, 0, _mpf(ell), w))
                     assert abs(got - want) <= mp.mpf(10) ** (10 - mp.mp.dps) * (1 + abs(f(w)))
 
     @pytest.mark.parametrize("case,b", FAMILIES, ids=FAMILY_IDS)
@@ -334,9 +359,12 @@ class TestSecondSolution:
             second_solution(1, fr(2), 3)
 
     def test_float_anchor(self):
+        # a float anchor is read at its exact value: the lattice stays exact
         u, h = second_solution(1, 2.25, 6)
+        assert u.anchor == h.anchor == fr("9/4")
+        assert all(type(v) is Fraction for v in u.values + h.values)
         for k in range(1, 5):
-            assert abs(residual_g("A", h, 3, 2.25 + k)) < 1e-10
+            assert residual_g("A", h, 3, fr("9/4") + k) == 0
 
 
 class TestConjectureScan:
