@@ -647,10 +647,11 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
         measure = discrete_measure(family, n_max, cfg)
-        _, target_masses = _on(measure, parity_target(CASE_B))
+        target = parity_target(CASE_B)  # read at the point masses only
         integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
                                 lambda n: 2 * n + 1,
-                                target_masses if route == "closed_form" else None)
+                                [target(1j * pm.t) for pm in measure.masses]
+                                if route == "closed_form" else None)
         for n, (integral, err) in enumerate(zip(*integrals)):
             const = (-1) ** n / float(norm_closed_form(family, n))
             entries.append((n, complex(const * integral), abs(const) * err))

@@ -50,36 +50,25 @@ def _widen(c, w: int, width: int):
     return out
 
 
-def _lincomb(a, wa: int, fa: int, b, wb: int, fb: int):
-    """fa*a + fb*b on the wider of the two row widths."""
-    w = max(wa, wb)
-    a, b = _widen(a, wa, w), _widen(b, wb, w)
-    if len(a) < len(b):
-        a, b, fa, fb = b, a, fb, fa
-    out = list(a) if fa == 1 else [x * fa for x in a]
+def _mul_add(a, b, w: int, c, f: int):
+    """a*b + f*c for grids a, b, c of one row width w, b nonzero (its last
+    row may stop after its last nonzero entry) and c no longer than a: the
+    Horner step of ``compose`` and of the hypergeometric tables, and with c
+    empty the product, with b a scalar the sum.  a takes one contiguous
+    pass per nonzero entry of b, the first of which makes the grid.  The
+    width must hold the product: what an entry of b's last row shifts past
+    the end is zero."""
+    n, out = len(a) + (len(b) - 1) // w * w, None
     for k, y in enumerate(b):
-        if y:
-            out[k] += y * fb
-    return out, w
-
-
-def _conv(a, wa: int, b, wb: int):
-    """Product of two grids: a convolution along both axes.  b, widened
-    once to the product's row width, takes one contiguous pass per nonzero
-    entry of a, the narrower grid (the shorter one when the widths tie)."""
-    if not a or not b:
-        return [], 1
-    if (wa, len(a)) > (wb, len(b)):
-        a, wa, b, wb = b, wb, a, wa
-    w = wa + wb - 1
-    b = _widen(b, wb, w)[:len(b) // wb * w - wa + 1]  # the last row unpadded
-    nb = len(b)
-    out = [0] * (nb + (len(a) // wa - 1) * w + wa - 1)
-    for k, x in enumerate(a):
+        if y and out is None:
+            out = [0] * k + [y * x for x in a]
+            out[n:] = [0] * (n - len(out))
+        elif y:
+            out[k:k + len(a)] = [o + y * x for o, x in zip(out[k:k + len(a)], a)]
+    for k, x in enumerate(c):
         if x:
-            base = k // wa * w + k % wa
-            out[base:base + nb] = [o + x * y for o, y in zip(out[base:base + nb], b)]
-    return out, w
+            out[k] += f * x
+    return out
 
 
 def _canonical(c, w: int, den: int):
@@ -222,9 +211,12 @@ class RationalPolynomial:
         if pair is None:
             return NotImplemented
         cls, (a, wa, da), (b, wb, db) = pair
-        g = math.gcd(da, db)
-        c, w = _lincomb(a, wa, own_sign * (db // g), b, wb, other_sign * (da // g))
-        return cls._make(c, w, da // g * db)
+        g, w = math.gcd(da, db), max(wa, wb)
+        fa, fb = own_sign * (db // g), other_sign * (da // g)
+        a, b = _widen(a, wa, w), _widen(b, wb, w)
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        return cls._make(_mul_add(a, [fa], w, b, fb), w, da // g * db)
 
     def __add__(self, other):
         return self._combine(other, 1, 1)
@@ -245,8 +237,12 @@ class RationalPolynomial:
         if pair is None:
             return NotImplemented
         cls, (a, wa, da), (b, wb, db) = pair
-        c, w = _conv(a, wa, b, wb)
-        return cls._make(c, w, da * db)
+        if not a or not b:
+            return cls._raw((), 1, 1)
+        if (wa, len(a)) < (wb, len(b)):  # one pass per entry of the narrower grid
+            a, wa, b, wb = b, wb, a, wa
+        w = wa + wb - 1
+        return cls._make(_mul_add(_widen(a, wa, w), _widen(b, wb, w), w, (), 0), w, da * db)
 
     __rmul__ = __mul__
 
@@ -257,7 +253,8 @@ class RationalPolynomial:
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(u)), with inner a polynomial in u (not a scalar): Horner's
-        rule on the integer grids, sum_k c_k inner^k den_inner^(d-k), reduced once."""
+        rule on the integer grids, sum_k c_k inner^k den_inner^(d-k), one
+        ``_mul_add`` per step on the result's row width, reduced once."""
         if not isinstance(inner, RationalPolynomial):
             raise TypeError("compose takes a polynomial; poly_eval evaluates at a scalar")
         cls = (BParamPolynomial if isinstance(self, BParamPolynomial)
@@ -265,14 +262,13 @@ class RationalPolynomial:
         c, w = self._c, self._w
         if not c or not inner:
             return cls._make(c[:w], w, self._den)
-        acc, wacc, scale = list(c[-w:]), w, 1
+        width = w + (len(c) // w - 1) * (inner._w - 1)
+        b = _widen(inner._c, inner._w, width)
+        acc, scale = _widen(c[-w:], w, width), 1
         for k in range(len(c) - 2 * w, -1, -w):
             scale *= inner._den
-            acc, wacc = _conv(acc, wacc, inner._c, inner._w)
-            for j, x in enumerate(c[k:k + w]):
-                if x:
-                    acc[j] += x * scale
-        return cls._make(acc, wacc, self._den * scale)
+            acc = _mul_add(acc, b, width, c[k:k + w], scale)
+        return cls._make(acc, width, self._den * scale)
 
     def reflect(self) -> "RationalPolynomial":
         """Substitution u -> -u."""

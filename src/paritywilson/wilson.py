@@ -29,6 +29,7 @@ from .errors import DegenerateFamily
 from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
+    _mul_add,
     _three_term,
     hyp_2f1_series,
     hyp_pfq_series,
@@ -143,37 +144,36 @@ class WilsonFamily:
 # construction route 1: terminating hypergeometric expansion
 # ---------------------------------------------------------------------------
 
-def _case_a_hypergeometric(n: int) -> RationalPolynomial:
-    # monic normalizer (-1)^n (n+2)!/(2n+2)! times W_n = n!((n+1)!)^2 4F3(...)
-    pref = Fraction((-1) ** n * math.factorial(n + 2), math.factorial(2 * n + 2))
-    pref *= math.factorial(n) * math.factorial(n + 1) ** 2
-    total = RationalPolynomial([])
-    quad = RationalPolynomial([1])  # prod_{j<k} ((j+1/2)^2 + u)
-    r = Fraction(1)  # (-n)_k (n+3)_k / ((1)_k (2)_k^2 k!), by its term ratio
-    for k in range(n + 1):
-        total = total + quad * r
-        quad = quad * RationalPolynomial([(Fraction(k) + Fraction(1, 2)) ** 2, 1])
-        r *= Fraction((k - n) * (k + n + 3), (k + 1) ** 2 * (k + 2) ** 2)
-    return total * pref
+def _hypergeometric(n: int, symbolic: bool):
+    """The monic member of degree n by its terminating 4F3 form, pref * sum_k
+    c_k tail_k prod_{j<k} (4u + (2j+1)^2) with c_0 = 1 and the term ratio
+    c_{k+1}/c_k = num_k/den_k, as Horner's scheme in u on one integer grid:
+    H_n = 1, H_k = d_k tail_k + num_k (4u + (2k+1)^2) H_{k+1} with
+    d_k = den_k d_{k+1}, and the sum H_0/d_0 reduced once with pref.
 
-
-def _case_b_hypergeometric_symbolic(n: int) -> BParamPolynomial:
-    # (1-s)_k(1+s)_k pairs into prod_{j=1..k} (j^2 - 1 - B), so the whole
-    # expansion is polynomial in B with no square roots anywhere.
-    pref = Fraction((-1) ** n * math.factorial(n) ** 2, math.factorial(2 * n))
-    tails = [RationalPolynomial([1])]  # tails[k] = prod_{j=k+1..n} (j^2 - 1 - B)
-    for j in range(n, 0, -1):
-        tails.append(tails[-1] * RationalPolynomial([j * j - 1, -1]))
-    tails.reverse()
-    total = BParamPolynomial([])
-    quad = BParamPolynomial([1])  # prod_{j<k} ((j+1/2)^2 + u)
-    r = Fraction(1)  # (-n)_k (n+1)_k / ((1)_k k!), by its term ratio
-    for k in range(n + 1):
-        total = total + quad * (tails[k] * r)
-        if k < n:
-            quad = quad * BParamPolynomial([(Fraction(k) + Fraction(1, 2)) ** 2, 1])
-        r *= Fraction((k - n) * (k + n + 1), (k + 1) ** 2)
-    return total * pref
+    Case A: the monic normalizer (-1)^n (n+2)!/(2n+2)! times
+    W_n = n!((n+1)!)^2 4F3(...), 4^k c_k = (-n)_k (n+3)_k / ((1)_k (2)_k^2 k!),
+    tail_k = 1.  Symbolic Case B: (1-s)_k (1+s)_k pairs into
+    prod_{j=1..k} (j^2 - 1 - B), so the expansion is polynomial in B with no
+    square roots anywhere; 4^k c_k = (-n)_k (n+1)_k / ((1)_k k!), and the row
+    in B tail_k = prod_{j=k+1..n} (j^2 - 1 - B) is built in the same loop, on
+    the row width n+1 of the result."""
+    width = n + 1 if symbolic else 1
+    acc, tail, den = [1] + [0] * (width - 1), [1], 1
+    for k in range(n - 1, -1, -1):
+        if symbolic:
+            tail = _mul_add(tail, [(k + 1) ** 2 - 1, -1], 1, (), 0)
+            r = Fraction((k - n) * (k + n + 1), 4 * (k + 1) ** 2)
+        else:
+            r = Fraction((k - n) * (k + n + 3), 4 * (k + 1) ** 2 * (k + 2) ** 2)
+        den *= r.denominator
+        linear = [r.numerator * (2 * k + 1) ** 2] + [0] * (width - 1) + [4 * r.numerator]
+        acc = _mul_add(acc, linear, width, tail, den)
+    f = math.factorial
+    pref = (Fraction((-1) ** n * f(n) ** 2, f(2 * n)) if symbolic
+            else Fraction((-1) ** n * f(n + 2) * f(n) * f(n + 1) ** 2, f(2 * n + 2)))
+    return (BParamPolynomial if symbolic else RationalPolynomial)._make(
+        [x * pref.numerator for x in acc], width, den * pref.denominator)
 
 
 def monic_from_hypergeometric(family: WilsonFamily, n: int):
@@ -187,8 +187,8 @@ def monic_from_hypergeometric(family: WilsonFamily, n: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
     if family.case == CASE_A:
-        return _case_a_hypergeometric(n)
-    sym = _case_b_hypergeometric_symbolic(n)
+        return _hypergeometric(n, False)
+    sym = _hypergeometric(n, True)
     if family.symbolic:
         return sym
     family.require_nondegenerate(n)
@@ -312,7 +312,7 @@ def recurrence_discrepancy_report(family: WilsonFamily, n_max: int = 4) -> Recur
         if family.case == CASE_A:
             oracle = monic_from_hypergeometric(family, n)
         else:
-            oracle = _case_b_hypergeometric_symbolic(n)
+            oracle = _hypergeometric(n, True)
             if not family.symbolic:
                 oracle = oracle.substitute_b(family.b)
         if printed[n] != oracle:

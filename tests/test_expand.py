@@ -478,6 +478,28 @@ class TestParityCoefficients:
             delta = closed.coefficient(n) - printed.coefficient(n)
             assert abs(delta - missing) <= 1e-10 * max(1.0, abs(missing))
 
+    @pytest.mark.parametrize("route", ["closed_form", "printed"])
+    def test_case_b_reads_the_target_at_the_point_masses_only(self, monkeypatch, route):
+        # the closed formula has its own integrand on the nodes: the target
+        # enters at the point masses alone, and the printed route drops them
+        want = parity_coefficients(CASE_B_32, 6, route=route)
+        reads = []
+
+        def at_masses_only(case):
+            target = parity_target(case)
+
+            def guarded(x):
+                assert not isinstance(x, np.ndarray), "target read on the measure's nodes"
+                reads.append(x)
+                return target(x)
+            return guarded
+
+        monkeypatch.setattr(expand, "parity_target", at_masses_only)
+        assert parity_coefficients(CASE_B_32, 6, route=route) == want
+        masses = discrete_measure(CASE_B_32, 6).masses
+        assert len(masses) == 2
+        assert reads == ([1j * pm.t for pm in masses] if route == "closed_form" else [])
+
     def test_symbolic_b_rejected(self):
         with pytest.raises(ValueError):
             parity_coefficients(WilsonFamily.case_b(), 2)

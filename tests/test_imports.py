@@ -1,6 +1,6 @@
 """Every name bound by a top-level import of a library module is used
 there, only numcore names the Horner loop beneath ``poly_eval``, the
-hypergeometric route never names the recurrence tables' fused step, and no
+hypergeometric route and the recurrence tables share no step, and no
 library module names mpmath, the tests' high-precision oracle."""
 
 import ast
@@ -62,21 +62,26 @@ def test_only_numcore_names_the_horner_loop():
 
 
 def test_the_hypergeometric_route_does_not_name_the_fused_step():
-    # the hypergeometric tables are the oracle of the recurrence tables, so
-    # they keep the generic products and never share the fused step
+    # the hypergeometric tables are the oracle of the recurrence tables: they
+    # nest their sum by the Horner kernel _mul_add, the recurrence steps by
+    # _three_term, and neither route names the other's step
     package = Path(paritywilson.__file__).parent
-    naming, hypergeometric = set(), set()
+    naming = {"_three_term": set(), "_mul_add": set()}
+    hypergeometric = set()
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
-                if "_three_term" in names_in(ast.unparse(node)):
-                    naming.add(node.name)
+                names = names_in(ast.unparse(node))
+                for step, callers in naming.items():
+                    if step in names:
+                        callers.add(node.name)
                 if "hypergeometric" in node.name:
                     hypergeometric.add(node.name)
-    assert hypergeometric >= {"_case_a_hypergeometric", "_case_b_hypergeometric_symbolic",
-                              "monic_from_hypergeometric"}
-    assert not naming & hypergeometric
-    assert naming == {"_recurrence_table"}  # the step's one caller
+    assert hypergeometric >= {"_hypergeometric", "monic_from_hypergeometric"}
+    assert not naming["_three_term"] & hypergeometric
+    assert naming["_three_term"] == {"_recurrence_table"}  # the step's one caller
+    assert "_hypergeometric" in naming["_mul_add"]
+    assert not naming["_mul_add"] & {"_recurrence_table", "_three_term"}
 
 
 def mpmath_mentions(source: str) -> list[str]:

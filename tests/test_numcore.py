@@ -13,6 +13,7 @@ from paritywilson.errors import DenominatorPole, NoConvergence
 from paritywilson.numcore import (
     BParamPolynomial,
     RationalPolynomial,
+    _mul_add,
     _three_term,
     frac_to_str,
     hyp_2f1_series,
@@ -398,6 +399,64 @@ def test_three_term_step_with_a_zero_second_polynomial(symbolic):
         assert_same_grid(_three_term(p1, a, cls([]), c), cls([a, 1]) * p1)
     assert_same_grid(_three_term(cls([]), a, p1, Fraction(2)), p1 * -2)
     assert not _three_term(cls([]), a, cls([]), Fraction(2))
+
+
+# -- the Horner step and compose against a naive double loop ------------------
+# a*b + f*c on integer grids of one row width, the step of ``compose`` and of
+# the hypergeometric tables, against a schoolbook loop over the entries.
+
+def flat(m, width: int) -> list:
+    """Matrix m, its rows padded with zeros to ``width``, row after row."""
+    return [x for row in m for x in row + [0] * (width - len(row))]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_add_step_matches_naive_double_loop(data):
+    wa, wb, wc, extra = (data.draw(st.integers(lo, 3)) for lo in (1, 1, 0, 0))
+    ints = st.one_of(st.just(0), st.integers(-10 ** 30, 10 ** 30))
+
+    def grid(width):
+        return st.lists(st.lists(ints, min_size=width, max_size=width), min_size=1, max_size=5)
+
+    a = data.draw(grid(wa))
+    b = data.draw(grid(wb).filter(lambda m: any(map(any, m))))  # b is nonzero
+    c, f = data.draw(st.lists(ints, max_size=wc)), data.draw(ints)
+    w = max(wa + wb - 1, wc) + extra
+    want = [[0] * w for _ in range(len(a) + len(b) - 1)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, other in enumerate(b):
+                for m, y in enumerate(other):
+                    want[i + k][j + m] += x * y
+    for j, x in enumerate(c):
+        want[0][j] += f * x
+    b_grid = flat(b, w)
+    if data.draw(st.booleans()):  # b's last row cut after its last nonzero entry
+        while len(b_grid) > (len(b) - 1) * w + 1 and not b_grid[-1]:
+            b_grid.pop()
+    assert _mul_add(flat(a, w), b_grid, w, c, f) == flat(want, w)
+
+
+@pytest.mark.parametrize("outer", [False, True], ids=["plain", "symbolic"])
+@pytest.mark.parametrize("inner", [False, True], ids=["plain", "symbolic"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_compose_matches_naive_double_loop(outer, inner, data):
+    # widths 1-3 on either side, zero entries, and constant (one row) and
+    # zero (no rows) polynomials on either side; a plain argument is read in u
+    w1, w2 = (data.draw(st.integers(1, 3)) if s else 1 for s in (outer, inner))
+    x, y = data.draw(matrices(w1)), data.draw(matrices(w2))
+    p, q = from_matrix(x, outer), from_matrix(y, inner)
+    power, want = [[Fraction(1)]], {}
+    for row in x:
+        for key, v in naive_product([row], power).items():
+            want[key] = want.get(key, 0) + v
+        product = naive_product(power, y)
+        power = [[product.get((i, j), Fraction(0)) for j in range(1 + len(x) * (w2 - 1))]
+                 for i in range(1 + max((i for i, _ in product), default=-1))]
+    want = {k: v for k, v in want.items() if v}
+    assert_same_grid(p.compose(q), build(want, outer or inner))
 
 
 @pytest.mark.parametrize("symbolic", [False, True])

@@ -43,7 +43,50 @@ def fr(s):
     return Fraction(s)
 
 
+def fraction_4f3(case: str, n: int) -> dict:
+    """{(power of u, power of B): coefficient} of the monic 4F3 member of
+    degree n, term by term on Fractions: pref * sum_k r_k tail_k
+    prod_{j<k} (u + (j+1/2)^2), with r_k from the term ratio and, in
+    symbolic Case B, tail_k = prod_{j=k+1..n} (j^2 - 1 - B)."""
+    def times(p, q):
+        out: dict = {}
+        for (i, j), a in p.items():
+            for (k, m), b in q.items():
+                out[i + k, j + m] = out.get((i + k, j + m), 0) + a * b
+        return out
+
+    f = math.factorial
+    if case == "A":  # (-n)_k (n+3)_k / ((1)_k (2)_k^2 k!)
+        terms = [Fraction((-1) ** n * f(n + 2) * f(n) * f(n + 1) ** 2, f(2 * n + 2))]
+        ratios = [Fraction((k - n) * (k + n + 3), (k + 1) ** 2 * (k + 2) ** 2) for k in range(n)]
+    else:  # (-n)_k (n+1)_k / ((1)_k k!)
+        terms = [Fraction((-1) ** n * f(n) ** 2, f(2 * n))]
+        ratios = [Fraction((k - n) * (k + n + 1), (k + 1) ** 2) for k in range(n)]
+    for q in ratios:
+        terms.append(terms[-1] * q)
+    total: dict = {}
+    for k, r in enumerate(terms):
+        term = {(0, 0): r}
+        for j in range(k):
+            term = times(term, {(0, 0): Fraction(2 * j + 1, 2) ** 2, (1, 0): Fraction(1)})
+        if case == "B":
+            for j in range(k + 1, n + 1):
+                term = times(term, {(0, 0): Fraction(j * j - 1), (0, 1): Fraction(-1)})
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return {key: v for key, v in total.items() if v}
+
+
 class TestHypergeometricRoute:
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_the_fraction_sum(self, n):
+        # the integer Horner scheme against the plain sum of its terms
+        a = monic_from_hypergeometric(CASE_A, n)
+        assert {(i, 0): c for i, c in enumerate(a.coeffs) if c} == fraction_4f3("A", n)
+        b = monic_from_hypergeometric(CASE_B_SYM, n)
+        assert {(i, j): c for i, row in enumerate(b.coeffs)
+                for j, c in enumerate(row.coeffs) if c} == fraction_4f3("B", n)
+
     def test_case_a_seeds(self):
         assert monic_from_hypergeometric(CASE_A, 0) == RationalPolynomial([1])
         assert monic_from_hypergeometric(CASE_A, 1) == RationalPolynomial([fr("-3/4"), 1])
@@ -88,6 +131,13 @@ class TestRecurrenceRoute:
 
     def test_symbolic_case_b_degree_40_matches_hypergeometric_exactly(self):
         assert monic_from_recurrence(CASE_B_SYM, 40)[40] == monic_from_hypergeometric(CASE_B_SYM, 40)
+
+    @pytest.mark.parametrize("family, n", [(CASE_A, 150), (CASE_B_SYM, 60)],
+                             ids=["A-150", "B-symbolic-60"])
+    def test_matches_hypergeometric_past_the_benchmark_sizes(self, family, n):
+        top, oracle = monic_from_recurrence(family, n)[n], monic_from_hypergeometric(family, n)
+        assert top == oracle and hash(top) == hash(oracle)
+        assert (top._c, top._w, top._den) == (oracle._c, oracle._w, oracle._den)
 
     def test_substituted_symbolic_table_matches_numeric_routes_at_73_10(self):
         b = Fraction(73, 10)
