@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import DenominatorPole, NoConvergence
@@ -71,6 +72,16 @@ def _mul_add(a, b, w: int, c, f: int):
     return out
 
 
+def _unit_shift(c):
+    """The width-1 grid of p(u + 1) from p's grid c, by Ruffini's rule at u = 1:
+    one running sum per degree.  Unimodular, so a canonical grid stays so."""
+    rest, out = list(reversed(c)), []
+    while rest:
+        rest = list(accumulate(rest))
+        out.append(rest.pop())
+    return tuple(out)
+
+
 def _canonical(c, w: int, den: int):
     """(c, w, den) with trailing zero rows and columns stripped and the
     content reduced, so that gcd(content, den) = 1 (den is always > 0)."""
@@ -111,20 +122,30 @@ def _operand(x, symbolic: bool):
 def _three_term(p1, a, p2, c):
     """(u + a) p1 - c p2, the step of every recurrence table, for p1, p2 of
     one class and rationals a, c (polynomials in B beside BParamPolynomials):
-    one contiguous pass per nonzero entry of u + a and of c into one grid
-    over the common denominator, reduced once."""
+    one comprehension over the output, whose entries sum their shifted products
+    u p1, a p1, c p2 (three over Q, six over Q[B], a pass per six if a or c is
+    wider), reduced once."""
     (ra, wa, da), (rc, wc, dc) = (_operand(x, isinstance(p1, BParamPolynomial)) for x in (a, c))
     den = math.lcm(p1._den * da, p2._den * dc)
     f1, f2 = den // p1._den, den // p2._den
     w = max(p1._w + wa - 1, p2._w + wc - 1)
-    out = [0] * (max(len(p1._c) // p1._w + 1, len(p2._c) // p2._w) * w)
-    # u + a as one flat row: a at B-powers 0.., then u, one grid row down
-    for p, row in ((p1, [x * (f1 // da) for x in ra] + [0] * (w - len(ra)) + [f1]),
-                   (p2, [-x * (f2 // dc) for x in rc])):
-        q = _widen(p._c, p._w, w)[:len(p._c) // p._w * w - w + p._w]  # last row unpadded
-        for i, x in enumerate(row):
-            if x:
-                out[i:i + len(q)] = [o + x * y for o, y in zip(out[i:i + len(q)], q)]
+    n = max(len(p1._c) // p1._w + 1, len(p2._c) // p2._w) * w
+    q1, q2 = (list(_widen(p._c, p._w, w)) for p in (p1, p2))
+    # (multiplier, shifted grid) per product, u p1 being p1 one row down
+    cols = [(x, ([0] * i + q + [0] * n)[:n])
+            for x, i, q in [(f1, w, q1)] + [(x * (f1 // da), i, q1) for i, x in enumerate(ra)]
+            + [(-x * (f2 // dc), i, q2) for i, x in enumerate(rc)]]
+    cols += [(0, repeat(0))] * (-len(cols) % 3)
+    out = None
+    for k in range(0, len(cols), 6):
+        (x1, c1), (x2, c2), (x3, c3), *more = cols[k:k + 6]
+        if more:
+            (x4, c4), (x5, c5), (x6, c6) = more
+            part = [x1 * y1 + x2 * y2 + x3 * y3 + x4 * y4 + x5 * y5 + x6 * y6
+                    for y1, y2, y3, y4, y5, y6 in zip(c1, c2, c3, c4, c5, c6)]
+        else:
+            part = [x1 * y1 + x2 * y2 + x3 * y3 for y1, y2, y3 in zip(c1, c2, c3)]
+        out = part if out is None else [x + y for x, y in zip(out, part)]
     return type(p1)._make(out, w, den)
 
 

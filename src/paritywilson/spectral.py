@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainPole, IllConditioned, LatticePole
-from .numcore import BParamPolynomial, RationalPolynomial, poly_eval
+from .numcore import BParamPolynomial, RationalPolynomial, _unit_shift, poly_eval
 from .wilson import (
     CASE_A,
     CASE_B,
@@ -233,14 +233,17 @@ def master_residual_polynomial(rec: EigenpairRecord, ell1) -> RationalPolynomial
     with c+- = +-(2B + 4W) + W(2s -+ 1).  Reflection s -> -s maps c+ to
     -c- and W+ to W-, so with t = c+ p(W+) the shifted terms are
     t(s) - t(-s), twice t's odd part: P is odd in s for every p and ell1.
-    Each factor is one polynomial in s (W = s^2 - B - 1/4).  Needs a numeric B.
+    One composition E = p(W), W = s^2 - B - 1/4, gives p(W+) = E(s + 1) by a
+    unit shift of its grid; c+ and the lead are integer grids.  Needs a numeric B.
     """
-    shift = rec.prefactor_shift()
+    sn, sd = rec.prefactor_shift().as_integer_ratio()
+    kn, kd = ((2 * Fraction(ell1) ** 2 - 2) * sd - 4 * sn).as_integer_ratio()  # sd * lead's [s]
     p = RationalPolynomial([1]) if rec.poly is None else rec.poly
-    t = (RationalPolynomial([-shift - Fraction(1, 2), -2 * shift, 3, 2])
-         * p.compose(RationalPolynomial([1 - shift, 2, 1])))
-    lead = RationalPolynomial([0, 2 * Fraction(ell1) ** 2 - 2 - 4 * shift, 0, 4])
-    return lead * p.compose(RationalPolynomial([-shift, 0, 1])) - 2 * t.odd_part()
+    e = p.compose(RationalPolynomial._make((-sn, 0, sd), 1, sd))
+    t = (RationalPolynomial._make((-2 * sn - sd, -4 * sn, 6 * sd, 4 * sd), 1, 2 * sd)
+         * RationalPolynomial._raw(_unit_shift(e._c), 1, e._den))
+    lead = RationalPolynomial._make((0, kn, 0, 4 * sd * kd), 1, sd * kd)
+    return lead * e - 2 * t.odd_part()
 
 
 def default_w_grid(b: float, count: int = 10, step: float = 0.5) -> tuple[float, ...]:

@@ -177,21 +177,21 @@ def check_recurrence(results: list[CheckResult]) -> None:
 def check_quantization(results: list[CheckResult], n_max: int = 8,
                        threshold_scale: float = 1.0) -> None:
     # |master residual| at M = 0 is |P(s)|/(2s) on the grid of s >= 1, with P
-    # exact and odd: Q(s^2), Q the halved odd coefficients of P, exact at each
-    # point; ell1 -> ell1 + 1/1000 adds exactly ((ell1 + 1/1000)^2 - ell1^2) p(W)
+    # exact and odd: Q(s^2), Q the halved odd coefficients of P's grid, exact
+    # at each point; ell1 -> ell1 + 1/1000 adds exactly ((ell1 + 1/1000)^2 - ell1^2) p(W)
     tol = 1e-11 * threshold_scale
     for case, b in ((CASE_A, None), (CASE_B, B_VALUES[0]),
                     (CASE_B, B_VALUES[1]), (CASE_B, B_VALUES[2])):
-        shift = Fraction(1, 4) + (b or 0)
         ws = [Fraction(w) for w in spectral.default_w_grid(float(b or 0), count=10)]
+        sigmas = [w + Fraction(1, 4) + (b or 0) for w in ws]  # s^2 = W + B + 1/4
         worst = 0.0
         worst_pert = math.inf
         for n in range(n_max + 1):
             rec = spectral.eigenfunction(case, n, b)
             ell = Fraction(2 * n + 1)
             big_p = spectral.master_residual_polynomial(rec, ell)
-            q = RationalPolynomial(big_p.coeffs[1::2]) / 2
-            res = [q(w + shift) for w in ws]
+            q = RationalPolynomial._make(big_p._c[1::2], 1, 2 * big_p._den)
+            res = [q(x) for x in sigmas]
             dn, dd = ((ell + Fraction(1, 1000)) ** 2 - ell ** 2).as_integer_ratio()
             p = RationalPolynomial([1]) if rec.poly is None else rec.poly
             worst = max(worst, *(abs(float(r)) for r in res))

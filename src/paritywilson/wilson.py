@@ -31,6 +31,7 @@ from .numcore import (
     RationalPolynomial,
     _mul_add,
     _three_term,
+    _widen,
     hyp_2f1_series,
     hyp_pfq_series,
     poly_eval,
@@ -156,10 +157,9 @@ def _hypergeometric(n: int, symbolic: bool):
     tail_k = 1.  Symbolic Case B: (1-s)_k (1+s)_k pairs into
     prod_{j=1..k} (j^2 - 1 - B), so the expansion is polynomial in B with no
     square roots anywhere; 4^k c_k = (-n)_k (n+1)_k / ((1)_k k!), and the row
-    in B tail_k = prod_{j=k+1..n} (j^2 - 1 - B) is built in the same loop, on
-    the row width n+1 of the result."""
-    width = n + 1 if symbolic else 1
-    acc, tail, den = [1] + [0] * (width - 1), [1], 1
+    in B tail_k = prod_{j=k+1..n} (j^2 - 1 - B) is built in the same loop.  Row
+    i of H_k has B-degree at most n-k-i: the grid takes tail_k's width n-k+1."""
+    acc, tail, den, width = [1], [1], 1, 1
     for k in range(n - 1, -1, -1):
         if symbolic:
             tail = _mul_add(tail, [(k + 1) ** 2 - 1, -1], 1, (), 0)
@@ -167,6 +167,7 @@ def _hypergeometric(n: int, symbolic: bool):
         else:
             r = Fraction((k - n) * (k + n + 3), 4 * (k + 1) ** 2 * (k + 2) ** 2)
         den *= r.denominator
+        acc, width = _widen(acc, width, len(tail)), len(tail)
         linear = [r.numerator * (2 * k + 1) ** 2] + [0] * (width - 1) + [4 * r.numerator]
         acc = _mul_add(acc, linear, width, tail, den)
     f = math.factorial

@@ -103,6 +103,33 @@ def test_quantization_fails_on_a_perturbed_coefficient(monkeypatch, power):
 FAMILIES = (("A", None), *(("B", b) for b in verify.B_VALUES))
 
 
+@pytest.mark.parametrize("power", [0, "leading"], ids=["constant", "leading"])
+def test_perturbed_quantization_reads_the_halved_odd_coefficients(monkeypatch, power):
+    # with the n = 3 polynomial moved by 1e-6, each eigen-quantization row
+    # reads, to the bit, max |Q(s^2)| on its grid with Q = P's odd
+    # coefficients halved, built here from P.coeffs
+    exact = spectral.eigenfunction
+
+    def perturbed(case, n, b=None):
+        rec = exact(case, n, b)
+        if n != 3:
+            return rec
+        k = rec.poly.degree if power == "leading" else power
+        return dataclasses.replace(rec, poly=rec.poly + RationalPolynomial(
+            [0] * k + [Fraction(1, 10 ** 6)]))
+
+    monkeypatch.setattr(spectral, "eigenfunction", perturbed)
+    measured = [r.measured for r in _run_checks(verify.check_quantization)
+                if r.check_id.startswith("eigen-quantization-")]
+    want = []
+    for case, b in FAMILIES:
+        big_p = spectral.master_residual_polynomial(perturbed(case, 3, b), 7)
+        q = RationalPolynomial(big_p.coeffs[1::2]) / 2
+        want.append(max(abs(float(q(Fraction(w) + Fraction(1, 4) + (b or 0))))
+                        for w in spectral.default_w_grid(float(b or 0), count=10)))
+    assert all(want) and measured == want
+
+
 def test_sensitivity_matches_a_second_polynomial_at_the_perturbed_eigenvalue():
     # the closed form (ell'^2 - ell^2) p(W) against P rebuilt at ell' = 2n+1 +
     # 1/1000 and read as P(s) = E(s^2) + s O(s^2) on the same grid

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritywilson.errors import DenominatorPole, NoConvergence
@@ -15,6 +15,7 @@ from paritywilson.numcore import (
     RationalPolynomial,
     _mul_add,
     _three_term,
+    _unit_shift,
     frac_to_str,
     hyp_2f1_series,
     hyp_pfq_series,
@@ -436,6 +437,20 @@ def test_mul_add_step_matches_naive_double_loop(data):
         while len(b_grid) > (len(b) - 1) * w + 1 and not b_grid[-1]:
             b_grid.pop()
     assert _mul_add(flat(a, w), b_grid, w, c, f) == flat(want, w)
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-2 ** 400, 2 ** 400)), max_size=91),
+       st.integers(1, 10 ** 12))
+@example([], 1)
+@example([-7], 3)
+@example([2 ** 400, 0, -(2 ** 399)], 5)
+@settings(max_examples=60, deadline=None)
+def test_unit_shift_equals_the_composition_with_u_plus_one(entries, den):
+    # the certificate's p(u + 1) by running sums, against compose on the same
+    # grid: empty, constant, degree <= 90, mixed signs and 400-bit entries
+    p = RationalPolynomial._make(entries, 1, den)
+    want = p.compose(RationalPolynomial([1, 1]))
+    assert (_unit_shift(p._c), 1, p._den) == (want._c, want._w, want._den)
 
 
 @pytest.mark.parametrize("outer", [False, True], ids=["plain", "symbolic"])

@@ -312,6 +312,21 @@ class TestMasterResidualPolynomial:
         with pytest.raises(ValueError):
             master_residual_polynomial(eigenfunction("B", 2), 5)
 
+    def test_composes_once_per_record(self, monkeypatch):
+        # p(W) is the one composition; p(W+) is its unit shift
+        calls = []
+        compose = RationalPolynomial.compose
+
+        def counted(p, inner):
+            calls.append(inner)
+            return compose(p, inner)
+
+        monkeypatch.setattr(RationalPolynomial, "compose", counted)
+        records = [eigenfunction(case, n, b) for case, b in FAMILIES for n in (0, 1, 7)]
+        for rec in records:
+            master_residual_polynomial(rec, 2 * rec.n + 1)
+        assert len(calls) == len(records)
+
 
 class TestSecondSolution:
     def test_h0_closed_form_shape(self):
