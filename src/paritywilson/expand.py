@@ -15,10 +15,11 @@ w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement round
 (the tail probes, the starting panels, one split) evaluates the integrand
 in one call.  The measure holds the panel_order- and 2*panel_order-point
 Gauss-Legendre weights of every panel, the density at the nodes, the Case
-B point masses, and the values of P_0..P_bound at the nodes and the
-masses, run forward in float through the three-term recurrence
-(``family_values``, one table of terms per family).  Polynomials are
-expanded exactly in the family basis, so an inner product of two is a
+B point masses, and the values of P_0..P_bound at the nodes (the rows the
+panel loop evaluated) and the masses, run forward in float through the
+three-term recurrence once per point (``family_values``, one table of
+terms per family).  Polynomials are expanded exactly in the family basis,
+peeled off the cached exact table, so an inner product of two is a
 quadratic form of the measure's per-panel Gram of those values, built on
 the first inner product; a callable integrand goes through ``project``,
 which reads it at a Case B point mass x = i t as f(1j * t).
@@ -55,6 +56,7 @@ from .wilson import (
     _check_case,
     _sinh_over_cosh_cubed,
     family_weight,
+    monic_from_recurrence,
     norm_closed_form,
     printed_norm_rhs,
     standard_recurrence_terms,
@@ -67,6 +69,7 @@ ROUNDOFF = 100.0 * EPSILON
 MEASURE_MIN_DEGREE = 8
 MEASURE_PANEL_WIDTH = 8.0
 PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
+_LGAMMA: tuple[float, ...] = ()  # lgamma(j + 1) by j, published whole: a race moves no entry
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,14 @@ def tail_bound(c: float, growth_degree: int, decay_rate: float, x: float) -> flo
 def _tail_logs(p: int, lam: float, x: float) -> tuple[float, float]:
     """The part of tail_bound that does not depend on C: the largest term
     log and the log of the sum of the terms relative to it."""
+    global _LGAMMA
+    lg = _LGAMMA
+    if len(lg) <= p:
+        lg = _LGAMMA = lg + tuple(map(math.lgamma, range(len(lg) + 1, max(p + 1, 2 * len(lg)) + 1)))
     log_x = math.log(x) if x > 0.0 else -math.inf
-    logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
-            + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
+    log_lam = math.log(lam)
+    logs = [lg[p] - lg[p - k] - (k + 1) * log_lam + ((p - k) * log_x if k < p else 0.0)
+            for k in range(p + 1)]
     top = max(logs)
     return top, math.log(sum(math.exp(v - top) for v in logs))
 
@@ -171,14 +179,18 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
     by lo.  Each round evaluates f in one call, on the coarse and fine
     nodes of all starting panels, then of both halves of the split panel;
     a non-finite value raises at once, naming the first one in panel
-    order."""
+    order.  An f returning (integrand, rows) has each panel's block of the
+    rows' columns appended to its entry."""
     k = cfg.panel_order
     (xc, wc), (xf, wf) = _nodes(k), _nodes(2 * k)
     rule = np.concatenate((xc, xf))
 
     def panels_on(lo, hi):
         xm = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * rule
-        fx = np.asarray(f(xm.ravel())).reshape(xm.shape)
+        fx, rows = f(xm.ravel()), [()] * len(lo)
+        if isinstance(fx, tuple):  # (integrand, value rows): each panel keeps its block
+            fx, rows = fx[0], [(block,) for block in np.split(fx[1], len(lo), axis=-1)]
+        fx = np.asarray(fx).reshape(xm.shape)
         bad = np.argwhere(~np.isfinite(fx))
         if bad.size:
             p, j = bad[0]
@@ -186,10 +198,10 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
                 f"non-finite integrand at x = {xm[p, j]:.6g} on panel "
                 f"[{lo[p]:.6g}, {hi[p]:.6g}], cutoff {x_max:.6g}")
         out = []
-        for a, b, row in zip(lo, hi, fx):  # own slices: the pairwise sums keep their bits
+        for a, b, row, kept in zip(lo, hi, fx, rows):  # own slices: pairwise sums keep their bits
             coarse = 0.5 * (b - a) * np.sum(wc * row[:k])
             fine = 0.5 * (b - a) * np.sum(wf * row[k:])
-            out.append([abs(fine - coarse), a, b, fine])
+            out.append([abs(fine - coarse), a, b, fine, *kept])
         return out
 
     panels = panels_on(edges[:-1], edges[1:])
@@ -200,13 +212,13 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
             break
         panels.sort(key=lambda p: (-p[0], p[1]))
         if len(panels) >= cfg.max_panels:
-            worst, lo, hi, _ = panels[0]
+            worst, lo, hi = panels[0][:3]
             raise NoConvergence(
                 f"adaptive quadrature exceeded {cfg.max_panels} panels: err_sum "
                 f"{err_sum:.3e} against budget/2 {0.5 * budget:.3e} (budget "
                 f"{budget:.3e}, total {abs(sum(p[3] for p in panels)):.3e}); worst panel "
                 f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
-        _, lo, hi, _ = panels.pop(0)
+        _, lo, hi = panels.pop(0)[:3]
         mid = 0.5 * (lo + hi)
         panels += panels_on(np.array([lo, mid]), np.array([mid, hi]))
     panels.sort(key=lambda p: p[1])
@@ -226,7 +238,7 @@ def _recurrence(family: WilsonFamily, n_max: int) -> tuple:
     P_{n-2} (gamma_1 multiplies P_{-1} = 0); beta_n, sqrt(gamma_n) and
     scale_{n-1} = sqrt(gamma_2 ... gamma_n) in read-only float arrays (a
     sequential product, so a prefix keeps its bits; inf past the float
-    range, Case A from n = 116); L, (L beta_n), (L gamma_n) in ints."""
+    range, Case A from n = 116)."""
     if family.case == CASE_B:
         family.require_nondegenerate(n_max)
     if family.symbolic:
@@ -241,9 +253,7 @@ def _recurrence(family: WilsonFamily, n_max: int) -> tuple:
             scale = np.concatenate(([1.0], np.cumprod(root[1:])))
         for array in (beta, root, scale):
             array.flags.writeable = False  # cached
-        den = math.lcm(*(t.denominator for pair in terms for t in pair))
-        table = _RECURRENCES[family] = (terms, (beta, root, scale), (den, *(
-            tuple(t.numerator * (den // t.denominator) for t in col) for col in zip(*terms))))
+        table = _RECURRENCES[family] = (terms, beta, root, scale)
     return table
 
 
@@ -251,22 +261,24 @@ def family_values(family: WilsonFamily, n_max: int, u):
     """P_0..P_{n_max} at the squared abscissae ``u`` in float, run forward
     through the three-term recurrence (Gautschi 2004, sec. 2.1), which
     stays well conditioned where Horner on the monomial coefficients loses
-    digits.
+    digits.  Each step writes its row in place; the operations are
+    elementwise, so a value does not depend on the shape of ``u``.
 
     Returns (values, scale): P_k(u) = scale[k] * values[k], with scale[k] =
     sqrt(gamma_2 ... gamma_{k+1}), the norm ratio ||P_k|| / ||P_0|| of a
     positive measure, so the rows stay of unit order where the measure
     lives.
     """
-    beta, root, scale = _recurrence(family, n_max)[1]
+    _, beta, root, scale = _recurrence(family, n_max)
     u = np.asarray(u, dtype=float)
     values = np.empty((n_max + 1,) + u.shape)
     values[0] = 1.0
     for n in range(1, n_max + 1):
-        prev = (u + beta[n - 1]) * values[n - 1]
+        row = np.add(u, beta[n - 1], out=values[n, ...])  # a view, also for 0-d u
+        row *= values[n - 1]
         if n >= 2:
-            prev -= root[n - 1] * values[n - 2]
-        values[n] = prev / root[n]
+            row -= root[n - 1] * values[n - 2]
+        row /= root[n]
     return values, scale[: n_max + 1]
 
 
@@ -274,27 +286,26 @@ def family_values(family: WilsonFamily, n_max: int, u):
 def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     """float(a_k) * scale_k, read-only, for the exact a_k with
     poly = sum_k a_k P_k: the coefficients of poly against the scaled value
-    rows.  The a_k come from Horner in the family basis, using
-    u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}, on integer
-    numerators over a denominator, both divided by their gcd after every
-    step, with one correctly rounded division per entry at the end."""
-    coeffs = poly.coeffs
-    degree = max(len(coeffs) - 1, 0)
-    _, (_, _, scale), (ell, beta, gamma) = _recurrence(family, degree)
+    rows.  The a_k are peeled off the cached exact table from the top
+    degree down on integer grids: a_k is the remainder's u^k coefficient,
+    one correctly rounded division, and the remainder drops a_k P_k, so a
+    member of the table costs one subtraction."""
+    rest, den = list(poly._c), poly._den
+    degree = max(len(rest) - 1, 0)
+    scale = _recurrence(family, degree)[3]
     if np.isinf(scale[degree]):
         raise NoConvergence(f"{family.label()} polynomial of degree {degree}: the basis "
                             f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
-    den = math.lcm(*(c.denominator for c in coeffs))
-    a, d = [], 1  # a_k = a[k] / (den * d)
-    for c in reversed(coeffs):
-        a = [up + mid + down for up, mid, down in zip(
-            [0] + [ell * x for x in a], [-b * x for b, x in zip(beta, a)] + [0],
-            [g * x for g, x in zip(gamma[1:], a[1:])] + [0, 0])]
-        d *= ell
-        a[0] += c.numerator * (den // c.denominator) * d
-        g = math.gcd(d, *a)
-        a, d = [x // g for x in a], d // g
-    row = np.array([x / (den * d) for x in a] or [0.0]) * scale[: degree + 1]
+    table, a = monic_from_recurrence(family, degree), [0.0] * (degree + 1)
+    for k in range(len(rest) - 1, -1, -1):
+        top = rest.pop()
+        if top:
+            a[k], member = top / den, table[k]
+            h = math.gcd(top, member._den)
+            up, down = member._den // h, top // h  # rest - a_k P_k over den * up
+            rest = [x * up - down * y for x, y in zip(rest, member._c)]
+            den *= up
+    row = np.array(a) * scale[: degree + 1]
     row.flags.writeable = False  # cached
     return row
 
@@ -455,10 +466,10 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
         # rejects the non-finite values instead of numpy warning about them
         with np.errstate(over="ignore", invalid="ignore"):
             values, _ = family_values(family, degree, x * x)
-            return weight.evaluate(x) * np.sum(values * values, axis=0)
+            return weight.evaluate(x) * np.sum(values * values, axis=0), values
 
     try:
-        x_max = _cutoff(hardest, cfg, TWO_PI, 4 * degree)
+        x_max = _cutoff(lambda x: hardest(x)[0], cfg, TWO_PI, 4 * degree)
         panels = _adaptive_panels(hardest, cfg, x_max, _graded_edges(x_max))
     except NoConvergence as exc:
         raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
@@ -472,8 +483,9 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
     weights = np.zeros((len(panels) + 1, 3 * cfg.panel_order))
     weights[:-1] = 0.5 * (hi - lo) * np.concatenate((wc, wf))
     masses = weight.point_masses
-    values, scale = family_values(family, degree, np.concatenate((x * x, [pm.y for pm in masses])))
-    values, mass_values = (np.ascontiguousarray(v) for v in np.split(values, [x.size], axis=1))
+    ends, scale = family_values(family, degree, np.append(probes * probes, [pm.y for pm in masses]))
+    values = np.concatenate([p[4] for p in panels] + [ends[:, :probes.size]], axis=1)
+    mass_values = np.ascontiguousarray(ends[:, probes.size:])
     density = weight.evaluate(x)
     for array in (x, weights, density, values, mass_values):
         array.flags.writeable = False  # shared by every caller
@@ -505,6 +517,18 @@ def _on(measure: DiscreteMeasure, f) -> tuple:
     return np.asarray(f(measure.x)), [f(1j * pm.t) for pm in measure.masses]
 
 
+@functools.lru_cache(maxsize=1024)
+def _reads(family: WilsonFamily, cfg: QuadratureConfig, bound: int, poly: RationalPolynomial):
+    """|a|, a . values at the tail probes, that times the density, and
+    a . mass_values for the basis row a of poly under the measure (family,
+    cfg, bound), or its identical rebuild: what inner products read."""
+    a, measure = _basis_row(family, poly), _build_measure(family, cfg, bound)
+    probe = slice(-3 * cfg.panel_order, -3 * cfg.panel_order + 3)
+    at_probes = a @ measure.values[:a.size, probe]
+    return (np.abs(a), at_probes, measure.density[probe] * at_probes,
+            a @ measure.mass_values[:a.size])
+
+
 def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial,
                   cfg: QuadratureConfig | None = None):
     """<p, q> under the family measure: continuous weighted integral plus
@@ -513,19 +537,18 @@ def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolyno
     (exact, rounded once each), the continuous part is the quadratic form
     a^T G b of the measure's panel Gram under each rule; a callable
     integrand goes through ``project``.  Returns (value, error_estimate)."""
-    if not (isinstance(p, RationalPolynomial) and isinstance(q, RationalPolynomial)):
-        raise TypeError("inner_product takes polynomials; project takes a callable")
+    if not all(isinstance(poly, RationalPolynomial) and poly._w == 1 for poly in (p, q)):
+        raise TypeError("inner_product takes polynomials over Q; project takes a callable")
     a, b = _basis_row(family, p), _basis_row(family, q)
     measure = discrete_measure(family, max(a.size, b.size) - 1, cfg)
     gram, absolute = measure._gram
+    (abs_a, probe_a, _, mass_a), (abs_b, _, probe_b, mass_b) = (
+        _reads(family, measure.cfg, measure.degree, poly) for poly in (p, q))
     coarse, fine = gram[:, :, :a.size, :b.size] @ b @ a
-    magnitude = np.abs(a) @ absolute[:a.size, :b.size] @ np.abs(b)
-    probe = slice(-3 * measure.cfg.panel_order, -3 * measure.cfg.panel_order + 3)
-    probes = (a @ measure.values[:a.size, probe]) * (
-        measure.density[probe] * (b @ measure.values[:b.size, probe]))
+    magnitude = abs_a @ absolute[:a.size, :b.size] @ abs_b
     [val], [err] = measure._certify(
-        coarse[None], fine[None], magnitude[None], probes[None], [2 * (a.size + b.size - 2)],
-        (a @ measure.mass_values[:a.size], b @ measure.mass_values[:b.size]))
+        coarse[None], fine[None], magnitude[None], (probe_a * probe_b)[None],
+        [2 * (a.size + b.size - 2)], (mass_a, mass_b))
     return val, err
 
 

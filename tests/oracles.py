@@ -8,10 +8,13 @@ measure uses 24 and 48 points on graded, adaptively split panels), and an
 analytic tail bound beyond X from the upper incomplete gamma function in
 mpmath.  ``master_terms`` is the master three-point equation in mpmath at
 the working precision, the high-precision reference of the library's float
-residual and of its exact quantization certificate.
+residual and of its exact quantization certificate.  ``basis_coefficients``
+expands a polynomial in a monic family by Horner in the family basis, a
+route independent of the library's peel off the exact table.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -66,3 +69,25 @@ def master_terms(f, b, m, ell1, w):
     c_minus = -2 * b - 4 * w + (w - coupling) * (r + 1)
     return ((2 * (w + coupling) - (1 - ell1 * ell1)) * f(w),
             c_plus * f(w + 1 + r) / r, c_minus * f(w + 1 - r) / r)
+
+
+def basis_coefficients(coeffs, terms):
+    """The exact a_k with sum_j coeffs[j] u^j = sum_k a_k P_k for the monic
+    family P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2}, terms[n - 1] =
+    (beta_n, gamma_n) for n = 1..len(coeffs) at least: Horner in the family
+    basis, using u P_k = P_{k+1} - beta_{k+1} P_k + gamma_{k+1} P_{k-1}, on
+    integer numerators over a denominator, both divided by their gcd after
+    every step."""
+    ell = math.lcm(*(t.denominator for pair in terms for t in pair))
+    beta, gamma = ([t.numerator * (ell // t.denominator) for t in col] for col in zip(*terms))
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    a, d = [], 1  # a_k = a[k] / (den * d)
+    for c in map(Fraction, reversed(coeffs)):
+        a = [up + mid + down for up, mid, down in zip(
+            [0] + [ell * x for x in a], [-b * x for b, x in zip(beta, a)] + [0],
+            [g * x for g, x in zip(gamma[1:], a[1:])] + [0, 0])]
+        d *= ell
+        a[0] += c.numerator * (den // c.denominator) * d
+        g = math.gcd(d, *a)
+        a, d = [x // g for x in a], d // g
+    return [Fraction(x, den * d) for x in a] or [Fraction(0)]

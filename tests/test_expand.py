@@ -200,25 +200,58 @@ class TestPanelLoop:
         c = expand._growth_constant(probes, np.exp(-math.pi * probes), 0, TWO_PI)
         assert 0.0 < tail_bound(c, 0, TWO_PI, x_max) < 0.25e-30
 
-    def test_cached_tail_bound_is_the_uncached_log_sum(self):
-        def uncached(c, p, lam, x):
-            log_x = math.log(x)
-            logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
-                    + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
-            top = max(logs)
-            return expand._exp(math.log(c) - lam * x + top
-                               + math.log(sum(math.exp(v - top) for v in logs)))
-
+    def test_cached_tail_bound_is_the_uncached_log_sum(self, monkeypatch):
+        # to the bit, from a cold log-gamma table in every order
         args = [(c, p, lam, x) for c in (1e-300, 0.5, 3.0, 1e200) for p in (0, 1, 7, 64, 256)
                 for lam in (TWO_PI, 3.0) for x in (0.5, 15.0, 101.0)]
-        want = {a: uncached(*a) for a in args}
+        want = {a: _per_term_tail(*a).hex() for a in args}
         shuffled = list(args)
         np.random.default_rng(0).shuffle(shuffled)
         for order in (args, args[::-1], shuffled):
+            monkeypatch.setattr(expand, "_LGAMMA", ())
             expand._tail_logs.cache_clear()
             for a in order:
-                assert tail_bound(*a) == want[a], a
+                assert tail_bound(*a).hex() == want[a], a
         assert expand._tail_logs.cache_info().hits > 0
+
+    def test_concurrent_prefix_table_extensions_keep_every_entry(self, monkeypatch):
+        # threads extend the log-gamma table from different lengths at once;
+        # whichever tuple is published last, even a shorter one, no entry
+        # may move
+        degrees = [0, 1, 7, 64, 256, 3, 130, 17]
+        args = [(0.75, p, TWO_PI, x) for p in degrees for x in (15.0, 101.0)]
+        want = {a: _per_term_tail(*a).hex() for a in args}
+        monkeypatch.setattr(expand, "_LGAMMA", ())
+        expand._tail_logs.cache_clear()
+        start = threading.Barrier(4, timeout=30)
+
+        def interleaved(offset):
+            start.wait()
+            return [(a, tail_bound(*a).hex()) for a in args[offset::4] + args[::-1]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(interleaved, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for a, value in got:
+                assert value == want[a], a
+        table = expand._LGAMMA
+        assert table and all(v.hex() == math.lgamma(j + 1).hex() for j, v in enumerate(table))
+
+
+def _per_term_tail(c, p, lam, x):
+    """tail_bound with one lgamma call per term, as the bound read before
+    its log-gamma table."""
+    log_x = math.log(x)
+    logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
+            + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
+    top = max(logs)
+    return expand._exp(math.log(c) - lam * x + top
+                       + math.log(sum(math.exp(v - top) for v in logs)))
 
 
 class TestInnerProduct:
@@ -237,11 +270,13 @@ class TestInnerProduct:
 
     def test_callable_is_refused(self):
         # inner products are quadratic forms of the measure's Gram; a callable
-        # integrand goes through project
+        # integrand goes through project, and a polynomial in B has no row
         member = monic_from_recurrence(CASE_A, 1)[1]
-        for p, q in ((lambda x: np.exp(-x), member), (member, lambda x: np.exp(-x))):
-            with pytest.raises(TypeError, match="project"):
-                inner_product(CASE_A, p, q)
+        symbolic = monic_from_recurrence(WilsonFamily.case_b(), 1)[1]
+        for other in (lambda x: np.exp(-x), symbolic):
+            for p, q in ((other, member), (member, other)):
+                with pytest.raises(TypeError, match="polynomials over Q; project"):
+                    inner_product(CASE_A, p, q)
 
 
 class TestCertification:
@@ -427,19 +462,21 @@ class TestProjection:
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_basis_row_is_cached_read_only_and_exact(self, family):
-        for poly in (MIXED, LARGE_DENOMINATORS):
-            # exact a_k with poly = sum_k a_k P_k, peeled off from the top degree
-            table = monic_from_recurrence(family, poly.degree)
-            rest, a = poly, [Fraction(0)] * (poly.degree + 1)
-            for k in range(poly.degree, -1, -1):
-                a[k] = rest.coefficient(k)
-                rest = rest - table[k] * a[k]
+        table = monic_from_recurrence(family, 64)
+        for poly in (MIXED, LARGE_DENOMINATORS, table[0], table[12], table[64]):
+            # exact a_k with poly = sum_k a_k P_k, by Horner in the family
+            # basis: not the library's peel off the table
+            terms = [wilson.standard_recurrence_terms(family, n) for n in range(1, poly.degree + 2)]
+            a = oracles.basis_coefficients(poly.coeffs, terms)
             _, scale = family_values(family, poly.degree, np.zeros(1))
             want = np.array([float(c) for c in a]) * scale
             row = expand._basis_row(family, poly)
             assert row.tobytes() == want.tobytes(), poly.degree
             assert not row.flags.writeable
             assert expand._basis_row(family, poly) is row
+            n = poly.degree
+            if poly is table[n]:  # a member is its own basis vector: scale_n e_n
+                assert row.tobytes() == (np.eye(n + 1)[n] * scale).tobytes(), n
 
 
 class TestParityCoefficients:
@@ -608,6 +645,22 @@ class TestFamilyValues:
                 want = _exact_at(table[k], float(u))
                 got = scale[k] * values[k, j]
                 assert abs(got - want) <= 1e-12 * max(abs(want), scale[k]), (k, float(u))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_measure_rows_are_one_fresh_pass(self, family):
+        # the measure keeps the rows its panel loop evaluated, and adds one
+        # pass at the probes and the masses: every entry must be what a
+        # fresh pass gives at the same abscissa, a mass read at a 0-d u as
+        # the oracle sums read it (each step writes a view of its row)
+        for bound in (8, 16, 32, 64):
+            measure = discrete_measure(family, bound)
+            values, scale = family_values(family, bound, measure.x ** 2)
+            assert measure.values.tobytes() == values.tobytes(), bound
+            assert measure.scale.tobytes() == scale.tobytes(), bound
+            assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
+            for j, pm in enumerate(measure.masses):
+                at_mass, _ = family_values(family, bound, np.array(pm.y))
+                assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (bound, j)
 
 
 def _assert_orthogonal(family, n_max):
