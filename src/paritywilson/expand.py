@@ -12,17 +12,19 @@ on which calls ran before it.  Its panels are chosen by the adaptive panel
 loop, started from panels graded towards the origin and refined to the
 roundoff floor, on the family's hardest polynomial integrand
 w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement round
-(the tail probes, the starting panels, one split) evaluates the integrand
-in one call.  The measure holds the panel_order- and 2*panel_order-point
-Gauss-Legendre weights of every panel, the density at the nodes, the Case
-B point masses, and the values of P_0..P_bound at the nodes (the rows the
-panel loop evaluated) and the masses, run forward in float through the
-three-term recurrence once per point (``family_values``, one table of
-terms per family).  Polynomials are expanded exactly in the family basis,
-peeled off the cached exact table, so an inner product of two is a
-quadratic form of the measure's per-panel Gram of those values, built on
-the first inner product; a callable integrand goes through ``project``,
-which reads it at a Case B point mass x = i t as f(1j * t).
+(the tail probes with the Case B point masses, the starting panels, one
+split) evaluates the integrand in one call.  The measure holds the
+panel_order- and 2*panel_order-point Gauss-Legendre weights of every panel
+(a rule computed here), the Case B point masses, and the density and the
+values of P_0..P_bound at the nodes, the probes and the masses, as the
+panel loop and the last probe round evaluated them, once per point: the
+values run forward in float through the three-term recurrence
+(``family_values``, one table of terms per family).  Polynomials are
+expanded exactly in the family basis, peeled off the cached exact table,
+so an inner product of two is a quadratic form of the measure's per-panel
+Gram of those values, built on the first inner product; a callable
+integrand goes through ``project``, which reads it at a Case B point mass
+x = i t as f(1j * t).
 Every integral takes the continuous and the discrete part together and
 returns its own error estimate: the per-panel difference of the two
 rules, the analytic tail bound beyond the cutoff and a roundoff
@@ -105,10 +107,30 @@ _DEFAULT_CONFIG = QuadratureConfig()
 
 @functools.lru_cache(maxsize=None)
 def _nodes(order: int):
-    nodes = np.polynomial.legendre.leggauss(order)
-    for array in nodes:
+    """The order-point Gauss-Legendre rule (order >= 3) by numpy's ``leggauss``
+    algorithm, step for step: companion-matrix eigenvalues (Golub & Welsch
+    1969), one Newton step, symmetrized weights scaled to sum to 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    off = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    top = [0.0] * order + [1.0]  # L_order; L_order' sums (2k+1) L_k over k = order-1, order-3, ...
+    df = _legendre(x, [(order - k) % 2 * (2.0 * k + 1) for k in range(order)])
+    x -= _legendre(x, top) / df
+    fm = _legendre(x, top[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    for array in (x, w):
         array.flags.writeable = False  # cached
-    return nodes
+    return x, w
+
+
+def _legendre(x: np.ndarray, c: list) -> np.ndarray:
+    """sum_k c[k] L_k(x), len(c) >= 3, by Clenshaw as numpy's ``legval`` runs it."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def _exp(e: float) -> float:
@@ -179,8 +201,9 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
     by lo.  Each round evaluates f in one call, on the coarse and fine
     nodes of all starting panels, then of both halves of the split panel;
     a non-finite value raises at once, naming the first one in panel
-    order.  An f returning (integrand, rows) has each panel's block of the
-    rows' columns appended to its entry."""
+    order.  An f returning (integrand, *arrays), such as the measure
+    build's (integrand, value rows, densities), has each panel's block of
+    every array's last axis appended to its entry, in order."""
     k = cfg.panel_order
     (xc, wc), (xf, wf) = _nodes(k), _nodes(2 * k)
     rule = np.concatenate((xc, xf))
@@ -188,8 +211,9 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
     def panels_on(lo, hi):
         xm = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * rule
         fx, rows = f(xm.ravel()), [()] * len(lo)
-        if isinstance(fx, tuple):  # (integrand, value rows): each panel keeps its block
-            fx, rows = fx[0], [(block,) for block in np.split(fx[1], len(lo), axis=-1)]
+        if isinstance(fx, tuple):  # (integrand, *arrays): each panel keeps its blocks
+            fx, *kept = fx
+            rows = list(zip(*(np.split(array, len(lo), axis=-1) for array in kept)))
         fx = np.asarray(fx).reshape(xm.shape)
         bad = np.argwhere(~np.isfinite(fx))
         if bad.size:
@@ -261,8 +285,8 @@ def family_values(family: WilsonFamily, n_max: int, u):
     """P_0..P_{n_max} at the squared abscissae ``u`` in float, run forward
     through the three-term recurrence (Gautschi 2004, sec. 2.1), which
     stays well conditioned where Horner on the monomial coefficients loses
-    digits.  Each step writes its row in place; the operations are
-    elementwise, so a value does not depend on the shape of ``u``.
+    digits.  Rows are written in place (every u + beta_n in one call); the
+    operations are elementwise, so a value does not depend on the shape of u.
 
     Returns (values, scale): P_k(u) = scale[k] * values[k], with scale[k] =
     sqrt(gamma_2 ... gamma_{k+1}), the norm ratio ||P_k|| / ||P_0|| of a
@@ -270,15 +294,19 @@ def family_values(family: WilsonFamily, n_max: int, u):
     lives.
     """
     _, beta, root, scale = _recurrence(family, n_max)
+    root = root[: n_max + 1].tolist()
     u = np.asarray(u, dtype=float)
     values = np.empty((n_max + 1,) + u.shape)
     values[0] = 1.0
+    np.add(beta[:n_max].reshape((-1,) + (1,) * u.ndim), u, out=values[1:])  # every u + beta_n
+    scratch, before, last = np.empty(u.shape), None, values[0, ...]
     for n in range(1, n_max + 1):
-        row = np.add(u, beta[n - 1], out=values[n, ...])  # a view, also for 0-d u
-        row *= values[n - 1]
+        row = values[n, ...]  # a view, also for 0-d u
+        row *= last
         if n >= 2:
-            row -= root[n - 1] * values[n - 2]
+            row -= np.multiply(before, root[n - 1], scratch)
         row /= root[n]
+        before, last = last, row
     return values, scale[: n_max + 1]
 
 
@@ -460,38 +488,49 @@ def _graded_edges(x_max: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
     weight = family_weight(family)
+    masses = weight.point_masses
+    ends = []  # hardest at the probes and the masses, from the cutoff's last candidate
 
-    def hardest(x):
-        # past the degree ceiling the rows overflow; the panel loop then
-        # rejects the non-finite values instead of numpy warning about them
+    def hardest(x, at=()):
+        # integrand, value rows at x and then at the squared abscissae ``at``, density at
+        # x; rows overflowing past the degree ceiling are the callers' to reject, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            values, _ = family_values(family, degree, x * x)
-            return weight.evaluate(x) * np.sum(values * values, axis=0), values
+            values, _ = family_values(family, degree, np.concatenate((x * x, at)))
+            density, rows = weight.evaluate(x), values[:, :x.size]
+            return density * np.sum(rows * rows, axis=0), values, density
+
+    def probed(x):
+        ends[:] = hardest(x, [pm.y for pm in masses])
+        return ends[0]
 
     try:
-        x_max = _cutoff(lambda x: hardest(x)[0], cfg, TWO_PI, 4 * degree)
+        x_max = _cutoff(probed, cfg, TWO_PI, 4 * degree)
         panels = _adaptive_panels(hardest, cfg, x_max, _graded_edges(x_max))
+        bad = np.argwhere(~np.isfinite(ends[1]))[:, 1]  # probes, masses: outside every panel
+        if bad.size:
+            j = bad[0]
+            at = (f"x = {PROBES[j] * x_max:.6g}" if j < 3
+                  else f"the point mass x = {masses[j - 3].t:.6g}i")
+            raise NoConvergence(f"non-finite value row at {at}, cutoff {x_max:.6g}")
     except NoConvergence as exc:
         raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
     (xc, wc), (xf, wf) = _nodes(cfg.panel_order), _nodes(2 * cfg.panel_order)
     lo = np.array([p[1] for p in panels])[:, None]
     hi = np.array([p[2] for p in panels])[:, None]
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.concatenate((xc, xf))
-    probes = np.full(3 * cfg.panel_order, x_max)
-    probes[:3] = [k * x_max for k in PROBES]
-    x = np.concatenate((nodes.ravel(), probes))
+    pad = np.minimum(np.arange(3 * cfg.panel_order), 2)  # the probes, padded with the cutoff
+    x = np.concatenate((nodes.ravel(), np.multiply(PROBES, x_max)[pad]))
     weights = np.zeros((len(panels) + 1, 3 * cfg.panel_order))
     weights[:-1] = 0.5 * (hi - lo) * np.concatenate((wc, wf))
-    masses = weight.point_masses
-    ends, scale = family_values(family, degree, np.append(probes * probes, [pm.y for pm in masses]))
-    values = np.concatenate([p[4] for p in panels] + [ends[:, :probes.size]], axis=1)
-    mass_values = np.ascontiguousarray(ends[:, probes.size:])
-    density = weight.evaluate(x)
+    values = np.concatenate([p[4] for p in panels] + [ends[1][:, pad]], axis=1)
+    density = np.concatenate([p[5] for p in panels] + [ends[2][pad]])
+    mass_values = np.ascontiguousarray(ends[1][:, 3:])
     for array in (x, weights, density, values, mass_values):
         array.flags.writeable = False  # shared by every caller
     return DiscreteMeasure(family=family, cfg=cfg, degree=degree, x_max=x_max, x=x,
-                           weights=weights, density=density, values=values,
-                           scale=scale, masses=masses, mass_values=mass_values)
+                           weights=weights, density=density, values=values, masses=masses,
+                           scale=_recurrence(family, degree)[3][: degree + 1],
+                           mass_values=mass_values)
 
 
 def discrete_measure(family: WilsonFamily, degree: int,

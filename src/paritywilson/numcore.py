@@ -158,7 +158,7 @@ class RationalPolynomial:
     zeros, so the zero polynomial has an empty tuple and is falsy.
     """
 
-    __slots__ = ("_c", "_w", "_den", "_floats")
+    __slots__ = ("_c", "_w", "_den", "_floats", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         qs = [Fraction(c) for c in coeffs]
@@ -216,12 +216,12 @@ class RationalPolynomial:
         return NotImplemented if pair is None else pair[1] == pair[2]
 
     def __hash__(self):
-        # a constant hashes like its Fraction, a polynomial like its grid
-        # with a plain RationalPolynomial read as a row in B, as == reads it
-        c, w, den = _operand(self, True)
-        if len(c) <= 1:
-            return hash(Fraction(c[0], den)) if c else 0
-        return hash((c, w, den))
+        # kept from the first call, a grid being immutable; a constant hashes like
+        # its Fraction, a polynomial like its grid (a plain one read as a row in B)
+        if not hasattr(self, "_hash"):
+            c, w, den = _operand(self, True)
+            self._hash = hash((Fraction(c[0], den) if c else 0) if len(c) <= 1 else (c, w, den))
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"

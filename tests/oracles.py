@@ -11,6 +11,9 @@ the working precision, the high-precision reference of the library's float
 residual and of its exact quantization certificate.  ``basis_coefficients``
 expands a polynomial in a monic family by Horner in the family basis, a
 route independent of the library's peel off the exact table.
+``recurrence_values`` is the float recurrence one degree at a time, the
+reference of the library's batched loop.  The panel rules are numpy's
+``leggauss``, not the library's own port of its algorithm.
 """
 
 import math
@@ -91,3 +94,19 @@ def basis_coefficients(coeffs, terms):
         g = math.gcd(d, *a)
         a, d = [x // g for x in a], d // g
     return [Fraction(x, den * d) for x in a] or [Fraction(0)]
+
+
+def recurrence_values(beta, root, n_max: int, u) -> np.ndarray:
+    """P_k(u) / scale_k for k = 0..n_max, one degree at a time: row n is
+    ((u + beta[n-1]) row_{n-1} - root[n-1] row_{n-2}) / root[n], with the
+    float recurrence terms beta_n and sqrt(gamma_n) at index n - 1."""
+    u = np.asarray(u, dtype=float)
+    values = np.empty((n_max + 1,) + u.shape)
+    values[0] = 1.0
+    for n in range(1, n_max + 1):
+        row = np.add(u, beta[n - 1], out=values[n, ...])
+        row *= values[n - 1]
+        if n >= 2:
+            row -= root[n - 1] * values[n - 2]
+        row /= root[n]
+    return values

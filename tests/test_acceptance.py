@@ -184,6 +184,28 @@ def test_runtime_needs_no_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runtime_leaves_numpy_polynomial_unimported():
+    # the measures' Gauss-Legendre rule is computed in the library, so the
+    # verdict and the expansions import no numpy.polynomial
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from paritywilson import expand, verify, wilson\n"
+        "report = verify.run_suites()\n"
+        "assert len(report.results) == 49, len(report.results)\n"
+        "for family in (wilson.WilsonFamily.case_a(), wilson.WilsonFamily.case_b(Fraction(3, 2))):\n"
+        "    table = expand.parity_coefficients(family, 13)\n"
+        "    expand.reconstruction_residual(family, 12, table=table)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(paritywilson.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_criterion_4_orthogonality_and_norms():
     t0 = time.perf_counter()
     results = _run_checks(verify.check_orthogonality)

@@ -2,6 +2,7 @@
 reconstruction residuals."""
 
 import ast
+import dataclasses
 import math
 import sys
 import threading
@@ -171,6 +172,15 @@ class TestPanelLoop:
             coarse, fine = (0.5 * (hi - lo) * np.sum(w * f(0.5 * (hi + lo) + 0.5 * (hi - lo) * x))
                             for x, w in rules)
             assert value == fine and err == abs(fine - coarse), (lo, hi)
+
+    def test_nodes_are_numpys_gauss_legendre_rule(self):
+        # the library runs leggauss's algorithm itself, so that no build
+        # imports numpy.polynomial; every bit must stay numpy's
+        for k in range(3, 130):
+            got, want = expand._nodes(k), np.polynomial.legendre.leggauss(k)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), k
+                assert not a.flags.writeable, k
 
     def test_one_integrand_call_per_round(self):
         sizes = []
@@ -647,20 +657,49 @@ class TestFamilyValues:
                 assert abs(got - want) <= 1e-12 * max(abs(want), scale[k]), (k, float(u))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_batched_loop_equals_the_per_degree_loop(self, family):
+        # every u + beta_n in one call, then the steps in place: the same
+        # operations on every entry as one degree at a time, overflow included
+        rng = np.random.default_rng(5)
+        _, beta, root, _ = expand._recurrence(family, 128)
+        for u in (np.array(2.5), np.array(-0.75), np.empty(0), np.empty((0, 3)),
+                  rng.uniform(-4.0, 1e4, (7, 11)), rng.uniform(0.0, 900.0, 144)):
+            for n in (0, 1, 2, 16, 64, 128):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, _ = family_values(family, n, u)
+                    want = oracles.recurrence_values(beta, root, n, u)
+                assert got.shape == want.shape == (n + 1,) + u.shape, (n, u.shape)
+                assert got.tobytes() == want.tobytes(), (n, u.shape)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_measure_rows_are_one_fresh_pass(self, family):
-        # the measure keeps the rows its panel loop evaluated, and adds one
-        # pass at the probes and the masses: every entry must be what a
-        # fresh pass gives at the same abscissa, a mass read at a 0-d u as
-        # the oracle sums read it (each step writes a view of its row)
-        for bound in (8, 16, 32, 64):
-            measure = discrete_measure(family, bound)
-            values, scale = family_values(family, bound, measure.x ** 2)
-            assert measure.values.tobytes() == values.tobytes(), bound
-            assert measure.scale.tobytes() == scale.tobytes(), bound
-            assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
-            for j, pm in enumerate(measure.masses):
-                at_mass, _ = family_values(family, bound, np.array(pm.y))
-                assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (bound, j)
+        # the measure keeps the value rows and densities its panel loop
+        # evaluated, and those of the cutoff's last probe call, which also
+        # covers the masses: every entry must be what a fresh pass gives at
+        # the same abscissa, a panel's density what its nodes alone give, and
+        # a mass read at a 0-d u as the oracle sums read it.  At panel_order 3
+        # bounds 32 and 64 take thousands of panels, each split its own round
+        # (about 30 s), so the hashes of the measure arrays cover them
+        weight = family_weight(family)
+        for cfg, bounds in ((QuadratureConfig(), (8, 16, 32, 64)),
+                            (QuadratureConfig(panel_order=20), (8, 16, 32, 64)),
+                            (QuadratureConfig(x_max=40.0), (8, 16, 32, 64)),
+                            (QuadratureConfig(panel_order=3), (8, 16))):
+            k = 3 * cfg.panel_order
+            for bound in bounds:
+                measure, at = discrete_measure(family, bound, cfg), (cfg, bound)
+                values, scale = family_values(family, bound, measure.x ** 2)
+                assert measure.values.tobytes() == values.tobytes(), at
+                assert measure.scale.tobytes() == scale.tobytes(), at
+                assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
+                for p, block in enumerate(measure.x.reshape(-1, k)):  # the probes come last
+                    density = weight.evaluate(block)
+                    assert measure.density[p * k:(p + 1) * k].tobytes() == density.tobytes(), at
+                x_max = measure.x_max
+                assert measure.x[-k:].tolist() == [0.7 * x_max, 0.85 * x_max] + [x_max] * (k - 2)
+                for j, pm in enumerate(measure.masses):
+                    at_mass, _ = family_values(family, bound, np.array(pm.y))
+                    assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (at, j)
 
 
 def _assert_orthogonal(family, n_max):
@@ -818,6 +857,35 @@ class TestDiscreteMeasure:
             discrete_measure(CASE_A, 70)
         msg = str(info.value)
         assert "non-finite" in msg and "degree bound 128" in msg
+
+    def test_non_finite_mass_row_is_named(self, monkeypatch):
+        # the masses lie outside every panel, so the panel loop never sees
+        # their rows; a mass where the recurrence overflows is named
+        def with_far_mass(family):
+            weight = family_weight(family)
+            far = wilson.PointMass(t=1e150, y=-1e300, mass=1.0)
+            return dataclasses.replace(weight, point_masses=weight.point_masses + (far,))
+
+        monkeypatch.setattr(expand, "family_weight", with_far_mass)
+        expand._build_measure.cache_clear()
+        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 8: "
+                                                r"non-finite value row at the point mass "
+                                                r"x = 1e\+150i, cutoff "):
+            discrete_measure(CASE_B_32, 8)
+
+    def test_non_finite_probe_row_is_named(self, monkeypatch):
+        # the probe at the cutoff lies past every node: a value row that is
+        # non-finite there only is named by its abscissa
+        def poisoned(family, n, u):
+            values, scale = family_values(family, n, u)
+            values[:, np.asarray(u) == 40.0 ** 2] = np.inf
+            return values, scale
+
+        monkeypatch.setattr(expand, "family_values", poisoned)
+        expand._build_measure.cache_clear()
+        with pytest.raises(NoConvergence, match=r"^A measure at degree bound 8: non-finite "
+                                                r"value row at x = 40, cutoff 40$"):
+            discrete_measure(CASE_A, 8, QuadratureConfig(x_max=40.0))
 
     def test_basis_scale_overflow_is_named(self):
         # sqrt(gamma_2 ... gamma_{k+1}) leaves the float range at k = 115 in

@@ -1,7 +1,9 @@
 """Every name bound by a top-level import of a library module is used
 there, only numcore names the Horner loop beneath ``poly_eval``, the
-hypergeometric route and the recurrence tables share no step, and no
-library module names mpmath, the tests' high-precision oracle."""
+hypergeometric route and the recurrence tables share no step, no library
+module names mpmath, the tests' high-precision oracle, and none names
+numpy's ``polynomial`` package, whose Gauss-Legendre rule the library
+computes itself."""
 
 import ast
 from pathlib import Path
@@ -84,28 +86,31 @@ def test_the_hypergeometric_route_does_not_name_the_fused_step():
     assert not naming["_mul_add"] & {"_recurrence_table", "_three_term"}
 
 
-def mpmath_mentions(source: str) -> list[str]:
-    """The places where ``source`` names the mpmath module: an import, a
-    name, an attribute, or a string constant that is the module's name or a
-    dotted path in it (prose that mentions mpmath is not a lookup)."""
-    def is_mpmath(name) -> bool:
-        return isinstance(name, str) and name.split(".")[0] == "mpmath"
+def module_mentions(source: str, module: str) -> list[str]:
+    """The places where ``source`` names the module at the dotted path
+    ``module``: an import of it or of a name in it, a name that is its path,
+    an attribute that is its last component, or a string constant that is
+    its path or a dotted path in it (prose that mentions it is not a
+    lookup)."""
+    def in_module(path) -> bool:
+        return isinstance(path, str) and (path == module or path.startswith(module + "."))
 
     found = []
     for node in ast.walk(ast.parse(source)):
-        names = []
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            paths = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module]
+            paths = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Name):
-            names = [node.id]
+            paths = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            paths = [module] if node.attr == module.rpartition(".")[2] else []
         elif isinstance(node, ast.Constant):
-            names = [node.value]
-        found += [f"{type(node).__name__} at line {node.lineno}" for name in names
-                  if is_mpmath(name)]
+            paths = [node.value]
+        else:
+            continue
+        if any(map(in_module, paths)):
+            found.append(f"{type(node).__name__} at line {node.lineno}")
     return found
 
 
@@ -113,7 +118,7 @@ def test_every_way_of_naming_mpmath_is_found():
     source = ('"""Docstrings may say mpmath."""\nimport sys\nimport mpmath.libmp\n'
               'from mpmath import mpf as m\n'
               'def f(x, y=mpmath):\n    return sys.modules.get("mpmath"), x.mpmath\n')
-    assert sorted(mpmath_mentions(source)) == [
+    assert sorted(module_mentions(source, "mpmath")) == [
         "Attribute at line 6", "Constant at line 6", "Import at line 3",
         "ImportFrom at line 4", "Name at line 5"]
 
@@ -123,4 +128,23 @@ def test_no_library_module_names_mpmath(path):
     # mpmath is the tests' oracle only; a lookup in sys.modules would switch
     # arithmetic on whenever the caller had loaded it, which the runtime
     # check with mpmath blocked cannot see
-    assert mpmath_mentions(path.read_text(encoding="utf-8")) == []
+    assert module_mentions(path.read_text(encoding="utf-8"), "mpmath") == []
+
+
+def test_every_way_of_naming_numpy_polynomial_is_found():
+    source = ('"""Docstrings may say numpy.polynomial."""\nimport numpy as np\n'
+              'import numpy.polynomial.legendre\nfrom numpy import polynomial\n'
+              'from numpy.polynomial import legendre as leg\n'
+              'rule = np.polynomial.legendre.leggauss(3)\n'
+              'module = __import__("numpy.polynomial")\npolynomial = 1\n')
+    assert sorted(module_mentions(source, "numpy.polynomial")) == [
+        "Attribute at line 6", "Constant at line 7", "Import at line 3",
+        "ImportFrom at line 4", "ImportFrom at line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(paritywilson.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_library_module_names_numpy_polynomial(path):
+    # importing numpy.polynomial costs every fresh process 3-5 ms; the
+    # measures' Gauss-Legendre rule runs its algorithm in expand._nodes
+    assert module_mentions(path.read_text(encoding="utf-8"), "numpy.polynomial") == []

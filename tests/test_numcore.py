@@ -543,9 +543,30 @@ class TestEqualityHashAndMixedArithmetic:
     def test_constants_equal_and_hash_like_their_rationals(self):
         for value in (3, Fraction(-7, 4), 0):
             for p in (RationalPolynomial([value]), BParamPolynomial([value])):
-                assert p == value and hash(p) == hash(value)
+                assert p == value and hash(p) == hash(value) == hash(p)
         assert RationalPolynomial([1]) == BParamPolynomial([1])
         assert hash(RationalPolynomial([1])) == hash(BParamPolynomial([1]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: RationalPolynomial([3]), lambda: BParamPolynomial([Fraction(-7, 4)]),
+        lambda: RationalPolynomial([]), lambda: BParamPolynomial([0]),
+        lambda: RationalPolynomial([0, 1]), lambda: BParamPolynomial([RationalPolynomial([0, 1])]),
+        lambda: BParamPolynomial([0, 1]), lambda: RationalPolynomial([Fraction(1, 3), -2, 5]),
+        lambda: -RationalPolynomial([1, Fraction(2, 9)]),
+        lambda: BParamPolynomial([RationalPolynomial([1, 2]), Fraction(1, 6)]) * 3,
+    ], ids=["int", "symbolic-fraction", "zero", "symbolic-zero", "u", "b", "symbolic-u",
+            "quadratic", "negated", "product"])
+    def test_kept_hash_equals_a_fresh_one(self, make):
+        # the hash is computed on the first call and kept on the polynomial;
+        # each call gives what the grid hashes to as == reads it
+        p = make()
+        c = p._c
+        w = p._w if isinstance(p, BParamPolynomial) else len(c) or 1
+        fresh = (hash(Fraction(c[0], p._den)) if c else 0) if len(c) <= 1 else hash((c, w, p._den))
+        assert not hasattr(p, "_hash")
+        assert hash(p) == hash(p) == fresh == p._hash
+        twin = make()
+        assert twin == p and hash(twin) == hash(p)
 
     def test_plain_polynomial_beside_a_symbolic_one_is_a_polynomial_in_b(self):
         b = RationalPolynomial([0, 1])
@@ -571,7 +592,7 @@ class TestEqualityHashAndMixedArithmetic:
         r = (p + q) - q
         assert r == p and hash(r) == hash(p)
         s = (p * 3) / 3
-        assert s == p and hash(s) == hash(p)
+        assert s == p and hash(s) == hash(p) == hash(s)  # once computed, and once kept
 
     @given(grids(True), grids(False))
     @settings(max_examples=15, deadline=None)
