@@ -15,12 +15,16 @@ failure or failed checks, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import pickle
 import re
+import signal
 import sys
+import warnings
 from fractions import Fraction
 
 from . import expand, lorentz, spectral, verify, wilson
@@ -281,13 +285,64 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _verify_report(names: list[str], **options) -> verify.VerificationReport:
+    """``verify.run_suites(names, **options)`` on W = min(usable CPUs, suites)
+    workers, this process and W - 1 forked children, suite i on worker i mod W
+    (fixed, so each worker's work repeats run to run).  What no worker delivers
+    this process runs itself, in order, so an error is the serial run's error."""
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+                  len(names))
+
+    def reports(worker):  # by position
+        return {i: verify.run_suites([names[i]], **options)
+                for i in range(worker, len(names), workers)}
+    done, children = {}, []  # reports by position; (pid, read end of its pipe)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on a fork beside another thread: the only one
+                    # here is OpenBLAS's pool, which stops at a fork (pthread_atfork)
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to be had: its suites are run below
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:  # the child writes nothing but its reports
+                try:
+                    warnings.simplefilter("error")  # a warning is printed by the parent's run
+                    os.write(write_fd, pickle.dumps(reports(worker)))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        with contextlib.suppress(Exception):  # a failing suite runs again below
+            done.update(reports(0))
+        for _, pipe in children:
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a child died
+                done.update(pickle.load(pipe))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts = [done.get(i) or verify.run_suites([name], **options) for i, name in enumerate(names)]
+    return verify.VerificationReport([r for part in parts for r in part.results],
+                                     {k: v for part in parts for k, v in part.elapsed.items()})
+
+
 def _cmd_verify(args) -> int:
     if args.traceability:
         _emit(args, ["anchor", "checks", "note"], verify.TRACEABILITY)
         return 0
-    suites = args.suite.split(",") if args.suite else ["all"]
-    report = verify.run_suites(suites, extended=args.extended,
-                               threshold_scale=args.threshold_scale)
+    names = verify.select_suites(args.suite.split(",") if args.suite else None)
+    report = _verify_report(names, extended=args.extended,
+                            threshold_scale=args.threshold_scale)
     rows, lines = [], []
     for r in report.results:
         measured = r.measured if isinstance(r.measured, str) else _fmt_float(r.measured)

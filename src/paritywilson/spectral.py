@@ -383,7 +383,7 @@ def conjecture_scan(b: float, m: float, n: int, degree: int,
     iters = 0
     converged = False
     for iters in range(1, _SCAN_MAX_ITER + 1):
-        _, svals, vh = np.linalg.svd(lmat - mu * fmat)
+        _, svals, vh = np.linalg.svd(lmat - mu * fmat, full_matrices=False)
         coeff = vh[-1].conj()
         fa = fmat @ coeff
         la = lmat @ coeff

@@ -473,6 +473,15 @@ SUITES = {
 EXPECTED_FAILURES = ("reconstruction-drop-a", "reconstruction-drop-b")
 
 
+def select_suites(names=None) -> list[str]:
+    """The suites to run, in order (all for none or ["all"]); refuses an unknown name."""
+    selected = list(SUITES) if not names or names == ["all"] else list(names)
+    unknown = [name for name in selected if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}")
+    return selected
+
+
 def run_suites(names=None, extended: bool = False,
                threshold_scale: float = 1.0) -> VerificationReport:
     """Run the named suites (all by default) and collect the report.
@@ -482,11 +491,7 @@ def run_suites(names=None, extended: bool = False,
     the exit-code contract can be exercised (a tiny scale must fail).
     """
     report = VerificationReport()
-    selected = list(SUITES) if not names or names == ["all"] else list(names)
-    unknown = [name for name in selected if name not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite {unknown[0]!r}")
-    for name in selected:
+    for name in select_suites(names):
         start = time.perf_counter()
         for fn in SUITES[name]:
             kwargs = {}

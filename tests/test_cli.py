@@ -2,12 +2,20 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+import threading
 import time
+import warnings
 
 import pytest
 
-from paritywilson import verify
+import paritywilson
+from paritywilson import cli, verify
 from paritywilson.cli import run_subcommand
+from paritywilson.errors import NoConvergence
 
 
 def run(argv, capsys):
@@ -409,3 +417,137 @@ def test_negative_b_as_a_separate_argument(argv, option, value, key, capsys):
     assert f'"{key}": "{value}"' in joined.out
     assert run_subcommand(argv + [option, value]) == 0
     assert capsys.readouterr() == joined
+
+
+# ---------------------------------------------------------------------------
+# verify on forked workers: the serial run's bytes, errors and exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """Three usable CPUs whatever the machine has, so that the worker paths
+    run; afterwards no child of this process is left, reaped or not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _masked(captured):
+    return re.sub(r"(?m)^# suite ([^:]*): [0-9.]+s$", r"# suite \1: <masked>s", captured.out)
+
+
+def _serial(argv, monkeypatch, capsys):
+    """Code, stdout (suite times masked) and stderr of the CLI with its
+    report from the serial ``verify.run_suites``."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_verify_report", verify.run_suites)
+        code = run_subcommand(argv)
+    captured = capsys.readouterr()
+    return code, _masked(captured), captured.err
+
+
+def _forked(argv, capsys):
+    code = run_subcommand(argv)
+    captured = capsys.readouterr()
+    return code, _masked(captured), captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "all"],
+    ["--suite", "all", "--format", "json"],
+    ["--suite", "all", "--format", "csv"],
+    ["--suite", "all", "--extended", "--format", "json"],
+    ["--suite", "scan,genfun,tables,lorentz,quantization,second-solution,recurrence,"
+                "reconstruction,orthogonality", "--format", "json"],
+    ["--suite", "orthogonality,recurrence,second-solution,scan,reconstruction,lorentz,"
+                "tables,genfun,quantization", "--format", "json"],
+    ["--suite", "lorentz,quantization,reconstruction,genfun,orthogonality,tables,scan,"
+                "recurrence,second-solution", "--format", "json"],
+    ["--suite", "lorentz,genfun", "--format", "json"],
+    ["--suite", "scan", "--format", "json"],
+], ids=["text", "json", "csv", "extended-json", "order-1", "order-2", "order-3",
+        "two-suites", "one-suite"])
+def test_verify_through_workers_equals_serial(argv, three_workers, monkeypatch, capsys):
+    argv = ["verify", *argv]
+    assert _forked(argv, capsys) == _serial(argv, monkeypatch, capsys)
+
+
+def test_earliest_failing_suite_is_the_error_whichever_worker_ran_it(
+        three_workers, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def lorentz(results):
+        where = "this process" if os.getpid() == parent else "a child"
+        raise NoConvergence(f"lorentz failed in {where}")
+
+    def scan(results):
+        raise NoConvergence("scan failed")
+
+    monkeypatch.setitem(verify.SUITES, "lorentz", (lorentz,))
+    monkeypatch.setitem(verify.SUITES, "scan", (scan,))
+    # lorentz is on a child (position 1), scan on this process (position 3)
+    argv = ["verify", "--suite", "tables,lorentz,genfun,scan"]
+    expected = (1, "", "error: lorentz failed in this process\n")
+    assert _serial(argv, monkeypatch, capsys) == expected
+    assert _forked(argv, capsys) == expected
+
+
+def test_a_child_that_dies_leaves_the_serial_bytes(three_workers, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def genfun(results):
+        if os.getpid() != parent:
+            os._exit(3)
+        verify.check_generating_functions(results)
+
+    monkeypatch.setitem(verify.SUITES, "genfun", (genfun,))
+    argv = ["verify", "--suite", "lorentz,genfun,scan,genfun", "--format", "csv"]
+    assert _forked(argv, capsys) == _serial(argv, monkeypatch, capsys)
+
+
+def test_interrupt_kills_and_reaps_the_children(three_workers, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def lorentz(results):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setitem(verify.SUITES, "lorentz", (lorentz,))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_subcommand(["verify", "--suite", "lorentz,lorentz,lorentz"])
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr() == ("", "")
+
+
+def test_forking_beside_another_thread_does_not_warn(three_workers, capsys):
+    # Python >= 3.12 warns on a fork while another thread runs, as numpy's
+    # OpenBLAS pool does in a CLI process
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_subcommand(["verify", "--suite", "lorentz,genfun"])
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 0 and [str(w.message) for w in caught] == []
+    capsys.readouterr()
+
+
+def test_verify_as_a_fresh_process_with_warnings_as_errors():
+    src = os.path.dirname(os.path.dirname(paritywilson.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "paritywilson.cli", "verify",
+                           "--suite", "all", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1 and proc.stderr == ""
+    rows = json.loads(proc.stdout)
+    assert len(rows) == 49
+    failed = sorted(r["check"] for r in rows if r["status"] == "fail")
+    assert failed == sorted(verify.EXPECTED_FAILURES)

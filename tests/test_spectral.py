@@ -401,6 +401,18 @@ class TestConjectureScan:
         rep = conjecture_scan(1.0, 0.5, 1, 6)
         assert rep.residual >= 0.0 and math.isfinite(rep.ell1_sq)
 
+    def test_thin_svd_gives_the_full_svd_reports(self, monkeypatch):
+        # the scan reads only vh and the singular values, which the thin SVD
+        # returns bit for bit; the exploratory scan runs all its iterations
+        scans = [(b, 0.0, n, n) for b in (0.0, 1.5) for n in range(4)]
+        scans += [(1.0, 0.5, 1, 6), (1.5, 0.0, 1, 1), (0.0, 0.0, 0, 0), (0.0, 0.0, 1, 4)]
+        thin = [conjecture_scan(*args) for args in scans]
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, full_matrices=True: svd(a, full_matrices=True))
+        assert [conjecture_scan(*args) for args in scans] == thin
+        assert not thin[8].converged and thin[8].iterations == 200
+
     def test_validation(self):
         with pytest.raises(ValueError):
             conjecture_scan(0.0, 0.0, 3, 1)
