@@ -1,0 +1,163 @@
+"""Byte identity of two source trees: CLI output and measure arrays.
+
+Usage: python .github/identity.py BASE_SRC HEAD_SRC
+
+Runs a fixed list of ``paritywilson`` CLI commands from each ``src``
+directory in a fresh process and compares stdout, stderr, exit code and
+the ``--out`` files, with only the ``# suite <name>: <seconds>s`` timing
+lines masked.  Then hashes (sha256) every array of the shared measures of
+four families at bounds 8-64 under four quadrature configs, the Gram
+included, and the Gauss-Legendre node rules of orders 3-129, from each
+tree.  Prints each command, file or hash that differs, by name, and exits
+1 if any does.  Both trees run on one machine, so there are no golden
+files: BLAS rounding may differ between machines, not between the trees.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = [
+    "verify --suite all", "verify --suite all --format json", "verify --suite all --format csv",
+    "verify --suite all --extended", "verify --suite all --extended --format json",
+    "verify --suite all --extended --format csv",
+    # the suites run on forked workers, assigned by position: other orders
+    # and counts of suites, and a --out file (compared as a file)
+    "verify --suite scan,genfun,tables,lorentz,quantization,second-solution,recurrence,"
+    "reconstruction,orthogonality --format json",
+    "verify --suite orthogonality,recurrence,second-solution,scan,reconstruction,lorentz,"
+    "tables,genfun,quantization --format json",
+    "verify --suite lorentz,quantization,reconstruction,genfun,orthogonality,tables,scan,"
+    "recurrence,second-solution --format json",
+    "verify --suite lorentz,genfun", "verify --suite scan",
+    "verify --suite all --format csv --out verify-all.csv",
+]
+for n in (0, 3, 40):
+    COMMANDS.append(f"eigen --case A --n {n}")
+    COMMANDS += [f"eigen --case B --n {n} {b}"
+                 for b in ("--b=-1/2", "--b 3/2", "--b 73/10", "--symbolic")]
+COMMANDS += ["poly --case A --n 40", "poly --case B --n 40 --symbolic"]
+# the expansion layer: coefficients and residuals, with the tail bounds in
+# their err columns
+for family in ("A", "B --b 3/2", "B --b 73/10"):
+    COMMANDS += [f"coeffs --case {family} --route closed_form --n-max 40",
+                 f"coeffs --case {family} --route projection --n-max 24",
+                 f"coeffs --case {family} --route printed"]
+COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --n-max 24"]
+
+SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
+
+# one line per array: "<family> <bound> <config> <array> <hash>" or
+# "nodes <order> <hash>"
+HASHES = '''
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+
+from paritywilson import expand, wilson
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+families = [wilson.WilsonFamily.case_a()] + [
+    wilson.WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
+configs = {"default": expand.QuadratureConfig(),
+           "panel_order=3": expand.QuadratureConfig(panel_order=3),
+           "panel_order=20": expand.QuadratureConfig(panel_order=20),
+           "x_max=40": expand.QuadratureConfig(x_max=40.0)}
+for family in families:
+    for bound in (8, 16, 32, 64):
+        for name, cfg in configs.items():
+            m = expand.discrete_measure(family, bound, cfg)
+            for field in ("x", "weights", "density", "values", "scale", "mass_values"):
+                print(family.label(), bound, name, field, sha(getattr(m, field)))
+            print(family.label(), bound, name, "x_max", float(m.x_max).hex())
+            print(family.label(), bound, name, "gram", sha(*m._gram))
+for k in range(3, 130):
+    print("nodes", k, sha(*expand._nodes(k)))
+'''
+
+
+def _env(src: Path, out_dir: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(src), "PARITYWILSON_OUT": str(out_dir)}
+
+
+def run_commands(src: Path, work: Path) -> list[tuple[bytes, bytes, int]]:
+    """(masked stdout, stderr, exit code) of each command, run in ``work``
+    with its --out files going to ``work/files``."""
+    files = work / "files"
+    files.mkdir(parents=True)
+    results = []
+    for cmd in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "paritywilson.cli", *cmd.split()],
+                              cwd=work, env=_env(src, files), capture_output=True)
+        results.append((SUITE_TIME.sub(rb"# suite \1: <masked>s", proc.stdout),
+                        proc.stderr, proc.returncode))
+    return results
+
+
+def start_hashes(src: Path, out: Path) -> subprocess.Popen:
+    """The hash program on ``src``, in the background, writing to ``out``
+    (a file, so that a full pipe never stalls it)."""
+    with open(out, "wb") as f:
+        return subprocess.Popen([sys.executable, "-c", HASHES], cwd=out.parent,
+                                env=_env(src, out.parent), stdout=f, stderr=subprocess.PIPE)
+
+
+def read_hashes(proc: subprocess.Popen, out: Path) -> dict[str, str]:
+    """{array name: hash} from a finished hash program."""
+    _, err = proc.communicate()
+    if proc.returncode:
+        sys.exit(f"the measure hashes of {out.stem} failed:\n{err.decode()}")
+    return dict(line.rsplit(" ", 1) for line in out.read_text().splitlines())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    sides = {"base": Path(argv[0]).resolve(), "head": Path(argv[1]).resolve()}
+    for side, src in sides.items():
+        if not (src / "paritywilson" / "cli.py").is_file():
+            sys.exit(f"{side}: {src} is not a paritywilson src directory")
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        work = {side: Path(tmp, side) for side in sides}
+        hashing = {side: start_hashes(src, Path(tmp, f"{side}-hashes.txt"))
+                   for side, src in sides.items()}
+        runs = {side: run_commands(src, work[side]) for side, src in sides.items()}
+        hashes = {side: read_hashes(proc, Path(tmp, f"{side}-hashes.txt"))
+                  for side, proc in hashing.items()}
+        differs = []
+        for cmd, base, head in zip(COMMANDS, runs["base"], runs["head"]):
+            differs += [f"differs ({part}): paritywilson {cmd}"
+                        for part, b, h in zip(("out", "err", "code"), base, head) if b != h]
+        names = sorted({p.name for side in sides for p in (work[side] / "files").iterdir()})
+        for name in names:
+            base, head = (work[side] / "files" / name for side in sides)
+            if not (base.is_file() and head.is_file()
+                    and base.read_bytes() == head.read_bytes()):
+                differs.append(f"differs (--out file): {name}")
+        keys = sorted(hashes["base"].keys() | hashes["head"].keys())
+        differs += [f"differs: {key}" for key in keys
+                    if hashes["base"].get(key) != hashes["head"].get(key)]
+    for line in differs:
+        print(line)
+    print(f"{len(COMMANDS)} commands, {len(names)} --out files and "
+          f"{len(hashes['head'])} measure hashes compared")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

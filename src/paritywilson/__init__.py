@@ -19,7 +19,6 @@ from .numcore import (
     frac_to_str,
     hyp_2f1_series,
     hyp_pfq_series,
-    hyp_pfq_terminating,
     poly_eval,
 )
 from .wilson import (

@@ -2,9 +2,11 @@
 
 Substrate for every other module: arbitrary-precision rationals (stdlib
 ``fractions.Fraction``), dense polynomials in one (squared) variable whose
-coefficients may themselves be polynomials in a second symbol, terminating
-p+1Fp sums evaluated exactly, and convergent 2F1 / pFq partial sums with
-reported error bounds.
+coefficients may themselves be polynomials in a second symbol, and
+convergent 2F1 / pFq partial sums in floats with reported error bounds.
+Both series keep one pole rule: a nonpositive-integer numerator -m stops
+the sum after term m, and a nonpositive-integer denominator -q is refused
+unless q >= m, so no 0/0 ratio is formed.
 
 Polynomials are stored in the squared variable throughout (every printed
 table is even), so callers pass u = x*x or u = z*z already squared.
@@ -21,6 +23,7 @@ built on each read: reduced Fractions, or polynomials in B.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -394,65 +397,35 @@ def poly_eval(p: RationalPolynomial, u):
     return _horner(p.float_coeffs(), u) if p else 0.0 * u
 
 
-def _nonpositive_int(a) -> int | None:
-    """Return m >= 0 with a == -m when a is a nonpositive integer, else None."""
-    if isinstance(a, (int, Fraction)):
-        q = Fraction(a)
-        if q.denominator == 1 and q <= 0:
-            return -int(q)
-        return None
-    if isinstance(a, complex):
-        if a.imag != 0:
-            return None
-        a = a.real
-    if isinstance(a, float) and a <= 0 and a == int(a):
-        return -int(a)
-    return None
+def _stop_index(num_params: Sequence, den_params: Sequence) -> int | None:
+    """The series' one pole rule.  Returns m when a numerator parameter is -m,
+    a nonpositive integer (the smallest such m: the series stops after term m),
+    else None.  Refuses a non-finite parameter with a ValueError, and a
+    denominator parameter -q that the series reaches (q < m, or any q when it
+    does not stop) with DenominatorPole."""
+    def nonpositive(p) -> int | None:
+        v = complex(p)
+        if not cmath.isfinite(v):
+            raise ValueError(f"hypergeometric parameter {p!r} is not finite")
+        return -int(v.real) if v.imag == 0 and v.real <= 0 and v.real.is_integer() else None
 
-
-def hyp_pfq_terminating(num_params: Sequence, den_params: Sequence, arg, terminate_at: int):
-    """Terminating generalized hypergeometric sum.
-
-    One numerator parameter must be a nonpositive integer -m with
-    m <= terminate_at; the sum has m+1 Pochhammer-ratio terms and is exact
-    when all inputs are rational.
-
-    Raises DenominatorPole if a denominator Pochhammer factor vanishes
-    before the series terminates.
-    """
-    ms = [m for m in (_nonpositive_int(a) for a in num_params) if m is not None]
-    if not ms:
-        raise ValueError("no nonpositive-integer numerator parameter; series does not terminate")
-    m = min(ms)
-    if m > terminate_at:
-        raise ValueError(f"termination index {m} exceeds terminate_at={terminate_at}")
+    m = min((q for q in map(nonpositive, num_params) if q is not None), default=None)
     for d in den_params:
-        q = _nonpositive_int(d)
-        if q is not None and q < m:
-            raise DenominatorPole(f"denominator parameter {d} vanishes at term {q + 1} <= {m}")
-    exact = all(isinstance(v, (int, Fraction)) for v in (*num_params, *den_params, arg))
-    if exact:
-        arg = Fraction(arg)
-    total = Fraction(0) if exact else 0.0 * (1 + 0j)
-    term = Fraction(1) if exact else 1.0 + 0j
-    for k in range(m + 1):
-        total = total + term
-        if k == m:
-            break
-        ratio = arg / (k + 1)
-        for a in num_params:
-            ratio = ratio * (a + k)
-        for d in den_params:
-            ratio = ratio / (d + k)
-        term = term * ratio
-    return total
+        q = nonpositive(d)
+        if q is not None and (m is None or q < m):
+            raise DenominatorPole(f"denominator parameter {d} vanishes at term {q + 1}, "
+                                  f"before the series stops")
+    return m
 
 
-def _series_sum(term_ratio: Callable[[int], complex], tol: float, max_terms: int):
+def _series_sum(term_ratio: Callable[[int], complex], tol: float, max_terms: int,
+                stop: int | None):
     """Sum 1 + t1 + t1*t2 + ... with ratio term_{k+1}/term_k = term_ratio(k).
 
-    Stops after three consecutive terms below tol; returns (value, bound)
-    where bound is a geometric-tail estimate plus a roundoff allowance.
+    Stops after term ``stop`` (see :func:`_stop_index`), so no ratio at or
+    past it is formed, or at a zero term, or after three consecutive terms
+    below tol; returns (value, bound) where bound is a geometric-tail
+    estimate plus a roundoff allowance (the allowance alone once it stopped).
     """
     total = 1.0 + 0j
     term = 1.0 + 0j
@@ -460,9 +433,11 @@ def _series_sum(term_ratio: Callable[[int], complex], tol: float, max_terms: int
     small = 0
     ratios: list[float] = []
     for k in range(max_terms):
+        if k == stop:
+            return total, abs_total * 1e-15
         r = term_ratio(k)
         term = term * r
-        if term == 0:  # numerator hit a nonpositive integer: series terminated
+        if term == 0:
             return total, abs_total * 1e-15
         total += term
         abs_total += abs(term)
@@ -485,29 +460,25 @@ def hyp_2f1_series(a, b, c, t, tol: float = 1e-14, max_terms: int = 10000):
 
     Returns (value, error_bound); the bound is the geometric tail estimate
     after three consecutive sub-tolerance terms plus a roundoff allowance.
+    A numerator -m, m a nonnegative integer, stops the sum after term m; a
+    denominator -q is a DenominatorPole unless q >= m; a non-finite
+    parameter is a ValueError.
     """
     if abs(t) >= 1:
         raise ValueError("hyp_2f1_series requires |t| < 1")
-    q = _nonpositive_int(c)
-    if q is not None:
-        mterm = _nonpositive_int(a)
-        mterm2 = _nonpositive_int(b)
-        m = min(x for x in (mterm, mterm2, 10 ** 9) if x is not None)
-        if q < m:
-            raise DenominatorPole(f"2F1 denominator parameter {c} is a nonpositive integer")
-    return _series_sum(lambda k: (a + k) * (b + k) / ((c + k) * (1 + k)) * t, tol, max_terms)
+    stop = _stop_index((a, b), (c,))
+    return _series_sum(lambda k: (a + k) * (b + k) / ((c + k) * (1 + k)) * t, tol, max_terms,
+                       stop)
 
 
 def hyp_pfq_series(num_params: Sequence, den_params: Sequence, t, tol: float = 1e-14,
                    max_terms: int = 10000):
     """Convergent pFq partial sum for |t| < 1 (with p = q+1), same stopping
-    rule and error bound as :func:`hyp_2f1_series`.  No analytic
+    rule, pole rule and error bound as :func:`hyp_2f1_series`.  No analytic
     continuation is attempted."""
     if abs(t) >= 1:
         raise ValueError("hyp_pfq_series requires |t| < 1")
-    for d in den_params:
-        if _nonpositive_int(d) is not None:
-            raise DenominatorPole(f"denominator parameter {d} is a nonpositive integer")
+    stop = _stop_index(num_params, den_params)
 
     def ratio(k: int):
         r = t / (1 + k)
@@ -517,4 +488,4 @@ def hyp_pfq_series(num_params: Sequence, den_params: Sequence, t, tol: float = 1
             r = r / (d + k)
         return r
 
-    return _series_sum(ratio, tol, max_terms)
+    return _series_sum(ratio, tol, max_terms, stop)

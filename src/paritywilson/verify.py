@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expand, lorentz, spectral, wilson
-from .numcore import RationalPolynomial, hyp_pfq_terminating, poly_eval
+from .numcore import RationalPolynomial, poly_eval
 from .wilson import CASE_A, CASE_B, WilsonFamily
 
 B_VALUES = (Fraction(-1, 2), Fraction(3, 2), Fraction(73, 10))
@@ -120,33 +120,41 @@ def check_tables(results: list[CheckResult]) -> None:
            note="B=0 member equals the B=M=0 member, index for index")
 
 
+def _terminating_sum(m: int, ratio) -> Fraction:
+    """1 + t_1 + ... + t_m in Fractions, t_0 = 1 and t_{k+1}/t_k = ratio(k)."""
+    total = term = Fraction(1)
+    for k in range(m):
+        term *= ratio(k)
+        total += term
+    return total
+
+
 def check_hypergeometric_prefactors(results: list[CheckResult]) -> None:
+    # the printed prefactor times its terminating 4F3 at argument 1, summed by
+    # the term ratio; Case B pairs (1-s)_k (1+s)_k = prod_{j<=k} (j^2 - 1 - B),
+    # so both sums are rational at rational z
+    f = math.factorial
     ok = True
     for n in range(1, 6):
-        pref = Fraction(math.factorial(n - 1) * math.factorial(n) ** 2 * math.factorial(n + 1),
-                        math.factorial(2 * n))
+        pref = Fraction(f(n - 1) * f(n) ** 2 * f(n + 1), f(2 * n))
+        g = spectral.g_polynomial(CASE_A, n)
         for z in (Fraction(1), Fraction(5, 2)):
-            val = pref * hyp_pfq_terminating(
-                [1 - n, n + 2, Fraction(1, 2) - z, Fraction(1, 2) + z],
-                [1, 2, 2], Fraction(1), n - 1)
-            g = spectral.g_polynomial(CASE_A, n)
+            val = pref * _terminating_sum(n - 1, lambda k: (k + 1 - n) * (k + n + 2) * (
+                (k + Fraction(1, 2)) ** 2 - z * z) / ((k + 1) ** 2 * (k + 2) ** 2))
             ok = ok and val == poly_eval(g, z * z)
     _check(results, "hypergeometric-prefactor-a", "eq-31", ok,
            "exact" if ok else "mismatch", "exact")
     fam = WilsonFamily.case_b(Fraction(3, 2))
-    s = fam.s_value()
-    worst = 0.0
+    ok = True
     for n in range(5):
-        pref = float(Fraction(math.factorial(n) ** 2, math.factorial(2 * n))
-                     * wilson._pochhammer_pairs(fam, n))
+        pref = Fraction(f(n) ** 2, f(2 * n)) * wilson._pochhammer_pairs(fam, n)
         g = spectral.g_polynomial(CASE_B, n, fam.b)
         for z in (Fraction(1), Fraction(5, 2)):
-            val = pref * hyp_pfq_terminating(
-                [-n, n + 1, 0.5 - float(z), 0.5 + float(z)],
-                [1.0, 1.0 - s, 1.0 + s], 1.0, n)
-            ref = float(poly_eval(g, z * z))
-            worst = max(worst, abs(complex(val) - ref) / max(1.0, abs(ref)))
-    _check(results, "hypergeometric-prefactor-b", "eq-51", worst <= 1e-10, worst, 1e-10)
+            val = pref * _terminating_sum(n, lambda k: (k - n) * (k + n + 1) * (
+                (k + Fraction(1, 2)) ** 2 - z * z) / ((k + 1) ** 2 * ((k + 1) ** 2 - 1 - fam.b)))
+            ok = ok and val == poly_eval(g, z * z)
+    _check(results, "hypergeometric-prefactor-b", "eq-51", ok,
+           "exact" if ok else "mismatch", "exact")
 
 
 def check_recurrence(results: list[CheckResult]) -> None:

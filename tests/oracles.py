@@ -12,7 +12,9 @@ residual and of its exact quantization certificate.  ``basis_coefficients``
 expands a polynomial in a monic family by Horner in the family basis, a
 route independent of the library's peel off the exact table.
 ``recurrence_values`` is the float recurrence one degree at a time, the
-reference of the library's batched loop.  The panel rules are numpy's
+reference of the library's batched loop.  ``hyp_pfq_terminating`` is the
+terminating p+1Fp sum in Fractions, the route of the 4F3 forms beside the
+tables.  The panel rules are numpy's
 ``leggauss``, not the library's own port of its algorithm.
 """
 
@@ -110,3 +112,23 @@ def recurrence_values(beta, root, n_max: int, u) -> np.ndarray:
             row -= root[n - 1] * values[n - 2]
         row /= root[n]
     return values
+
+
+def hyp_pfq_terminating(num_params, den_params, arg, terminate_at: int) -> Fraction:
+    """The terminating p+1Fp sum over Fractions (rational inputs only).  One
+    numerator parameter must be a nonpositive integer -m with m <=
+    terminate_at, else ValueError; the sum has m + 1 Pochhammer-ratio terms,
+    so a denominator parameter -q with q < m divides by zero."""
+    num, den = [Fraction(a) for a in num_params], [Fraction(d) for d in den_params]
+    stops = [-int(a) for a in num if a.denominator == 1 and a <= 0]
+    if not stops:
+        raise ValueError("no nonpositive-integer numerator parameter; series does not terminate")
+    m = min(stops)
+    if m > terminate_at:
+        raise ValueError(f"termination index {m} exceeds terminate_at={terminate_at}")
+    total = term = Fraction(1)
+    for k in range(m):
+        term *= Fraction(arg) / (k + 1) * math.prod(a + k for a in num)
+        term /= math.prod(d + k for d in den)
+        total += term
+    return total

@@ -21,7 +21,7 @@ import pytest
 import paritywilson
 from paritywilson import expand, spectral, verify
 from paritywilson.numcore import RationalPolynomial
-from paritywilson.wilson import WilsonFamily
+from paritywilson.wilson import CASE_A, WilsonFamily
 
 
 def _run_checks(*fns, **kwargs):
@@ -296,6 +296,27 @@ def test_consistency_chain_supplement():
 def test_hypergeometric_route_supplement():
     results = _run_checks(verify.check_hypergeometric_prefactors)
     _report("1b hypergeometric prefactors", results)
+
+
+@pytest.mark.parametrize("target, row", [
+    ("prefactor", "hypergeometric-prefactor-b"), ("g", "hypergeometric-prefactor-a")])
+def test_exact_prefactor_rows_fail_on_a_perturbation_below_any_float(monkeypatch, target, row):
+    # a factor 1 + 1e-30 is invisible to a float comparison; the exact rows
+    # must read it: Case B's printed prefactor, or Case A's tabulated g
+    bump = 1 + Fraction(1, 10 ** 30)
+    if target == "prefactor":
+        pairs = verify.wilson._pochhammer_pairs
+        monkeypatch.setattr(verify.wilson, "_pochhammer_pairs",
+                            lambda family, n: pairs(family, n) * bump)
+    else:
+        g_polynomial = spectral.g_polynomial
+        monkeypatch.setattr(spectral, "g_polynomial", lambda case, n, b=None: (
+            g_polynomial(case, n, b) * bump if case == CASE_A else g_polynomial(case, n, b)))
+    rows = {r.check_id: r for r in _run_checks(verify.check_hypergeometric_prefactors)}
+    assert len(rows) == 2
+    for check_id, r in rows.items():
+        want = ("fail", "mismatch") if check_id == row else ("pass", "exact")
+        assert (r.status, r.measured, r.threshold) == (*want, "exact"), r
 
 
 def test_full_suite_runtime_budget():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import hyp_pfq_terminating
 
 from paritywilson.errors import DenominatorPole, NoConvergence
 from paritywilson.numcore import (
@@ -19,7 +20,6 @@ from paritywilson.numcore import (
     frac_to_str,
     hyp_2f1_series,
     hyp_pfq_series,
-    hyp_pfq_terminating,
     poly_eval,
 )
 
@@ -55,20 +55,16 @@ class TestTerminatingPFQ:
         assert Fraction(12, 5) * val == 1 + Fraction(7, 2) + Fraction(117, 80)
 
     def test_denominator_pole(self):
+        # the library's one pole rule, in the series: (-1)_k vanishes at k = 2,
+        # before the numerator -3 stops the sum after term 3
         with pytest.raises(DenominatorPole):
-            hyp_pfq_terminating([-3, 2], [-1], 1, 3)
+            hyp_pfq_series([-3, 2], [-1], 0.5)
 
     def test_termination_required(self):
         with pytest.raises(ValueError):
             hyp_pfq_terminating([Fraction(1, 2), 2], [1], 1, 10)
         with pytest.raises(ValueError):
             hyp_pfq_terminating([-5, 2], [1], 1, 3)
-
-    def test_complex_inputs(self):
-        val = hyp_pfq_terminating([-2, 1.5 + 0.5j], [2.0], 1.0, 2)
-        k0, k1 = 1, (-2) * (1.5 + 0.5j) / 2
-        k2 = (-2) * (-1) * (1.5 + 0.5j) * (2.5 + 0.5j) / (2 * 3 * 2)
-        assert abs(val - (k0 + k1 + k2)) < 1e-14
 
 
 class TestGauss2F1:
@@ -124,6 +120,35 @@ class TestGauss2F1:
 def test_hyp_pfq_series_denominator_pole():
     with pytest.raises(DenominatorPole):
         hyp_pfq_series([0.5, 1.0], [-1.0, 2.0], 0.2)
+
+
+def test_hyp_pfq_series_stops_before_a_denominator_pole():
+    # the numerator -2 stops the sum after term 2, before (-3)_k vanishes at k = 4
+    val, _ = hyp_pfq_series([-2.0, 1.0], [-3.0], 0.2)
+    assert val == hyp_2f1_series(-2.0, 1.0, -3.0, 0.2)[0] == 1.1466666666666667
+    assert abs(val - 86 / 75) < 1e-15
+
+
+@pytest.mark.parametrize("series", [
+    lambda: hyp_2f1_series(-2.0, 1.0, -2.0, 0.2),
+    lambda: hyp_pfq_series([-2.0, 1.0], [-2.0], 0.2),
+], ids=["2f1", "pfq"])
+def test_pole_at_the_last_term_is_never_formed(series):
+    # (-2)_k vanishes from k = 3 on, past the last term k = 2: no 0/0 ratio
+    val, bound = series()
+    assert abs(val - 31 / 25) < 1e-15 and bound < 1e-14
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("series", [
+    lambda p: hyp_2f1_series(p, 1.0, 2.0, 0.2),
+    lambda p: hyp_2f1_series(0.5, 1.0, p, 0.2),
+    lambda p: hyp_pfq_series([0.5, p], [2.0], 0.2),
+    lambda p: hyp_pfq_series([0.5, 1.0], [complex(2.0, p)], 0.2),
+], ids=["2f1-numerator", "2f1-denominator", "pfq-numerator", "pfq-denominator"])
+def test_non_finite_parameter_is_refused_by_name(series, value):
+    with pytest.raises(ValueError, match=r"^hypergeometric parameter .*(inf|nan).* is not finite$"):
+        series(value)
 
 
 def test_hyp_pfq_series_matches_2f1():

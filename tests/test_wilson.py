@@ -597,7 +597,7 @@ class TestGeneratingFunctions:
 def test_terminating_pfq_equals_horner_on_tables(z):
     # exact-arithmetic identity between the hypergeometric route and the
     # tabulated polynomials, over random rational arguments
-    from paritywilson.numcore import hyp_pfq_terminating
+    from oracles import hyp_pfq_terminating
     for n in range(1, 5):
         pref = Fraction(
             math.factorial(n - 1) * math.factorial(n) ** 2 * math.factorial(n + 1),
