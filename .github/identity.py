@@ -7,10 +7,15 @@ directory in a fresh process and compares stdout, stderr, exit code and
 the ``--out`` files, with only the ``# suite <name>: <seconds>s`` timing
 lines masked.  Then hashes (sha256) every array of the shared measures of
 four families at bounds 8-64 under four quadrature configs, the Gram
-included, and the Gauss-Legendre node rules of orders 3-129, from each
-tree.  Prints each command, file or hash that differs, by name, and exits
-1 if any does.  Both trees run on one machine, so there are no golden
-files: BLAS rounding may differ between machines, not between the trees.
+included, the Gauss-Legendre node rules of orders 3-129, and the exact
+integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
+and reflected recurrence tables (Case A to n = 100, symbolic B and the
+three numeric B of ``verify`` to n = 40) and of the quantization
+certificates P at n <= 40 (at ell1 = 2n + 1, where P is zero, and at
+ell1 + 1/1000), from each tree.  Prints each command, file or hash that
+differs, by name, and exits 1 if any does.  Both trees run on one
+machine, so there are no golden files: BLAS rounding may differ between
+machines, not between the trees.
 """
 
 from __future__ import annotations
@@ -52,15 +57,15 @@ COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --
 
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
-# one line per array: "<family> <bound> <config> <array> <hash>" or
-# "nodes <order> <hash>"
+# one line per array: "<family> <bound> <config> <array> <hash>",
+# "nodes <order> <hash>" or "grid <table> <family> <n> <hash>"
 HASHES = '''
 import hashlib
 from fractions import Fraction
 
 import numpy as np
 
-from paritywilson import expand, wilson
+from paritywilson import expand, spectral, wilson
 
 
 def sha(*arrays):
@@ -88,6 +93,29 @@ for family in families:
             print(family.label(), bound, name, "gram", sha(*m._gram))
 for k in range(3, 130):
     print("nodes", k, sha(*expand._nodes(k)))
+
+
+def grid_sha(p):
+    h = hashlib.sha256(f"{type(p).__name__} {p._w:x} {p._den:x}".encode())
+    h.update(" ".join(map(hex, p._c)).encode())
+    return h.hexdigest()
+
+
+for family, n_max in ([(families[0], 100), (wilson.WilsonFamily.case_b(), 40)]
+                      + [(family, 40) for family in families[1:]]):
+    for kind, table in (("corrected", wilson.monic_from_recurrence(family, n_max)),
+                        ("printed", wilson.monic_from_recurrence(family, n_max, "printed")),
+                        ("reflected", spectral._reflected_table(family, n_max))):
+        for n, p in enumerate(table):
+            print("grid", kind, family.label(), n, grid_sha(p))
+# P is the zero grid at the eigenvalue; at ell1 + 1/1000 every entry is pinned
+for family in families:
+    for n in range(41):
+        rec = spectral.eigenfunction(family.case, n, family.b)
+        for kind, ell1 in (("certificate", 2 * n + 1),
+                           ("certificate-perturbed", 2 * n + 1 + Fraction(1, 1000))):
+            print("grid", kind, family.label(), n,
+                  grid_sha(spectral.master_residual_polynomial(rec, ell1)))
 '''
 
 
@@ -121,7 +149,7 @@ def read_hashes(proc: subprocess.Popen, out: Path) -> dict[str, str]:
     """{array name: hash} from a finished hash program."""
     _, err = proc.communicate()
     if proc.returncode:
-        sys.exit(f"the measure hashes of {out.stem} failed:\n{err.decode()}")
+        sys.exit(f"the hashes of {out.stem} failed:\n{err.decode()}")
     return dict(line.rsplit(" ", 1) for line in out.read_text().splitlines())
 
 
@@ -155,7 +183,7 @@ def main(argv: list[str]) -> int:
     for line in differs:
         print(line)
     print(f"{len(COMMANDS)} commands, {len(names)} --out files and "
-          f"{len(hashes['head'])} measure hashes compared")
+          f"{len(hashes['head'])} measure, node and grid hashes compared")
     return 1 if differs else 0
 
 

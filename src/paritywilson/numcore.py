@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import DenominatorPole, NoConvergence
@@ -127,15 +127,16 @@ def _three_term(p1, a, p2, c):
     one class and rationals a, c (polynomials in B beside BParamPolynomials):
     one comprehension over the output, whose entries sum their shifted products
     u p1, a p1, c p2 (three over Q, six over Q[B], a pass per six if a or c is
-    wider), reduced once."""
+    wider), each read lazily from its operand's grid, reduced once."""
     (ra, wa, da), (rc, wc, dc) = (_operand(x, isinstance(p1, BParamPolynomial)) for x in (a, c))
     den = math.lcm(p1._den * da, p2._den * dc)
     f1, f2 = den // p1._den, den // p2._den
     w = max(p1._w + wa - 1, p2._w + wc - 1)
     n = max(len(p1._c) // p1._w + 1, len(p2._c) // p2._w) * w
-    q1, q2 = (list(_widen(p._c, p._w, w)) for p in (p1, p2))
-    # (multiplier, shifted grid) per product, u p1 being p1 one row down
-    cols = [(x, ([0] * i + q + [0] * n)[:n])
+    q1, q2 = (_widen(p._c, p._w, w) for p in (p1, p2))
+    # (multiplier, shifted grid) per product, u p1 being p1 one row down: i
+    # zeros, the grid, then zeros, which the comprehension cuts at n entries
+    cols = [(x, chain(repeat(0, i), q, repeat(0)))
             for x, i, q in [(f1, w, q1)] + [(x * (f1 // da), i, q1) for i, x in enumerate(ra)]
             + [(-x * (f2 // dc), i, q2) for i, x in enumerate(rc)]]
     cols += [(0, repeat(0))] * (-len(cols) % 3)
@@ -145,9 +146,9 @@ def _three_term(p1, a, p2, c):
         if more:
             (x4, c4), (x5, c5), (x6, c6) = more
             part = [x1 * y1 + x2 * y2 + x3 * y3 + x4 * y4 + x5 * y5 + x6 * y6
-                    for y1, y2, y3, y4, y5, y6 in zip(c1, c2, c3, c4, c5, c6)]
+                    for _, y1, y2, y3, y4, y5, y6 in zip(range(n), c1, c2, c3, c4, c5, c6)]
         else:
-            part = [x1 * y1 + x2 * y2 + x3 * y3 for y1, y2, y3 in zip(c1, c2, c3)]
+            part = [x1 * y1 + x2 * y2 + x3 * y3 for _, y1, y2, y3 in zip(range(n), c1, c2, c3)]
         out = part if out is None else [x + y for x, y in zip(out, part)]
     return type(p1)._make(out, w, den)
 

@@ -200,33 +200,41 @@ def monic_from_hypergeometric(family: WilsonFamily, n: int):
 # construction route 2: three-term recurrence (corrected and printed forms)
 # ---------------------------------------------------------------------------
 
+def _terms_in_b(family: WilsonFamily, beta0: int, sign: int, m: int, k: int, d: int):
+    """((beta0 + 2 sign B) / 4, k (m - B)^2 / d) from integers, each by one
+    constructor: a Fraction at numeric B = p/q, a grid in B for symbolic B
+    (d < 0 only where k = 0, so a grid's denominator stays positive)."""
+    if family.symbolic:
+        return (RationalPolynomial._make([beta0, 2 * sign], 1, 4),
+                RationalPolynomial._make([k * m * m, -2 * k * m, k], 1, d))
+    p, q = family.b.numerator, family.b.denominator
+    return Fraction(beta0 * q + 2 * sign * p, 4 * q), Fraction(k * (m * q - p) ** 2, d * q * q)
+
+
 def standard_recurrence_terms(family: WilsonFamily, n: int):
     """(beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2},
     re-derived from the standard monic Wilson recurrence coefficients
     A_{n-1} C_n for this family's parameters.
 
-    Case B evaluates one expression in B, a Fraction or (symbolic) the
-    indeterminate; s only ever enters through s^2 = B + 1.
+    Each term is one constructor on integers: a Fraction (Case A, numeric
+    B) or a grid in B (symbolic B); s only ever enters through s^2 = B + 1.
     """
     if family.case == CASE_A:
-        return -Fraction(n * (n + 1), 2) + Fraction(1, 4), Fraction(
+        return Fraction(1 - 2 * n * (n + 1), 4), Fraction(
             (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1))
-    b = _B_SYMBOL if family.symbolic else family.b
-    root = (n * n - 2 * n) - b
-    return (b * Fraction(1, 2) + (Fraction(1, 4) - Fraction(n * (n - 1), 2)),
-            root * root * Fraction((n - 1) ** 2, 4 * (2 * n - 3) * (2 * n - 1)))
+    return _terms_in_b(family, 1 - 2 * n * (n - 1), 1, n * n - 2 * n, (n - 1) ** 2,
+                       4 * (2 * n - 3) * (2 * n - 1))
 
 
 def printed_recurrence_terms(family: WilsonFamily, n: int):
     """(beta_n, gamma_n, sign) exactly as printed in the source appendix
-    tables: P_n = (u + beta_n) P_{n-1} + sign * gamma_n * P_{n-2}."""
+    tables: P_n = (u + beta_n) P_{n-1} + sign * gamma_n * P_{n-2}, each term
+    built from integers as in :func:`standard_recurrence_terms`."""
     if family.case == CASE_A:
-        return -Fraction(n * (n + 1), 2), Fraction(
+        return Fraction(-n * (n + 1), 2), Fraction(
             (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1
-    b = _B_SYMBOL if family.symbolic else family.b
-    root = b - (n - 1) * (n + 1)
-    return (b * Fraction(-1, 2) + (Fraction(n * (n + 1), 2) - Fraction(1, 4)),
-            root * root * Fraction(n ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1)
+    return (*_terms_in_b(family, 2 * n * (n + 1) - 1, -1, n * n - 1, n * n,
+                         4 * (2 * n - 1) * (2 * n + 1)), +1)
 
 
 def _seeds(family: WilsonFamily):

@@ -14,7 +14,9 @@ route independent of the library's peel off the exact table.
 ``recurrence_values`` is the float recurrence one degree at a time, the
 reference of the library's batched loop.  ``hyp_pfq_terminating`` is the
 terminating p+1Fp sum in Fractions, the route of the 4F3 forms beside the
-tables.  The panel rules are numpy's
+tables.  ``standard_terms`` and ``printed_terms`` are the recurrence terms
+by generic Fraction and polynomial operations, the reference of the
+library's terms built from integers.  The panel rules are numpy's
 ``leggauss``, not the library's own port of its algorithm.
 """
 
@@ -132,3 +134,28 @@ def hyp_pfq_terminating(num_params, den_params, arg, terminate_at: int) -> Fract
         term /= math.prod(d + k for d in den)
         total += term
     return total
+
+
+def standard_terms(b, n: int):
+    """(beta_n, gamma_n) of the corrected monic recurrence P_n = (u + beta_n)
+    P_{n-1} - gamma_n P_{n-2}, by generic operations: ``b`` is None for Case
+    A, else B as a Fraction or as a polynomial indeterminate (anything with
+    ring operations with ints and Fractions)."""
+    if b is None:
+        return -Fraction(n * (n + 1), 2) + Fraction(1, 4), Fraction(
+            (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1))
+    root = (n * n - 2 * n) - b
+    return (b * Fraction(1, 2) + (Fraction(1, 4) - Fraction(n * (n - 1), 2)),
+            root * root * Fraction((n - 1) ** 2, 4 * (2 * n - 3) * (2 * n - 1)))
+
+
+def printed_terms(b, n: int):
+    """(beta_n, gamma_n, sign) as printed in the source's appendix tables, P_n
+    = (u + beta_n) P_{n-1} + sign gamma_n P_{n-2}, by generic operations on
+    ``b`` as in ``standard_terms``."""
+    if b is None:
+        return -Fraction(n * (n + 1), 2), Fraction(
+            (n - 1) ** 2 * n ** 2 * (n + 1) ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1
+    root = b - (n - 1) * (n + 1)
+    return (b * Fraction(-1, 2) + (Fraction(n * (n + 1), 2) - Fraction(1, 4)),
+            root * root * Fraction(n ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1)

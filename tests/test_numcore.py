@@ -387,13 +387,16 @@ def test_outer_product_of_a_b_row_and_a_u_column(row, column):
 # generic route: the linear factor, two products and one difference, each
 # reduced on its own.
 
-def scalars(symbolic: bool, width: int):
-    """A rational, or beside a BParamPolynomial a row in B of ``width``
-    entries; zero entries (and a zero scalar) included."""
+@st.composite
+def step_operands(draw):
+    """(m1, a, m2, c): two matrices and two rows in B, of 1-3 columns each,
+    zero entries (and zero rows) included; over Q only their first column
+    is read."""
     entry = st.one_of(st.just(Fraction(0)), rationals)
-    if not symbolic:
-        return entry
-    return st.lists(entry, min_size=width, max_size=width).map(RationalPolynomial)
+    widths = [draw(st.integers(1, 3)) for _ in range(4)]
+    m1, m2 = (draw(matrices(w)) for w in widths[:2])
+    a, c = (draw(st.lists(entry, min_size=w, max_size=w)) for w in widths[2:])
+    return m1, a, m2, c
 
 
 def assert_same_grid(got, want):
@@ -402,14 +405,22 @@ def assert_same_grid(got, want):
     assert (got._c, got._w, got._den) == (want._c, want._w, want._den)
 
 
+P1, P2 = [[1, -2, 3], [Fraction(1, 2), 0, 5]], [[7, Fraction(-3, 4), 1]]
+
+
 @pytest.mark.parametrize("symbolic", [False, True])
-@given(data=st.data())
+@given(operands=step_operands())
+# the step's columns are u p1 and one per entry of a and of c; a count that is
+# not a multiple of three pads the last group (over Q: 2, 2 and 1 columns at
+# width 1; over Q[B]: 4, 4 and 1 at width 3)
+@example(operands=(P1, [0, 0, 0], P2, [2, Fraction(1, 3), -1]))
+@example(operands=(P1, [Fraction(5, 2), -1, 4], P2, [0, 0, 0]))
+@example(operands=(P1, [0, 0, 0], P2, [0, 0, 0]))
 @settings(max_examples=40, deadline=None)
-def test_three_term_step_matches_the_product_route(symbolic, data):
-    w1, w2, wa, wc = (data.draw(st.integers(1, 3)) for _ in range(4)) if symbolic else (1,) * 4
-    p1 = from_matrix(data.draw(matrices(w1)), symbolic)
-    p2 = from_matrix(data.draw(matrices(w2)), symbolic)  # often zero
-    a, c = data.draw(scalars(symbolic, wa)), data.draw(scalars(symbolic, wc))
+def test_three_term_step_matches_the_product_route(symbolic, operands):
+    m1, a, m2, c = operands
+    p1, p2 = from_matrix(m1, symbolic), from_matrix(m2, symbolic)  # p2 often zero
+    a, c = (RationalPolynomial(x) if symbolic else Fraction(x[0]) for x in (a, c))
     cls = type(p1)
     # the corrected tables subtract c = gamma, the printed ones add gamma
     for c_n in (c, -c):

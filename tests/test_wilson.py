@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +207,28 @@ class TestRecurrenceRoute:
             want_gamma = a_std(n - 2) * c_std(n - 1)
             assert abs(float(beta) - want_beta) < 1e-11 * max(1, abs(want_beta))
             assert abs(float(gamma) - want_gamma) < 1e-11 * max(1, abs(want_gamma))
+
+    @pytest.mark.parametrize("b", [None, "symbolic", "-1/2", "0", "3/2", "7/3", "73/10", 0.3])
+    def test_terms_equal_the_generic_expressions(self, b):
+        # both term functions build each term from integers by one constructor;
+        # the generic Fraction and polynomial expressions are their oracle, in
+        # value, type and grid (the printed terms are adjudication artifacts)
+        if b is None:
+            family, value = CASE_A, None
+        elif b == "symbolic":
+            family, value = CASE_B_SYM, RationalPolynomial([0, 1])
+        else:
+            family = WilsonFamily.case_b(Fraction(b))
+            value = family.b
+        for n in range(81):
+            for got, want in ((standard_recurrence_terms(family, n), oracles.standard_terms(value, n)),
+                              (wilson.printed_recurrence_terms(family, n),
+                               oracles.printed_terms(value, n))):
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert type(x) is type(y) and x == y and hash(x) == hash(y), n
+                    if isinstance(y, RationalPolynomial):
+                        assert (x._c, x._w, x._den) == (y._c, y._w, y._den), n
 
 
 @pytest.fixture
