@@ -1,4 +1,4 @@
-"""Byte identity of two source trees: CLI output and measure arrays.
+"""Byte identity of two source trees: CLI output, measure arrays and reprs.
 
 Usage: python .github/identity.py BASE_SRC HEAD_SRC
 
@@ -12,10 +12,15 @@ integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
 and reflected recurrence tables (Case A to n = 100, symbolic B and the
 three numeric B of ``verify`` to n = 40) and of the quantization
 certificates P at n <= 40 (at ell1 = 2n + 1, where P is zero, and at
-ell1 + 1/1000), from each tree.  Prints each command, file or hash that
-differs, by name, and exits 1 if any does.  Both trees run on one
-machine, so there are no golden files: BLAS rounding may differ between
-machines, not between the trees.
+ell1 + 1/1000), from each tree.  Last come library reprs of the same four
+families: ``inner_product`` (value, error and their numpy types) for every
+pair of members n <= m <= 40, and ``norm_closed_form`` for n <= 70, each
+line holding the result or the error raised.  Prints each command or file
+that differs, by name, and the first hash or repr line that differs, in
+the base tree's order, with both sides and the count of those that do;
+exits 1 if any does.  Both trees run on one machine, so there are no
+golden files: BLAS rounding may differ between machines, not between the
+trees.
 """
 
 from __future__ import annotations
@@ -57,8 +62,10 @@ COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --
 
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
-# one line per array: "<family> <bound> <config> <array> <hash>",
-# "nodes <order> <hash>" or "grid <table> <family> <n> <hash>"
+# one line per array or result, its name and its value split by a tab:
+# "<family> <bound> <config> <array>", "nodes <order>",
+# "grid <table> <family> <n>" or "repr <function> <family> <n> [<m>]",
+# then a hash or a repr
 HASHES = '''
 import hashlib
 from fractions import Fraction
@@ -66,6 +73,10 @@ from fractions import Fraction
 import numpy as np
 
 from paritywilson import expand, spectral, wilson
+
+
+def out(*key):
+    print(" ".join(map(str, key[:-1])), key[-1], sep="\t")
 
 
 def sha(*arrays):
@@ -88,11 +99,11 @@ for family in families:
         for name, cfg in configs.items():
             m = expand.discrete_measure(family, bound, cfg)
             for field in ("x", "weights", "density", "values", "scale", "mass_values"):
-                print(family.label(), bound, name, field, sha(getattr(m, field)))
-            print(family.label(), bound, name, "x_max", float(m.x_max).hex())
-            print(family.label(), bound, name, "gram", sha(*m._gram))
+                out(family.label(), bound, name, field, sha(getattr(m, field)))
+            out(family.label(), bound, name, "x_max", float(m.x_max).hex())
+            out(family.label(), bound, name, "gram", sha(*m._gram))
 for k in range(3, 130):
-    print("nodes", k, sha(*expand._nodes(k)))
+    out("nodes", k, sha(*expand._nodes(k)))
 
 
 def grid_sha(p):
@@ -107,15 +118,36 @@ for family, n_max in ([(families[0], 100), (wilson.WilsonFamily.case_b(), 40)]
                         ("printed", wilson.monic_from_recurrence(family, n_max, "printed")),
                         ("reflected", spectral._reflected_table(family, n_max))):
         for n, p in enumerate(table):
-            print("grid", kind, family.label(), n, grid_sha(p))
+            out("grid", kind, family.label(), n, grid_sha(p))
 # P is the zero grid at the eigenvalue; at ell1 + 1/1000 every entry is pinned
 for family in families:
     for n in range(41):
         rec = spectral.eigenfunction(family.case, n, family.b)
         for kind, ell1 in (("certificate", 2 * n + 1),
                            ("certificate-perturbed", 2 * n + 1 + Fraction(1, 1000))):
-            print("grid", kind, family.label(), n,
-                  grid_sha(spectral.master_residual_polynomial(rec, ell1)))
+            out("grid", kind, family.label(), n,
+                grid_sha(spectral.master_residual_polynomial(rec, ell1)))
+
+
+def result(call):
+    """The repr of each returned value with its type, or the error raised."""
+    try:
+        values = call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr([(type(v).__name__, v.item() if isinstance(v, np.generic) else v)
+                 for v in (values if isinstance(values, tuple) else (values,))])
+
+
+for family in families:
+    table = wilson.monic_from_recurrence(family, 40)
+    for n in range(41):
+        for m in range(n, 41):
+            out("repr inner_product", family.label(), n, m,
+                result(lambda: expand.inner_product(family, table[n], table[m])))
+    for n in range(71):
+        out("repr norm_closed_form", family.label(), n,
+            result(lambda: wilson.norm_closed_form(family, n)))
 '''
 
 
@@ -146,11 +178,12 @@ def start_hashes(src: Path, out: Path) -> subprocess.Popen:
 
 
 def read_hashes(proc: subprocess.Popen, out: Path) -> dict[str, str]:
-    """{array name: hash} from a finished hash program."""
+    """{line name: hash or repr}, in program order, from a finished hash
+    program."""
     _, err = proc.communicate()
     if proc.returncode:
         sys.exit(f"the hashes of {out.stem} failed:\n{err.decode()}")
-    return dict(line.rsplit(" ", 1) for line in out.read_text().splitlines())
+    return dict(line.split("\t", 1) for line in out.read_text().splitlines())
 
 
 def main(argv: list[str]) -> int:
@@ -177,13 +210,18 @@ def main(argv: list[str]) -> int:
             if not (base.is_file() and head.is_file()
                     and base.read_bytes() == head.read_bytes()):
                 differs.append(f"differs (--out file): {name}")
-        keys = sorted(hashes["base"].keys() | hashes["head"].keys())
-        differs += [f"differs: {key}" for key in keys
-                    if hashes["base"].get(key) != hashes["head"].get(key)]
+        keys = list(hashes["base"]) + [k for k in hashes["head"] if k not in hashes["base"]]
+        changed = [key for key in keys if hashes["base"].get(key) != hashes["head"].get(key)]
+        if changed:
+            differs.append(f"differs: {changed[0]} (the first of {len(changed)} lines)\n"
+                           + "".join(f"  {side}: {hashes[side].get(changed[0], '<missing>')}\n"
+                                     for side in sides).rstrip())
     for line in differs:
         print(line)
-    print(f"{len(COMMANDS)} commands, {len(names)} --out files and "
-          f"{len(hashes['head'])} measure, node and grid hashes compared")
+    reprs = sum(key.startswith("repr ") for key in hashes["head"])
+    print(f"{len(COMMANDS)} commands, {len(names)} --out files, "
+          f"{len(hashes['head']) - reprs} measure, node and grid hashes and "
+          f"{reprs} library reprs compared")
     return 1 if differs else 0
 
 

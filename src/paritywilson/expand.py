@@ -28,9 +28,11 @@ x = i t as f(1j * t).
 Every integral takes the continuous and the discrete part together and
 returns its own error estimate: the per-panel difference of the two
 rules, the analytic tail bound beyond the cutoff and a roundoff
-allowance, checked in floats after two numpy sums per row.  An integral
-that misses its budget raises ``NoConvergence``, as does a measure whose
-panel loop exceeds max_panels or meets a non-finite integrand.
+allowance, checked in floats after two numpy sums per row by one per-row
+rule, which ``sums`` applies to each of its rows and an inner product to
+its one.  An integral that misses its budget raises ``NoConvergence``, as
+does a measure whose panel loop exceeds max_panels or meets a non-finite
+integrand.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -400,60 +402,62 @@ class DiscreteMeasure:
             coarse, fine = coarse * row_scale[:, None], fine * row_scale[:, None]
             magnitude = magnitude * np.abs(row_scale)
             probes = probes * row_scale[:, None]
-        return self._certify(coarse, fine, magnitude, probes, growth_degrees, at_masses)
-
-    def _certify(self, coarse, fine, magnitude, probes, growth_degrees, at_masses):
-        """(values, error estimates) of the integrals given per row by their
-        per-panel coarse and fine sums, their magnitude (the sum of |weight *
-        integrand| over the fine nodes, the roundoff scale: on panels this
-        wide |panel value| cancels for oscillating integrands), their
-        integrand at the tail probes and the mass factors of ``sums``.  The
-        estimate is the summed |fine - coarse|, plus the tail bound for the
-        row's growth degree, plus a roundoff allowance that also covers the
-        recurrence values, whose relative error grows about linearly with the
-        degree (EPSILON per unit of growth degree), plus 1e-15 |term| per
-        mass term.  The continuous part of every row must meet its budget
-        max(abs_tol, rel_tol |value|, roundoff floor): panel differences at
-        most half of it and, with an automatic cutoff, the tail at most a
-        quarter; otherwise NoConvergence names the first row that misses it.
-        """
-        cfg = self.cfg
         totals = fine.sum(axis=-1)
-        errs, mags = np.abs(fine - coarse).sum(axis=-1).tolist(), magnitude.tolist()
-        # numpy's |total| (its complex abs rounds unlike Python's); nan stays nan
-        budgets = [max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
-                   if size == size and mag == mag else math.nan
-                   for size, mag in zip(np.abs(totals).tolist(), mags)]
-        at = self.x[-3 * cfg.panel_order:][:3].tolist()
-        tails = [tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, self.x_max)
-                 for v, p in zip(probes.tolist(), growth_degrees)]
-        missed = [r for r, (err, tail, budget) in enumerate(zip(errs, tails, budgets)) if not (
-            err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget))]
-        if missed:
-            i = missed[0]
-            tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budgets[i]:.3e}"
-                    if cfg.x_max is None else "")
-            raise NoConvergence(
-                f"{self.family.label()} measure at degree bound {self.degree}: row {i} "
-                f"(growth degree {growth_degrees[i]}) misses its budget {budgets[i]:.3e}, "
-                f"err {errs[i]:.3e} against budget/2 {0.5 * budgets[i]:.3e}{tail} "
-                f"({len(missed)} of {len(errs)} rows miss theirs); {self.panels} panels, "
-                f"x_max {self.x_max:.6g}")
-        errs = [err + tail + mag * (1e-15 * math.sqrt(self.panels) + EPSILON * p)
-                for err, tail, mag, p in zip(errs, tails, mags, growth_degrees)]
-        values = totals.tolist()
+        factors = [None] * len(totals)
         if at_masses is not None and self.masses:
-            values = [complex(v) for v in values]
-            factors = [f.tolist() if f.ndim == 2 else [f.tolist()] * len(values)
-                       for f in map(np.asarray, at_masses)]
-            for r, row in enumerate(zip(*factors)):
+            factors = zip(*(f.tolist() if f.ndim == 2 else [f.tolist()] * len(totals)
+                            for f in map(np.asarray, at_masses)))
+        # numpy's |total| (its complex abs rounds unlike Python's)
+        values, errs = zip(*self._certify(zip(
+            totals.tolist(), np.abs(totals).tolist(), np.abs(fine - coarse).sum(axis=-1).tolist(),
+            magnitude.tolist(), probes.tolist(), growth_degrees, factors)))
+        return np.array(values), np.array(errs)
+
+    def _certify(self, rows) -> list:
+        """[(value, error estimate)] of the integrals given per row in Python
+        floats as (total, size, err, magnitude, probes, growth degree,
+        factors): the fine-rule sum, numpy's |total|, the summed per-panel
+        |fine - coarse|, the sum of |weight * integrand| over the fine nodes
+        (the roundoff scale: on panels this wide |panel value| cancels for
+        oscillating integrands), the integrand at the tail probes and the
+        mass factors of ``sums``, or None.  The estimate is err, plus the
+        tail bound for the growth degree, plus a roundoff allowance that also
+        covers the recurrence values, whose relative error grows about
+        linearly with the degree (EPSILON per unit of growth degree), plus
+        1e-15 |term| per mass term.  The continuous part of every row must
+        meet its budget max(abs_tol, rel_tol |total|, roundoff floor): err at
+        most half of it and, with an automatic cutoff, the tail at most a
+        quarter; otherwise NoConvergence names the first row that misses it
+        and counts those that do."""
+        cfg, out, missed = self.cfg, [], []
+        at = [k * self.x_max for k in PROBES]
+        for r, (total, size, err, mag, probes, p, factors) in enumerate(rows):
+            budget = (max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
+                      if size == size and mag == mag else math.nan)  # nan stays nan
+            tail = tail_bound(_growth_constant(at, probes, p, TWO_PI), p, TWO_PI, self.x_max)
+            if not (err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget)):
+                missed.append((r, p, budget, err, tail))
+                continue
+            err = err + tail + mag * (1e-15 * math.sqrt(self.panels) + EPSILON * p)
+            if factors is not None and self.masses:
+                total = complex(total)
                 for j, pm in enumerate(self.masses):
                     term = pm.mass
-                    for f in row:
+                    for f in factors:
                         term = term * complex(f[j])
-                    values[r] += term
-                    errs[r] += 1e-15 * abs(term)
-        return np.array(values), np.array(errs)
+                    total += term
+                    err += 1e-15 * abs(term)
+            out.append((total, err))
+        if missed:
+            r, p, budget, err, tail = missed[0]
+            tail = (f", tail {tail:.3e} against budget/4 {0.25 * budget:.3e}"
+                    if cfg.x_max is None else "")
+            raise NoConvergence(
+                f"{self.family.label()} measure at degree bound {self.degree}: row {r} (growth "
+                f"degree {p}) misses its budget {budget:.3e}, err {err:.3e} against budget/2 "
+                f"{0.5 * budget:.3e}{tail} ({len(missed)} of {len(out) + len(missed)} rows "
+                f"miss theirs); {self.panels} panels, x_max {self.x_max:.6g}")
+        return out
 
     @functools.cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -558,14 +562,16 @@ def _on(measure: DiscreteMeasure, f) -> tuple:
 
 @functools.lru_cache(maxsize=1024)
 def _reads(family: WilsonFamily, cfg: QuadratureConfig, bound: int, poly: RationalPolynomial):
-    """|a|, a . values at the tail probes, that times the density, and
-    a . mass_values for the basis row a of poly under the measure (family,
-    cfg, bound), or its identical rebuild: what inner products read."""
+    """|a|, then as tuples of Python floats a . values at the tail probes,
+    that times the density, and a . mass_values, for the basis row a of
+    poly under the measure (family, cfg, bound), or its identical rebuild:
+    what inner products read."""
     a, measure = _basis_row(family, poly), _build_measure(family, cfg, bound)
     probe = slice(-3 * cfg.panel_order, -3 * cfg.panel_order + 3)
     at_probes = a @ measure.values[:a.size, probe]
-    return (np.abs(a), at_probes, measure.density[probe] * at_probes,
-            a @ measure.mass_values[:a.size])
+    return (np.abs(a), tuple(at_probes.tolist()),
+            tuple((measure.density[probe] * at_probes).tolist()),
+            tuple((a @ measure.mass_values[:a.size]).tolist()))
 
 
 def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial,
@@ -574,21 +580,25 @@ def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolyno
     the Case B point-mass terms, for polynomials in the squared variable.
     With a and b the coefficients of p and q in the scaled family basis
     (exact, rounded once each), the continuous part is the quadratic form
-    a^T G b of the measure's panel Gram under each rule; a callable
-    integrand goes through ``project``.  Returns (value, error_estimate)."""
-    if not all(isinstance(poly, RationalPolynomial) and poly._w == 1 for poly in (p, q)):
+    a^T G b of the measure's panel Gram under each rule, certified as one
+    row of ``_certify`` from two numpy sums over the panels; a callable
+    integrand goes through ``project``.  Returns (value, error_estimate)
+    as numpy scalars."""
+    if not (isinstance(p, RationalPolynomial) and isinstance(q, RationalPolynomial)
+            and p._w == q._w == 1):
         raise TypeError("inner_product takes polynomials over Q; project takes a callable")
     a, b = _basis_row(family, p), _basis_row(family, q)
     measure = discrete_measure(family, max(a.size, b.size) - 1, cfg)
     gram, absolute = measure._gram
-    (abs_a, probe_a, _, mass_a), (abs_b, _, probe_b, mass_b) = (
-        _reads(family, measure.cfg, measure.degree, poly) for poly in (p, q))
+    abs_a, probe_a, _, mass_a = _reads(family, measure.cfg, measure.degree, p)
+    abs_b, _, probe_b, mass_b = _reads(family, measure.cfg, measure.degree, q)
     coarse, fine = gram[:, :, :a.size, :b.size] @ b @ a
-    magnitude = abs_a @ absolute[:a.size, :b.size] @ abs_b
-    [val], [err] = measure._certify(
-        coarse[None], fine[None], magnitude[None], (probe_a * probe_b)[None],
-        [2 * (a.size + b.size - 2)], (mass_a, mass_b))
-    return val, err
+    total = float(np.add.reduce(fine))
+    [(val, err)] = measure._certify([(
+        total, abs(total), float(np.add.reduce(np.abs(fine - coarse))),
+        float(abs_a @ absolute[:a.size, :b.size] @ abs_b),
+        [x * y for x, y in zip(probe_a, probe_b)], 2 * (a.size + b.size - 2), (mass_a, mass_b))])
+    return np.array(val)[()], np.float64(err)
 
 
 # ---------------------------------------------------------------------------

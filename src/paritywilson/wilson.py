@@ -423,6 +423,7 @@ def family_weight(family: WilsonFamily) -> WeightFunction:
 
 
 _POCHHAMMER: dict[WilsonFamily, list] = {}  # per numeric Case B family, append-only
+_NORM_PARTS: dict[WilsonFamily, list] = {}  # likewise: each norm's exact part, in float
 
 
 def _pochhammer_pairs(family: WilsonFamily, n: int) -> Fraction:
@@ -442,10 +443,12 @@ def norm_closed_form(family: WilsonFamily, n: int):
     (the re-derived value; the printed table is available from
     :func:`printed_norm_rhs` and disagrees for n >= 1).
     Case B: the printed closed form, with every Gamma ratio rewritten via
-    Pochhammer products and the reflection identity, evaluated as a float.
-    The products come from the family's prefix table; a norm is never
-    derived from the recurrence, which it verifies.  A Case B norm past the
-    float range raises OverflowError, naming the family and the degree.
+    Pochhammer products and the reflection identity: its exact part
+    n!^4 ((1-s)_n (1+s)_n)^2 / ((2n)! (2n+1)!), rounded once into the
+    family's append-only prefix (inf past the float range), times the
+    reflection factor twice.  A norm is never derived from the recurrence,
+    which it verifies.  A Case B norm past the float range raises
+    OverflowError, naming the family and the degree.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -454,14 +457,19 @@ def norm_closed_form(family: WilsonFamily, n: int):
         return Fraction(f(n) ** 3 * f(n + 1) ** 3 * f(n + 2) ** 2, f(2 * n + 1) * f(2 * n + 3))
     if family.symbolic:
         raise ValueError("norms need a numeric B")
-    family.require_nondegenerate()
+    if len(_NORM_PARTS.get(family, ())) <= n:  # a family with parts passed this check
+        family.require_nondegenerate()
+        _pochhammer_pairs(family, n)  # first: the lock is not reentrant
+        with _TABLES_LOCK:
+            prods, parts = _POCHHAMMER[family], _NORM_PARTS.setdefault(family, [])
+            for k in range(len(parts), n + 1):
+                try:  # float() of the exact part overflows first, or the product below does
+                    parts.append(float(Fraction(f(k) ** 4, f(2 * k) * f(2 * k + 1)) * prods[k] ** 2))
+                except OverflowError:
+                    parts.append(math.inf)
     s = family.s_value()
-    prod = _pochhammer_pairs(family, n)
     refl = math.pi * s / math.sin(math.pi * s)  # Gamma(1-s)Gamma(1+s)
-    try:  # float() of the exact part overflows first, or the product does
-        norm = Fraction(f(n) ** 4, f(2 * n) * f(2 * n + 1)) * prod * prod * refl * refl
-    except OverflowError:
-        norm = math.inf
+    norm = _NORM_PARTS[family][n] * refl * refl
     if norm == math.inf:
         raise OverflowError(f"{family.label()} norm of degree {n} exceeds the float range")
     return norm

@@ -18,6 +18,11 @@ tables.  ``standard_terms`` and ``printed_terms`` are the recurrence terms
 by generic Fraction and polynomial operations, the reference of the
 library's terms built from integers.  The panel rules are numpy's
 ``leggauss``, not the library's own port of its algorithm.
+``inner_product_row`` is the batch certification of (rows, panels) sums
+on one (1, panels) row, as the library's inner products once ran it, on
+the arrays of a library measure: the bit-for-bit reference of their
+per-row rule in Python floats; ``log_tail_bound`` is the tail bound it
+reads, one lgamma call per term.
 """
 
 import math
@@ -29,6 +34,9 @@ import numpy as np
 PANEL_WIDTH = 0.25
 COARSE, FINE = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(41)
 PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of X
+EPSILON = 2.3e-16  # the library's certification constants
+ROUNDOFF = 100.0 * EPSILON
+TWO_PI = 2.0 * math.pi
 
 
 def tail(f, x_max: float, growth_degree: int, decay_rate: float) -> float:
@@ -159,3 +167,87 @@ def printed_terms(b, n: int):
     root = b - (n - 1) * (n + 1)
     return (b * Fraction(-1, 2) + (Fraction(n * (n + 1), 2) - Fraction(1, 4)),
             root * root * Fraction(n ** 2, 4 * (2 * n - 1) * (2 * n + 1)), +1)
+
+
+def log_tail_bound(c: float, p: int, lam: float, x: float) -> float:
+    """C * integral_x^inf t^p e^{-lam t} dt for integer p, summed in
+    logarithms with one lgamma call per term."""
+    if c <= 0.0:
+        return 0.0
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
+            + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
+    top = max(logs)
+    e = math.log(c) - lam * x + top + math.log(sum(math.exp(v - top) for v in logs))
+    return math.inf if e > 709.0 else math.exp(e)
+
+
+def _growth_constant(probes, values, p: int, lam: float) -> float:
+    c = 0.0
+    for probe, v in zip(probes, values):
+        v = abs(complex(v))
+        if v > 0.0 and probe > 0.0:
+            e = math.log(v) - p * math.log(probe) + lam * probe
+            c = max(c, math.inf if e > 709.0 else math.exp(e))
+    return 2.0 * c
+
+
+def _certify(measure, coarse, fine, magnitude, probes, growth_degrees, at_masses, error):
+    """(values, error estimates) of the rows of per-panel coarse and fine
+    sums, all rows at once: numpy reductions, then lists."""
+    cfg = measure.cfg
+    totals = fine.sum(axis=-1)
+    errs, mags = np.abs(fine - coarse).sum(axis=-1).tolist(), magnitude.tolist()
+    budgets = [max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
+               if size == size and mag == mag else math.nan
+               for size, mag in zip(np.abs(totals).tolist(), mags)]
+    at = measure.x[-3 * cfg.panel_order:][:3].tolist()
+    tails = [log_tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, measure.x_max)
+             for v, p in zip(probes.tolist(), growth_degrees)]
+    missed = [r for r, (err, tail, budget) in enumerate(zip(errs, tails, budgets)) if not (
+        err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget))]
+    if missed:
+        i = missed[0]
+        tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budgets[i]:.3e}"
+                if cfg.x_max is None else "")
+        raise error(
+            f"{measure.family.label()} measure at degree bound {measure.degree}: row {i} "
+            f"(growth degree {growth_degrees[i]}) misses its budget {budgets[i]:.3e}, "
+            f"err {errs[i]:.3e} against budget/2 {0.5 * budgets[i]:.3e}{tail} "
+            f"({len(missed)} of {len(errs)} rows miss theirs); {measure.panels} panels, "
+            f"x_max {measure.x_max:.6g}")
+    errs = [err + tail + mag * (1e-15 * math.sqrt(measure.panels) + EPSILON * p)
+            for err, tail, mag, p in zip(errs, tails, mags, growth_degrees)]
+    values = totals.tolist()
+    if at_masses is not None and measure.masses:
+        values = [complex(v) for v in values]
+        factors = [f.tolist() if f.ndim == 2 else [f.tolist()] * len(values)
+                   for f in map(np.asarray, at_masses)]
+        for r, row in enumerate(zip(*factors)):
+            for j, pm in enumerate(measure.masses):
+                term = pm.mass
+                for f in row:
+                    term = term * complex(f[j])
+                values[r] += term
+                errs[r] += 1e-15 * abs(term)
+    return np.array(values), np.array(errs)
+
+
+def inner_product_row(measure, a: np.ndarray, b: np.ndarray, error=ArithmeticError):
+    """(value, error estimate) of <p, q> from the float basis rows ``a`` and
+    ``b`` of p and q under ``measure``, read through its arrays and its
+    Gram: the quadratic forms of the Gram under each rule, certified as one
+    (1, panels) row of ``_certify``.  A row that misses its budget raises
+    ``error`` with the library's text."""
+    k = measure.cfg.panel_order
+    gram, absolute = measure._gram
+    probe = slice(-3 * k, -3 * k + 3)
+    probe_a = a @ measure.values[:a.size, probe]
+    probe_b = measure.density[probe] * (b @ measure.values[:b.size, probe])
+    coarse, fine = gram[:, :, :a.size, :b.size] @ b @ a
+    magnitude = np.abs(a) @ absolute[:a.size, :b.size] @ np.abs(b)
+    [val], [err] = _certify(
+        measure, coarse[None], fine[None], magnitude[None], (probe_a * probe_b)[None],
+        [2 * (a.size + b.size - 2)],
+        (a @ measure.mass_values[:a.size], b @ measure.mass_values[:b.size]), error)
+    return val, err

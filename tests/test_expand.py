@@ -14,6 +14,8 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paritywilson
 from paritywilson import expand, verify, wilson
@@ -214,7 +216,7 @@ class TestPanelLoop:
         # to the bit, from a cold log-gamma table in every order
         args = [(c, p, lam, x) for c in (1e-300, 0.5, 3.0, 1e200) for p in (0, 1, 7, 64, 256)
                 for lam in (TWO_PI, 3.0) for x in (0.5, 15.0, 101.0)]
-        want = {a: _per_term_tail(*a).hex() for a in args}
+        want = {a: oracles.log_tail_bound(*a).hex() for a in args}
         shuffled = list(args)
         np.random.default_rng(0).shuffle(shuffled)
         for order in (args, args[::-1], shuffled):
@@ -230,7 +232,7 @@ class TestPanelLoop:
         # may move
         degrees = [0, 1, 7, 64, 256, 3, 130, 17]
         args = [(0.75, p, TWO_PI, x) for p in degrees for x in (15.0, 101.0)]
-        want = {a: _per_term_tail(*a).hex() for a in args}
+        want = {a: oracles.log_tail_bound(*a).hex() for a in args}
         monkeypatch.setattr(expand, "_LGAMMA", ())
         expand._tail_logs.cache_clear()
         start = threading.Barrier(4, timeout=30)
@@ -251,17 +253,6 @@ class TestPanelLoop:
                 assert value == want[a], a
         table = expand._LGAMMA
         assert table and all(v.hex() == math.lgamma(j + 1).hex() for j, v in enumerate(table))
-
-
-def _per_term_tail(c, p, lam, x):
-    """tail_bound with one lgamma call per term, as the bound read before
-    its log-gamma table."""
-    log_x = math.log(x)
-    logs = [math.lgamma(p + 1) - math.lgamma(p - k + 1) - (k + 1) * math.log(lam)
-            + ((p - k) * log_x if k < p else 0.0) for k in range(p + 1)]
-    top = max(logs)
-    return expand._exp(math.log(c) - lam * x + top
-                       + math.log(sum(math.exp(v - top) for v in logs)))
 
 
 class TestInnerProduct:
@@ -316,12 +307,34 @@ class TestCertification:
         assert "(2 of 4 rows miss theirs)" in msg and "x_max 20" in msg
         assert "tail" not in msg
 
+    @pytest.mark.parametrize("family, n, m, x_max, text", [
+        (CASE_A, 0, 8, None,
+         "A measure at degree bound 8: row 0 (growth degree 16) misses its budget 5.867e-09, "
+         "err 3.328e-09 against budget/2 2.934e-09, tail 6.140e-24 against budget/4 "
+         "1.467e-09 (1 of 1 rows miss theirs); 854 panels, x_max 18.9258"),
+        (FAMILIES[3], 5, 8, 12.0,
+         "B(7.3) measure at degree bound 8: row 0 (growth degree 26) misses its budget "
+         "1.097e-06, err 1.103e-06 against budget/2 5.485e-07 (1 of 1 rows miss theirs); "
+         "610 panels, x_max 12"),
+    ], ids=["A", "B(7.3)-fixed-cutoff"])
+    def test_an_inner_product_that_misses_its_own_budget_is_named(self, family, n, m, x_max,
+                                                                   text):
+        # the measure builds on its own integrand at panel_order 3, but the
+        # cross term, not the measure, misses its budget
+        cfg = QuadratureConfig(panel_order=3, x_max=x_max)
+        discrete_measure(family, 8, cfg)
+        table = monic_from_recurrence(family, 8)
+        with pytest.raises(NoConvergence) as info:
+            inner_product(family, table[n], table[m], cfg)
+        assert str(info.value) == text
+
 
 def _cold_tables():
     """Empty every per-family table of the expansion layer."""
     expand._basis_row.cache_clear()
     expand._RECURRENCES.clear()
     wilson._POCHHAMMER.clear()
+    wilson._NORM_PARTS.clear()
 
 
 class TestFamilyTables:
@@ -380,7 +393,7 @@ class TestFamilyTables:
             assert got == want[offset::4], offset
         # an entry appended twice would shift every later product
         prods = wilson._POCHHAMMER[family]
-        assert len(prods) == 41
+        assert len(prods) == 41 and len(wilson._NORM_PARTS[family]) == 41
         assert all(prods[j] == prods[j - 1] * (j * j - 1 - family.b) for j in range(1, 41))
 
     def test_degenerate_family_raises_whatever_was_asked_before(self):
@@ -716,6 +729,29 @@ def _assert_orthogonal(family, n_max):
                 assert abs(val) <= 1e-8 * math.sqrt(norms[n] * norms[m]), (n, m)
 
 
+def _outcome(call):
+    """(numpy type, bytes) of each returned scalar, or the raised error."""
+    try:
+        return [(type(v), np.asarray(v).tobytes()) for v in call()]
+    except NoConvergence as exc:
+        return str(exc)
+
+
+def _assert_single_row_route(family, p, q):
+    """inner_product equals the oracle's (1, panels) batch route."""
+    a, b = expand._basis_row(family, p), expand._basis_row(family, q)
+    measure = discrete_measure(family, max(a.size, b.size) - 1)
+    want = _outcome(lambda: oracles.inner_product_row(measure, a, b, NoConvergence))
+    assert _outcome(lambda: inner_product(family, p, q)) == want, (p, q)
+
+
+@given(st.sampled_from(FAMILIES), *[st.lists(st.fractions(-100, 100, max_denominator=1000),
+                                             max_size=13) for _ in range(2)])
+@settings(max_examples=60, deadline=None)
+def test_non_member_inner_product_is_the_single_row_route(family, p, q):
+    _assert_single_row_route(family, RationalPolynomial(p), RationalPolynomial(q))
+
+
 class TestDiscreteMeasure:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_orthogonality_to_degree_twenty(self, family):
@@ -760,6 +796,14 @@ class TestDiscreteMeasure:
                 for mass in weight.point_masses:
                     want += mass.mass * _exact_at(p, mass.y) * _member_at_mass(family, m, mass)
                 assert abs(val - want) <= err + want_err, (i, m)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_inner_product_is_the_single_row_route(self, family):
+        # every pair n <= m <= 40, to the bit and the numpy type
+        table = monic_from_recurrence(family, 40)
+        for n in range(41):
+            for m in range(n, 41):
+                _assert_single_row_route(family, table[n], table[m])
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_inner_products_agree_with_adaptive_oracle(self, family):
