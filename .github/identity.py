@@ -14,8 +14,9 @@ three numeric B of ``verify`` to n = 40) and of the quantization
 certificates P at n <= 40 (at ell1 = 2n + 1, where P is zero, and at
 ell1 + 1/1000), from each tree.  Last come library reprs of the same four
 families: ``inner_product`` (value, error and their numpy types) for every
-pair of members n <= m <= 40, and ``norm_closed_form`` for n <= 70, each
-line holding the result or the error raised.  Prints each command or file
+pair of members n <= m <= 40, ``norm_closed_form`` for n <= 70, and
+``parity_coefficients`` on its three routes and ``reconstruction_residual``
+at n = 5, 12, 24 and 40, each line holding the result or the error raised.  Prints each command or file
 that differs, by name, and the first hash or repr line that differs, in
 the base tree's order, with both sides and the count of those that do;
 exits 1 if any does.  Both trees run on one machine, so there are no
@@ -64,7 +65,7 @@ SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
 # one line per array or result, its name and its value split by a tab:
 # "<family> <bound> <config> <array>", "nodes <order>",
-# "grid <table> <family> <n>" or "repr <function> <family> <n> [<m>]",
+# "grid <table> <family> <n>" or "repr <function> <family> [<route>] <n> [<m>]",
 # then a hash or a repr
 HASHES = '''
 import hashlib
@@ -148,6 +149,14 @@ for family in families:
     for n in range(71):
         out("repr norm_closed_form", family.label(), n,
             result(lambda: wilson.norm_closed_form(family, n)))
+# the expansion coefficients and residuals read the float recurrence rows
+for family in families:
+    for n in (5, 12, 24, 40):
+        for route in ("closed_form", "printed", "projection"):
+            out("repr parity_coefficients", family.label(), route, n,
+                result(lambda: expand.parity_coefficients(family, n, route=route)))
+        out("repr reconstruction_residual", family.label(), n,
+            result(lambda: expand.reconstruction_residual(family, n)))
 '''
 
 

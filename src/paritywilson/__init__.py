@@ -17,7 +17,6 @@ from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
     frac_to_str,
-    hyp_2f1_series,
     hyp_pfq_series,
     poly_eval,
 )

@@ -58,6 +58,7 @@ from .wilson import (
     PointMass,
     WilsonFamily,
     _check_case,
+    _prefix,
     _sinh_over_cosh_cubed,
     family_weight,
     monic_from_recurrence,
@@ -73,7 +74,6 @@ ROUNDOFF = 100.0 * EPSILON
 MEASURE_MIN_DEGREE = 8
 MEASURE_PANEL_WIDTH = 8.0
 PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
-_LGAMMA: tuple[float, ...] = ()  # lgamma(j + 1) by j, published whole: a race moves no entry
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,7 @@ def tail_bound(c: float, growth_degree: int, decay_rate: float, x: float) -> flo
 def _tail_logs(p: int, lam: float, x: float) -> tuple[float, float]:
     """The part of tail_bound that does not depend on C: the largest term
     log and the log of the sum of the terms relative to it."""
-    global _LGAMMA
-    lg = _LGAMMA
-    if len(lg) <= p:
-        lg = _LGAMMA = lg + tuple(map(math.lgamma, range(len(lg) + 1, max(p + 1, 2 * len(lg)) + 1)))
+    lg = _prefix((None, "lgamma"), p, tuple, lambda lg: math.lgamma(len(lg) + 1))  # log j!
     log_x = math.log(x) if x > 0.0 else -math.inf
     log_lam = math.log(lam)
     logs = [lg[p] - lg[p - k] - (k + 1) * log_lam + ((p - k) * log_x if k < p else 0.0)
@@ -255,32 +252,26 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
 # the families in float: one evaluator, the three-term recurrence
 # ---------------------------------------------------------------------------
 
-_RECURRENCES: dict[WilsonFamily, tuple] = {}  # per family; a race costs only a rebuild
-
-
 def _recurrence(family: WilsonFamily, n_max: int) -> tuple:
-    """The family's table for n = 1..m, m > n_max, at least twice the last
-    m: the exact (beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n
-    P_{n-2} (gamma_1 multiplies P_{-1} = 0); beta_n, sqrt(gamma_n) and
-    scale_{n-1} = sqrt(gamma_2 ... gamma_n) in read-only float arrays (a
-    sequential product, so a prefix keeps its bits; inf past the float
-    range, Case A from n = 116)."""
+    """(beta_n, sqrt(gamma_n), scale_{n-1}) for n = 1..n_max+1 as three
+    read-only float arrays, from the family's cached prefix of rows: the
+    exact (beta_n, gamma_n) of P_n = (u + beta_n) P_{n-1} - gamma_n P_{n-2}
+    (gamma_1 multiplies P_{-1} = 0) rounded once, and scale_{n-1} =
+    sqrt(gamma_2 ... gamma_n), the sequential product np.cumprod forms (inf
+    past the float range, Case A from n = 116)."""
     if family.case == CASE_B:
         family.require_nondegenerate(n_max)
     if family.symbolic:
         raise ValueError("float evaluation needs a numeric B")
-    table = _RECURRENCES.get(family, ((),))
-    if len(table[0]) <= n_max:
-        terms = table[0] + tuple(standard_recurrence_terms(family, n) for n in
-                                 range(len(table[0]) + 1, max(n_max + 1, 2 * len(table[0])) + 1))
-        beta = np.array([float(b) for b, _ in terms])
-        root = np.sqrt(np.array([float(g) for _, g in terms]))
-        with np.errstate(over="ignore", invalid="ignore"):  # nan only past a gamma_n = 0
-            scale = np.concatenate(([1.0], np.cumprod(root[1:])))
-        for array in (beta, root, scale):
-            array.flags.writeable = False  # cached
-        table = _RECURRENCES[family] = (terms, beta, root, scale)
-    return table
+
+    def step(rows):  # the row of n = len(rows) + 1
+        beta, gamma = standard_recurrence_terms(family, len(rows) + 1)
+        root = math.sqrt(float(gamma))
+        return float(beta), root, rows[-1][2] * root if rows else 1.0
+    rows = _prefix((family, "float recurrence"), n_max, tuple, step)[: n_max + 1]
+    table = np.array(list(zip(*rows)))
+    table.flags.writeable = False  # cached rows, shared by every caller
+    return tuple(table)
 
 
 def family_values(family: WilsonFamily, n_max: int, u):
@@ -295,8 +286,8 @@ def family_values(family: WilsonFamily, n_max: int, u):
     positive measure, so the rows stay of unit order where the measure
     lives.
     """
-    _, beta, root, scale = _recurrence(family, n_max)
-    root = root[: n_max + 1].tolist()
+    beta, root, scale = _recurrence(family, n_max)
+    root = root.tolist()
     u = np.asarray(u, dtype=float)
     values = np.empty((n_max + 1,) + u.shape)
     values[0] = 1.0
@@ -309,7 +300,7 @@ def family_values(family: WilsonFamily, n_max: int, u):
             row -= np.multiply(before, root[n - 1], scratch)
         row /= root[n]
         before, last = last, row
-    return values, scale[: n_max + 1]
+    return values, scale
 
 
 @functools.lru_cache(maxsize=1024)
@@ -322,7 +313,7 @@ def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
     member of the table costs one subtraction."""
     rest, den = list(poly._c), poly._den
     degree = max(len(rest) - 1, 0)
-    scale = _recurrence(family, degree)[3]
+    scale = _recurrence(family, degree)[2]
     if np.isinf(scale[degree]):
         raise NoConvergence(f"{family.label()} polynomial of degree {degree}: the basis "
                             f"scale overflows at degree {int(np.argmax(np.isinf(scale)))}")
@@ -335,7 +326,7 @@ def _basis_row(family: WilsonFamily, poly: RationalPolynomial) -> np.ndarray:
             up, down = member._den // h, top // h  # rest - a_k P_k over den * up
             rest = [x * up - down * y for x, y in zip(rest, member._c)]
             den *= up
-    row = np.array(a) * scale[: degree + 1]
+    row = np.array(a) * scale
     row.flags.writeable = False  # cached
     return row
 
@@ -533,7 +524,7 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
         array.flags.writeable = False  # shared by every caller
     return DiscreteMeasure(family=family, cfg=cfg, degree=degree, x_max=x_max, x=x,
                            weights=weights, density=density, values=values, masses=masses,
-                           scale=_recurrence(family, degree)[3][: degree + 1],
+                           scale=_recurrence(family, degree)[2],
                            mass_values=mass_values)
 
 

@@ -3,8 +3,8 @@
 Substrate for every other module: arbitrary-precision rationals (stdlib
 ``fractions.Fraction``), dense polynomials in one (squared) variable whose
 coefficients may themselves be polynomials in a second symbol, and
-convergent 2F1 / pFq partial sums in floats with reported error bounds.
-Both series keep one pole rule: a nonpositive-integer numerator -m stops
+one convergent pFq partial sum in floats (Gauss 2F1 included) with
+reported error bounds.  Its pole rule: a nonpositive-integer numerator -m stops
 the sum after term m, and a nonpositive-integer denominator -q is refused
 unless q >= m, so no 0/0 ratio is formed.
 
@@ -456,8 +456,10 @@ def _series_sum(term_ratio: Callable[[int], complex], tol: float, max_terms: int
     raise NoConvergence(f"series did not settle within {max_terms} terms")
 
 
-def hyp_2f1_series(a, b, c, t, tol: float = 1e-14, max_terms: int = 10000):
-    """Gauss 2F1 by direct partial summation for |t| < 1.
+def hyp_pfq_series(num_params: Sequence, den_params: Sequence, t, tol: float = 1e-14,
+                   max_terms: int = 10000):
+    """Convergent pFq partial sum for |t| < 1 (with p = q+1), Gauss 2F1
+    included, by direct partial summation; no analytic continuation.
 
     Returns (value, error_bound); the bound is the geometric tail estimate
     after three consecutive sub-tolerance terms plus a roundoff allowance.
@@ -465,18 +467,6 @@ def hyp_2f1_series(a, b, c, t, tol: float = 1e-14, max_terms: int = 10000):
     denominator -q is a DenominatorPole unless q >= m; a non-finite
     parameter is a ValueError.
     """
-    if abs(t) >= 1:
-        raise ValueError("hyp_2f1_series requires |t| < 1")
-    stop = _stop_index((a, b), (c,))
-    return _series_sum(lambda k: (a + k) * (b + k) / ((c + k) * (1 + k)) * t, tol, max_terms,
-                       stop)
-
-
-def hyp_pfq_series(num_params: Sequence, den_params: Sequence, t, tol: float = 1e-14,
-                   max_terms: int = 10000):
-    """Convergent pFq partial sum for |t| < 1 (with p = q+1), same stopping
-    rule, pole rule and error bound as :func:`hyp_2f1_series`.  No analytic
-    continuation is attempted."""
     if abs(t) >= 1:
         raise ValueError("hyp_pfq_series requires |t| < 1")
     stop = _stop_index(num_params, den_params)

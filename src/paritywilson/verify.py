@@ -475,6 +475,12 @@ SUITES = {
     "scan": (check_scan,),
 }
 
+# by check name: the degree cap of the checks that have one, as (keyword,
+# standard, extended), and the checks that scale their tolerances
+CAPS = {"check_quantization": ("n_max", 8, 40), "check_orthogonality": ("n_max", 6, 20),
+        "check_reconstruction": ("n_trunc", 12, 24)}
+SCALED = {"check_quantization", "check_orthogonality", "check_lorentz"}
+
 # checks whose failure is the documented, expected outcome of a defective
 # stated threshold (see the ledger): reported as fail, listed here so the
 # acceptance tests can mark them as such
@@ -502,17 +508,10 @@ def run_suites(names=None, extended: bool = False,
     for name in select_suites(names):
         start = time.perf_counter()
         for fn in SUITES[name]:
-            kwargs = {}
-            if fn is check_quantization:
-                kwargs = {"n_max": 40 if extended else 8,
-                          "threshold_scale": threshold_scale}
-            elif fn is check_orthogonality:
-                kwargs = {"n_max": 20 if extended else 6,
-                          "threshold_scale": threshold_scale}
-            elif fn is check_reconstruction:
-                kwargs = {"n_trunc": 24 if extended else 12}
-            elif fn is check_lorentz:
-                kwargs = {"threshold_scale": threshold_scale}
+            kwargs = {"threshold_scale": threshold_scale} if fn.__name__ in SCALED else {}
+            if fn.__name__ in CAPS:
+                keyword, standard, lifted = CAPS[fn.__name__]
+                kwargs[keyword] = lifted if extended else standard
             fn(report.results, **kwargs)
         report.elapsed[name] = time.perf_counter() - start
     return report

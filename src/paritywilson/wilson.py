@@ -32,7 +32,6 @@ from .numcore import (
     _mul_add,
     _three_term,
     _widen,
-    hyp_2f1_series,
     hyp_pfq_series,
     poly_eval,
 )
@@ -43,17 +42,6 @@ TWO_PI = 2.0 * math.pi
 _GENFUN_TOL = 1e-10  # absolute part of a generating-function check's budget
 
 _B_SYMBOL = RationalPolynomial([0, 1])  # the indeterminate B
-
-
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _check_case(case: str) -> None:
@@ -83,8 +71,10 @@ class WilsonFamily:
         # float B must build the same exact tables as its Fraction
         if self.b is not None and not isinstance(self.b, Fraction):
             object.__setattr__(self, "b", Fraction(self.b))
-        # hashed once: a family keys every table and cache lookup
+        # hashed once: a family keys every table and cache lookup; the
+        # integer s, found once, is checked by every weight, norm and float table
         object.__setattr__(self, "_hash", hash((self.case, self.b)))
+        object.__setattr__(self, "_integer_s", self.integer_s())
 
     def __hash__(self) -> int:
         return self._hash
@@ -116,12 +106,15 @@ class WilsonFamily:
         return math.sqrt(float(self.b) + 1.0)
 
     def integer_s(self) -> int | None:
-        """The integer k >= 1 with sqrt(B+1) == k, if any."""
+        """The integer k >= 1 with sqrt(B+1) == k, exactly or to within
+        1e-12, if any."""
         if self.case != CASE_B or self.b is None:
             return None
-        r = _exact_sqrt(self.b + 1)
-        if r is not None and r.denominator == 1 and r >= 1:
-            return int(r)
+        p, q = self.b.numerator, self.b.denominator
+        if p + q <= 0:  # B <= -1: no real s
+            return None
+        if q == 1 and math.isqrt(p + 1) ** 2 == p + 1:  # B + 1 a square integer
+            return math.isqrt(p + 1)
         s = self.s_value()
         k = round(s)
         if k >= 1 and abs(s - k) < 1e-12:
@@ -130,7 +123,7 @@ class WilsonFamily:
 
     def require_nondegenerate(self, n: int | None = None) -> None:
         """Reject sqrt(B+1) in Z+ (optionally only when <= n)."""
-        k = self.integer_s()
+        k = self._integer_s
         if k is not None and (n is None or k <= n):
             raise DegenerateFamily(
                 f"sqrt(B+1) = {k} is a positive integer; Gamma factors degenerate")
@@ -244,29 +237,40 @@ def _seeds(family: WilsonFamily):
     return cls([1]), cls([Fraction(-3, 4) if family.case == CASE_A else b / 2 + Fraction(1, 4), 1])
 
 
-# T_0..T_k per (family, kind), only ever replaced by a longer tuple: the
-# monic tables ("corrected", "printed") and spectral's "reflected" tables
-_TABLES: dict[tuple[WilsonFamily, str], tuple] = {}
-_TABLES_LOCK = threading.Lock()
+# every sequence the library caches as a growing prefix, by (family, kind):
+# the exact recurrence tables ("corrected", "printed", "reflected"), the
+# "pochhammer" pairs and "norm parts" of numeric Case B, the "float
+# recurrence" rows of ``expand`` and, under (None, "lgamma"), its log-gamma
+# terms; a key only ever gets a longer tuple
+_PREFIXES: dict = {}
+_PREFIXES_LOCK = threading.Lock()
+
+
+def _prefix(key, n: int, first: Callable, step: Callable) -> tuple:
+    """Entries 0..n at least of the sequence under ``key``: the cached
+    prefix, or first(), run on by appending step(entries so far).  A longer
+    prefix is built outside the lock, so a step may read another key's
+    prefix, and published under it as a new tuple, unless another caller
+    published one at least as long: no caller sees a partial prefix."""
+    seq = _PREFIXES.get(key) or first()
+    if len(seq) <= n:
+        seq = list(seq)
+        while len(seq) <= n:
+            seq.append(step(seq))
+        seq = tuple(seq)
+        with _PREFIXES_LOCK:
+            if len(seq) > len(_PREFIXES.get(key, ())):
+                _PREFIXES[key] = seq
+    return seq
 
 
 def _recurrence_table(key: tuple[WilsonFamily, str], n_max: int, seeds: Callable,
                       terms: Callable) -> tuple:
     """T_0..T_{n_max} of the table under ``key``: the two seeds() run on by
     T_n = (u + a_n) T_{n-1} - c_n T_{n-2}, (a_n, c_n) = terms(n), from the
-    cached prefix.  A longer table is built in a local list and published
-    as a new tuple, so concurrent callers never see a partial one."""
-    polys = _TABLES.get(key) or seeds()
-    if len(polys) <= n_max:
-        polys = list(polys)
-        for n in range(len(polys), n_max + 1):
-            a, c = terms(n)
-            polys.append(_three_term(polys[n - 1], a, polys[n - 2], c))
-        polys = tuple(polys)
-        with _TABLES_LOCK:
-            if len(polys) > len(_TABLES.get(key, ())):
-                _TABLES[key] = polys
-    return polys[: n_max + 1]
+    cached prefix."""
+    return _prefix(key, n_max, seeds, lambda polys: _three_term(
+        polys[-1], (ac := terms(len(polys)))[0], polys[-2], ac[1]))[: n_max + 1]
 
 
 def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "corrected") -> tuple:
@@ -278,7 +282,7 @@ def monic_from_recurrence(family: WilsonFamily, n_max: int, form: str = "correct
     :func:`monic_from_hypergeometric` exactly; form="printed" applies the
     appendix tables verbatim (seeds honored, recurrence from n=2) and is the
     input to the discrepancy detector.  Tables are cached per (family, form)
-    by :func:`_recurrence_table`.
+    in the prefix store.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -422,18 +426,11 @@ def family_weight(family: WilsonFamily) -> WeightFunction:
     return WeightFunction(family, w, tuple(masses))
 
 
-_POCHHAMMER: dict[WilsonFamily, list] = {}  # per numeric Case B family, append-only
-_NORM_PARTS: dict[WilsonFamily, list] = {}  # likewise: each norm's exact part, in float
-
-
 def _pochhammer_pairs(family: WilsonFamily, n: int) -> Fraction:
     """(1-s)_n (1+s)_n = prod_{j=1..n} (j^2 - 1 - B), s = sqrt(B+1), exactly:
-    the family's prefix products, extended in a loop."""
-    with _TABLES_LOCK:
-        prods = _POCHHAMMER.setdefault(family, [Fraction(1)])
-        while len(prods) <= n:
-            prods.append(prods[-1] * (len(prods) ** 2 - 1 - family.b))
-    return prods[n]
+    the family's cached prefix products."""
+    return _prefix((family, "pochhammer"), n, lambda: (Fraction(1),),
+                   lambda prods: prods[-1] * (len(prods) ** 2 - 1 - family.b))[n]
 
 
 def norm_closed_form(family: WilsonFamily, n: int):
@@ -445,7 +442,7 @@ def norm_closed_form(family: WilsonFamily, n: int):
     Case B: the printed closed form, with every Gamma ratio rewritten via
     Pochhammer products and the reflection identity: its exact part
     n!^4 ((1-s)_n (1+s)_n)^2 / ((2n)! (2n+1)!), rounded once into the
-    family's append-only prefix (inf past the float range), times the
+    family's cached prefix (inf past the float range), times the
     reflection factor twice.  A norm is never derived from the recurrence,
     which it verifies.  A Case B norm past the float range raises
     OverflowError, naming the family and the degree.
@@ -457,19 +454,18 @@ def norm_closed_form(family: WilsonFamily, n: int):
         return Fraction(f(n) ** 3 * f(n + 1) ** 3 * f(n + 2) ** 2, f(2 * n + 1) * f(2 * n + 3))
     if family.symbolic:
         raise ValueError("norms need a numeric B")
-    if len(_NORM_PARTS.get(family, ())) <= n:  # a family with parts passed this check
-        family.require_nondegenerate()
-        _pochhammer_pairs(family, n)  # first: the lock is not reentrant
-        with _TABLES_LOCK:
-            prods, parts = _POCHHAMMER[family], _NORM_PARTS.setdefault(family, [])
-            for k in range(len(parts), n + 1):
-                try:  # float() of the exact part overflows first, or the product below does
-                    parts.append(float(Fraction(f(k) ** 4, f(2 * k) * f(2 * k + 1)) * prods[k] ** 2))
-                except OverflowError:
-                    parts.append(math.inf)
+    family.require_nondegenerate()
+
+    def part(parts):  # the next exact part, reading the Pochhammer prefix
+        k = len(parts)
+        try:  # float() of the exact part overflows first, or the product below does
+            exact = Fraction(f(k) ** 4, f(2 * k) * f(2 * k + 1)) * _pochhammer_pairs(family, k) ** 2
+            return float(exact)
+        except OverflowError:
+            return math.inf
     s = family.s_value()
     refl = math.pi * s / math.sin(math.pi * s)  # Gamma(1-s)Gamma(1+s)
-    norm = _NORM_PARTS[family][n] * refl * refl
+    norm = _prefix((family, "norm parts"), n, tuple, part)[n] * refl * refl
     if norm == math.inf:
         raise OverflowError(f"{family.label()} norm of degree {n} exceeds the float range")
     return norm
@@ -534,12 +530,12 @@ def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
         ix = 1j * x
         if identity_id == 1:
             c2 = 1.0 if form == "printed" else 3.0
-            v1, e1 = hyp_2f1_series(0.5 + ix, 0.5 + ix, 1.0, -t, tol)
-            v2, e2 = hyp_2f1_series(1.5 - ix, 1.5 - ix, c2, -t, tol)
+            v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 + ix], [1.0], -t, tol)
+            v2, e2 = hyp_pfq_series([1.5 - ix, 1.5 - ix], [c2], -t, tol)
             return v1 * v2, abs(v1) * e2 + abs(v2) * e1
         if identity_id == 2:
-            v1, e1 = hyp_2f1_series(0.5 + ix, 1.5 + ix, 2.0, -t, tol)
-            v2, e2 = hyp_2f1_series(0.5 - ix, 1.5 - ix, 2.0, -t, tol)
+            v1, e1 = hyp_pfq_series([0.5 + ix, 1.5 + ix], [2.0], -t, tol)
+            v2, e2 = hyp_pfq_series([0.5 - ix, 1.5 - ix], [2.0], -t, tol)
             return v1 * v2, abs(v1) * e2 + abs(v2) * e1
         scale = 1.0 if form == "printed" else 2.0
         arg = 4 * t / (1 + t) ** 2
@@ -549,13 +545,13 @@ def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
     s = family.s_value()
     ix = 1j * x
     if identity_id == 1:
-        v1, e1 = hyp_2f1_series(0.5 + ix, 0.5 + ix, 1.0, -t, tol)
-        v2, e2 = hyp_2f1_series(0.5 - s - ix, 0.5 + s - ix, 1.0, -t, tol)
+        v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 + ix], [1.0], -t, tol)
+        v2, e2 = hyp_pfq_series([0.5 - s - ix, 0.5 + s - ix], [1.0], -t, tol)
         return v1 * v2, abs(v1) * e2 + abs(v2) * e1
     if identity_id == 2:
         pref = math.sin(math.pi * s) / (math.pi * s)
-        v1, e1 = hyp_2f1_series(0.5 + ix, 0.5 - s + ix, 1.0 - s, -t, tol)
-        v2, e2 = hyp_2f1_series(0.5 - ix, 0.5 + s - ix, 1.0 + s, -t, tol)
+        v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 - s + ix], [1.0 - s], -t, tol)
+        v2, e2 = hyp_pfq_series([0.5 - ix, 0.5 + s - ix], [1.0 + s], -t, tol)
         return pref * v1 * v2, abs(pref) * (abs(v1) * e2 + abs(v2) * e1)
     pref = math.sin(math.pi * s) / (math.pi * (1 + t) * s)
     arg = 4 * t / (1 + t) ** 2

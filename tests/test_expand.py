@@ -43,6 +43,7 @@ from paritywilson.wilson import (
 CASE_A = WilsonFamily.case_a()
 CASE_B_32 = WilsonFamily.case_b(Fraction(3, 2))
 TWO_PI = 2.0 * math.pi
+LGAMMA = (None, "lgamma")  # the prefix store's key of the log-gamma terms
 FAMILIES = [CASE_A] + [WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
 # polynomials outside the tables: several nonzero entries in the family basis
 MIXED = RationalPolynomial([Fraction(1, 3), -2, Fraction(5, 7), Fraction(-9, 4), 1])
@@ -220,7 +221,7 @@ class TestPanelLoop:
         shuffled = list(args)
         np.random.default_rng(0).shuffle(shuffled)
         for order in (args, args[::-1], shuffled):
-            monkeypatch.setattr(expand, "_LGAMMA", ())
+            monkeypatch.delitem(wilson._PREFIXES, LGAMMA, raising=False)
             expand._tail_logs.cache_clear()
             for a in order:
                 assert tail_bound(*a).hex() == want[a], a
@@ -228,12 +229,11 @@ class TestPanelLoop:
 
     def test_concurrent_prefix_table_extensions_keep_every_entry(self, monkeypatch):
         # threads extend the log-gamma table from different lengths at once;
-        # whichever tuple is published last, even a shorter one, no entry
-        # may move
+        # whichever tuple is published last, no entry may move
         degrees = [0, 1, 7, 64, 256, 3, 130, 17]
         args = [(0.75, p, TWO_PI, x) for p in degrees for x in (15.0, 101.0)]
         want = {a: oracles.log_tail_bound(*a).hex() for a in args}
-        monkeypatch.setattr(expand, "_LGAMMA", ())
+        monkeypatch.delitem(wilson._PREFIXES, LGAMMA, raising=False)
         expand._tail_logs.cache_clear()
         start = threading.Barrier(4, timeout=30)
 
@@ -251,8 +251,9 @@ class TestPanelLoop:
         for got in results:
             for a, value in got:
                 assert value == want[a], a
-        table = expand._LGAMMA
-        assert table and all(v.hex() == math.lgamma(j + 1).hex() for j, v in enumerate(table))
+        table = wilson._PREFIXES[LGAMMA]
+        assert len(table) > max(degrees)
+        assert all(v.hex() == math.lgamma(j + 1).hex() for j, v in enumerate(table))
 
 
 class TestInnerProduct:
@@ -330,11 +331,13 @@ class TestCertification:
 
 
 def _cold_tables():
-    """Empty every per-family table of the expansion layer."""
+    """Empty every per-family table of the expansion layer: the basis rows,
+    and the float recurrence rows, Pochhammer pairs and norm parts in the
+    prefix store."""
     expand._basis_row.cache_clear()
-    expand._RECURRENCES.clear()
-    wilson._POCHHAMMER.clear()
-    wilson._NORM_PARTS.clear()
+    for key in list(wilson._PREFIXES):
+        if key[1] in ("float recurrence", "pochhammer", "norm parts"):
+            del wilson._PREFIXES[key]
 
 
 class TestFamilyTables:
@@ -392,8 +395,8 @@ class TestFamilyTables:
         for offset, got in enumerate(results):
             assert got == want[offset::4], offset
         # an entry appended twice would shift every later product
-        prods = wilson._POCHHAMMER[family]
-        assert len(prods) == 41 and len(wilson._NORM_PARTS[family]) == 41
+        prods = wilson._PREFIXES[(family, "pochhammer")]
+        assert len(prods) == 41 and len(wilson._PREFIXES[(family, "norm parts")]) == 41
         assert all(prods[j] == prods[j - 1] * (j * j - 1 - family.b) for j in range(1, 41))
 
     def test_degenerate_family_raises_whatever_was_asked_before(self):
@@ -674,7 +677,7 @@ class TestFamilyValues:
         # every u + beta_n in one call, then the steps in place: the same
         # operations on every entry as one degree at a time, overflow included
         rng = np.random.default_rng(5)
-        _, beta, root, _ = expand._recurrence(family, 128)
+        beta, root, _ = expand._recurrence(family, 128)
         for u in (np.array(2.5), np.array(-0.75), np.empty(0), np.empty((0, 3)),
                   rng.uniform(-4.0, 1e4, (7, 11)), rng.uniform(0.0, 900.0, 144)):
             for n in (0, 1, 2, 16, 64, 128):
@@ -705,6 +708,7 @@ class TestFamilyValues:
                 assert measure.values.tobytes() == values.tobytes(), at
                 assert measure.scale.tobytes() == scale.tobytes(), at
                 assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
+                assert not measure.scale.flags.writeable, at
                 for p, block in enumerate(measure.x.reshape(-1, k)):  # the probes come last
                     density = weight.evaluate(block)
                     assert measure.density[p * k:(p + 1) * k].tobytes() == density.tobytes(), at

@@ -74,7 +74,7 @@ class TestEigenfunctions:
     def test_tables_equal_the_composition_route(self, monkeypatch):
         # the route the tables replaced, kept as the oracle: f = g(W + c) by
         # a Taylor shift of g, then B substituted into the symbolic f
-        monkeypatch.setattr(wilson, "_TABLES", {})
+        monkeypatch.setattr(wilson, "_PREFIXES", {})
         w = RationalPolynomial([0, 1])
         b_symbol = RationalPolynomial([0, 1])
         for n in range(41):

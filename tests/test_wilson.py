@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritywilson import spectral, verify, wilson
+from paritywilson import expand, spectral, verify, wilson
 from paritywilson.errors import DegenerateFamily
 from paritywilson.numcore import BParamPolynomial, RationalPolynomial, poly_eval
 from paritywilson.wilson import (
@@ -233,18 +233,18 @@ class TestRecurrenceRoute:
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """An empty table cache for the test's duration: the monic tables and
+    """An empty prefix store for the test's duration: the monic tables and
     the eigenfunction tables of ``spectral`` share it."""
-    monkeypatch.setattr(wilson, "_TABLES", {})
+    monkeypatch.setattr(wilson, "_PREFIXES", {})
 
 
 def _cold(family, n_max, form="corrected"):
-    saved = wilson._TABLES
-    wilson._TABLES = {}
+    saved = wilson._PREFIXES
+    wilson._PREFIXES = {}
     try:
         return monic_from_recurrence(family, n_max, form)
     finally:
-        wilson._TABLES = saved
+        wilson._PREFIXES = saved
 
 
 class TestTableCache:
@@ -264,10 +264,10 @@ class TestTableCache:
         assert type(cold4) is tuple and type(cold9) is tuple
         assert monic_from_recurrence(CASE_B_32, 9) == cold9
         assert monic_from_recurrence(CASE_B_32, 4) == cold4  # served
-        wilson._TABLES.clear()
+        wilson._PREFIXES.clear()
         assert monic_from_recurrence(CASE_B_32, 4) == cold4
         assert monic_from_recurrence(CASE_B_32, 9) == cold9  # extended
-        assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 10
+        assert len(wilson._PREFIXES[(CASE_B_32, "corrected")]) == 10
 
     @pytest.mark.parametrize("printed_first", [True, False])
     def test_forms_never_share_entries(self, cold_tables, printed_first):
@@ -276,14 +276,14 @@ class TestTableCache:
         assert tables["printed"] == _cold(CASE_A, 5, "printed")
         assert tables["corrected"] == _cold(CASE_A, 5)
         assert tables["printed"][2] != tables["corrected"][2]
-        assert set(wilson._TABLES) == {(CASE_A, "printed"), (CASE_A, "corrected")}
+        assert set(wilson._PREFIXES) == {(CASE_A, "printed"), (CASE_A, "corrected")}
 
     @pytest.mark.parametrize("n_max", [2, 3, 12])
     def test_unknown_form_raises(self, cold_tables, n_max):
         monic_from_recurrence(CASE_A, 12)
         with pytest.raises(ValueError):
             monic_from_recurrence(CASE_A, n_max, form="bogus")
-        assert (CASE_A, "bogus") not in wilson._TABLES
+        assert (CASE_A, "bogus") not in wilson._PREFIXES
 
     def test_concurrent_interleaved_degrees(self, cold_tables):
         start = threading.Barrier(4, timeout=30)
@@ -304,12 +304,67 @@ class TestTableCache:
             for n, table in zip(range(offset, 16, 4), tables):
                 assert list(table) == oracle[: n + 1]
         # a shorter table published last would have replaced the longest
-        assert len(wilson._TABLES[(CASE_B_32, "corrected")]) == 16
+        assert len(wilson._PREFIXES[(CASE_B_32, "corrected")]) == 16
+
+    def test_concurrent_norm_parts_read_the_pochhammer_prefix(self, monkeypatch):
+        # the norm-part step reads the Pochhammer prefix while other threads
+        # extend it, from a cold store in each of 20 rounds: every thread
+        # finishes, every value is the serial one, and no key is ever given a
+        # tuple that is not longer than the one it held
+        family = WilsonFamily.case_b(Fraction(73, 10))
+        monkeypatch.setattr(wilson, "_PREFIXES", {})
+        serial = [(wilson._pochhammer_pairs(family, 40 - n), norm_closed_form(family, n))
+                  for n in range(41)]
+
+        class Store(dict):
+            def __setitem__(self, key, value):
+                if len(value) <= len(self.get(key, ())):
+                    not_longer.append((key, len(self[key]), len(value)))
+                super().__setitem__(key, value)
+
+        not_longer = []
+        start = threading.Barrier(4, timeout=30)
+
+        def interleaved(offset):
+            start.wait()
+            return [(wilson._pochhammer_pairs(family, 40 - n), norm_closed_form(family, n))
+                    for n in range(offset, 41, 4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(20):
+                    store = Store()
+                    monkeypatch.setattr(wilson, "_PREFIXES", store)
+                    results = list(pool.map(interleaved, range(4), timeout=60))
+                    for offset, got in enumerate(results):
+                        assert got == serial[offset::4], offset
+                    assert len(store[(family, "pochhammer")]) == 41
+                    assert len(store[(family, "norm parts")]) == 41
+        finally:
+            sys.setswitchinterval(interval)
+        assert not_longer == []
+        prods = store[(family, "pochhammer")]
+        assert all(prods[j] == prods[j - 1] * (j * j - 1 - family.b) for j in range(1, 41))
+
+    @pytest.mark.parametrize("b", [3, 3.0 + 4e-13], ids=["exact", "float"])
+    def test_an_integer_s_is_refused_also_after_a_pickle_round_trip(self, b):
+        # s = 2, exactly or within 1e-12: the integer s is found once, at
+        # construction, and again by the family a pickle rebuilds
+        family = WilsonFamily.case_b(b)
+        assert family.integer_s() == 2
+        for fam in (family, pickle.loads(pickle.dumps(family))):
+            for call in (lambda: expand._recurrence(fam, 2), lambda: family_weight(fam),
+                         lambda: norm_closed_form(fam, 0), lambda: norm_closed_form(fam, 5)):
+                with pytest.raises(DegenerateFamily,
+                                   match=r"sqrt\(B\+1\) = 2 is a positive integer"):
+                    call()
 
     def test_recurrence_check_does_not_read_the_cache_as_oracle(self, monkeypatch):
         wrong = list(_cold(CASE_A, 10))
         wrong[5] = wrong[5] + RationalPolynomial([1])
-        monkeypatch.setattr(wilson, "_TABLES", {(CASE_A, "corrected"): tuple(wrong)})
+        monkeypatch.setattr(wilson, "_PREFIXES", {(CASE_A, "corrected"): tuple(wrong)})
         results = []
         verify.check_recurrence(results)
         status = {r.check_id: r.status for r in results}
@@ -318,7 +373,7 @@ class TestTableCache:
 
     def test_verdict_identical_on_cold_and_warm_cache(self, cold_tables):
         cold = repr(verify.run_suites().results)
-        assert (CASE_B_SYM, "reflected") in wilson._TABLES  # built cold
+        assert (CASE_B_SYM, "reflected") in wilson._PREFIXES  # built cold
         assert repr(verify.run_suites().results) == cold
 
     @pytest.mark.parametrize("b", [0, 0.5, Fraction(3, 2), Fraction(73, 10)])
