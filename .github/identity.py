@@ -6,8 +6,8 @@ Runs a fixed list of ``paritywilson`` CLI commands from each ``src``
 directory in a fresh process and compares stdout, stderr, exit code and
 the ``--out`` files, with only the ``# suite <name>: <seconds>s`` timing
 lines masked.  Then hashes (sha256) every array of the shared measures of
-four families at bounds 8-64 under four quadrature configs, the Gram
-included, the Gauss-Legendre node rules of orders 3-129, and the exact
+four families at bounds 8-64 under the one quadrature configuration, the
+Gram included, the Gauss-Legendre node rules of orders 3-129, and the exact
 integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
 and reflected recurrence tables (Case A to n = 100, symbolic B and the
 three numeric B of ``verify`` to n = 40) and of the quantization
@@ -60,11 +60,16 @@ for family in ("A", "B --b 3/2", "B --b 73/10"):
                  f"coeffs --case {family} --route projection --n-max 24",
                  f"coeffs --case {family} --route printed"]
 COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --n-max 24"]
+# the coverage table, and the error paths: an unknown suite, case B without
+# --b, and a degenerate family (sqrt(B + 1) an integer)
+COMMANDS += ["verify --traceability", "verify --traceability --format csv",
+             "verify --suite bogus", "coeffs --case B --n-max 2",
+             "reconstruct --case B --b 3 --n-max 4"]
 
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
 # one line per array or result, its name and its value split by a tab:
-# "<family> <bound> <config> <array>", "nodes <order>",
+# "<family> <bound> <array>", "nodes <order>",
 # "grid <table> <family> <n>" or "repr <function> <family> [<route>] <n> [<m>]",
 # then a hash or a repr
 HASHES = '''
@@ -91,18 +96,13 @@ def sha(*arrays):
 
 families = [wilson.WilsonFamily.case_a()] + [
     wilson.WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
-configs = {"default": expand.QuadratureConfig(),
-           "panel_order=3": expand.QuadratureConfig(panel_order=3),
-           "panel_order=20": expand.QuadratureConfig(panel_order=20),
-           "x_max=40": expand.QuadratureConfig(x_max=40.0)}
 for family in families:
     for bound in (8, 16, 32, 64):
-        for name, cfg in configs.items():
-            m = expand.discrete_measure(family, bound, cfg)
-            for field in ("x", "weights", "density", "values", "scale", "mass_values"):
-                out(family.label(), bound, name, field, sha(getattr(m, field)))
-            out(family.label(), bound, name, "x_max", float(m.x_max).hex())
-            out(family.label(), bound, name, "gram", sha(*m._gram))
+        m = expand.discrete_measure(family, bound)
+        for field in ("x", "weights", "density", "values", "scale", "mass_values"):
+            out(family.label(), bound, field, sha(getattr(m, field)))
+        out(family.label(), bound, "x_max", float(m.x_max).hex())
+        out(family.label(), bound, "gram", sha(*m._gram))
 for k in range(3, 130):
     out("nodes", k, sha(*expand._nodes(k)))
 

@@ -54,7 +54,6 @@ from .spectral import (
 from .expand import (
     CoefficientTable,
     DiscreteMeasure,
-    QuadratureConfig,
     auto_cutoff,
     discrete_measure,
     family_values,

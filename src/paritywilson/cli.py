@@ -43,10 +43,7 @@ def _format(value: str) -> str:
     return value
 
 
-# the QuadratureConfig fields a flag (--rel-tol, ...) or the config file may set
-_QUADRATURE_OPTIONS = {"rel_tol": float, "abs_tol": float, "panel_order": int,
-                      "x_max": float, "max_panels": int}
-_CONFIG_KEYS = {**_QUADRATURE_OPTIONS, "format": _format, "out_dir": str}
+_CONFIG_KEYS = {"format": _format, "out_dir": str}
 
 
 def _fmt_float(x: float) -> str:
@@ -71,8 +68,6 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](val.strip())
-                if key in _QUADRATURE_OPTIONS:
-                    expand.QuadratureConfig(**{key: values[key]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -85,11 +80,6 @@ def _resolve_config(args) -> None:
     for key, val in values.items():
         if getattr(args, key, None) is None:
             setattr(args, key, val)
-
-
-def _quadrature(args) -> expand.QuadratureConfig:
-    return expand.QuadratureConfig(**{key: getattr(args, key) for key in _QUADRATURE_OPTIONS
-                                      if getattr(args, key) is not None})
 
 
 def _value(v):
@@ -222,8 +212,7 @@ def _cmd_second_solution(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     family = _family_from_args(args)
-    table = expand.parity_coefficients(family, args.n_max, _quadrature(args),
-                                       route=args.route)
+    table = expand.parity_coefficients(family, args.n_max, route=args.route)
     header = ["n", "re", "im", "err"]
     rows = [[n, _fmt_float(c.real), _fmt_float(c.imag), _fmt_float(e)]
             for n, c, e in table.entries]
@@ -234,7 +223,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     family = _family_from_args(args)
-    residuals = expand.reconstruction_residual(family, args.n_max, _quadrature(args))
+    residuals = expand.reconstruction_residual(family, args.n_max)
     header = ["N", "residual"]
     rows = [[n, _fmt_float(r)] for n, r in enumerate(residuals)]
     _emit(args, header, rows, {"case": family.case, "B": family.b,
@@ -341,8 +330,7 @@ def _cmd_verify(args) -> int:
         _emit(args, ["anchor", "checks", "note"], verify.TRACEABILITY)
         return 0
     names = verify.select_suites(args.suite.split(",") if args.suite else None)
-    report = _verify_report(names, extended=args.extended,
-                            threshold_scale=args.threshold_scale)
+    report = _verify_report(names, extended=args.extended)
     rows, lines = [], []
     for r in report.results:
         measured = r.measured if isinstance(r.measured, str) else _fmt_float(r.measured)
@@ -364,13 +352,10 @@ def _cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, with_quadrature=False):
+def _add_common(sp):
     sp.add_argument("--format", choices=_FORMATS, default=None)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.add_argument("--config", default=None, help="flat key=value config file")
-    if with_quadrature:
-        for key, typ in _QUADRATURE_OPTIONS.items():
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", dest="n_max", type=int, default=6)
     sp.add_argument("--route", choices=["closed_form", "projection", "printed"],
                     default="closed_form")
-    _add_common(sp, with_quadrature=True)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_coeffs)
 
     sp = sub.add_parser("reconstruct", help="weighted-L2 reconstruction residuals")
     sp.add_argument("--case", choices=[CASE_A, CASE_B], required=True)
     sp.add_argument("--b", default=None)
     sp.add_argument("--n-max", dest="n_max", type=int, default=12)
-    _add_common(sp, with_quadrature=True)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_reconstruct)
 
     sp = sub.add_parser("lorentz", help="matrix audits of the operator algebra")
@@ -455,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated suite names (default: all); "
                          f"available: {', '.join(verify.SUITES)}")
     sp.add_argument("--extended", action="store_true", help="lift the standard caps")
-    sp.add_argument("--threshold-scale", dest="threshold_scale", type=float, default=1.0,
-                    help="scale tolerance thresholds (exercises the exit-code contract)")
     sp.add_argument("--traceability", action="store_true",
                     help="emit the anchor-to-check coverage table and exit")
     _add_common(sp)

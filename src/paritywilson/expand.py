@@ -6,15 +6,17 @@ basis projections, all three routes to the parity-reconstruction
 coefficients c_n, the weighted-L2 reconstruction residuals and the
 Stieltjes orthogonalization become weighted dot products.
 
-A measure is built once per (family, QuadratureConfig, degree bound), the
-bound rounded up to a power of two (at least 8), so that no result depends
-on which calls ran before it.  Its panels are chosen by the adaptive panel
-loop, started from panels graded towards the origin and refined to the
-roundoff floor, on the family's hardest polynomial integrand
-w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement round
-(the tail probes with the Case B point masses, the starting panels, one
-split) evaluates the integrand in one call.  The measure holds the
-panel_order- and 2*panel_order-point Gauss-Legendre weights of every panel
+There is one quadrature configuration, the module constants REL_TOL,
+ABS_TOL, PANEL_ORDER and MAX_PANELS, and one measure per (family, degree
+bound), the bound rounded up to a power of two (at least 8), so that no
+result depends on which calls ran before it.  Its cutoff is always the
+automatic, tail-checked one of ``_cutoff``.  Its panels are chosen by the
+adaptive panel loop, started from panels graded towards the origin and
+refined to the roundoff floor, on the family's hardest polynomial
+integrand w * sum_k P_k^2 / ||P_k||^2 (k up to the bound); each refinement
+round (the tail probes with the Case B point masses, the starting panels,
+one split) evaluates the integrand in one call.  The measure holds the
+PANEL_ORDER- and 2*PANEL_ORDER-point Gauss-Legendre weights of every panel
 (a rule computed here), the Case B point masses, and the density and the
 values of P_0..P_bound at the nodes, the probes and the masses, as the
 panel loop and the last probe round evaluated them, once per point: the
@@ -30,9 +32,10 @@ returns its own error estimate: the per-panel difference of the two
 rules, the analytic tail bound beyond the cutoff and a roundoff
 allowance, checked in floats after two numpy sums per row by one per-row
 rule, which ``sums`` applies to each of its rows and an inner product to
-its one.  An integral that misses its budget raises ``NoConvergence``, as
-does a measure whose panel loop exceeds max_panels or meets a non-finite
-integrand.
+its one.  An integral that misses its budget raises ``NoConvergence``
+with one text, naming its error and its tail against the budget.  A
+measure whose panel loop exceeds MAX_PANELS or meets a non-finite
+integrand raises it too.
 
 Convergence of the reconstruction series is only ever tested in the
 weighted L2 sense of the continued variable; no operator-level or
@@ -71,40 +74,14 @@ EPSILON = 2.3e-16
 # relative roundoff floor of a panel sum: near-zero integrals of
 # large-magnitude integrands (orthogonality cross terms) cannot do better
 ROUNDOFF = 100.0 * EPSILON
+# an integral's budget is max(ABS_TOL, REL_TOL |value|, roundoff floor)
+REL_TOL = 1e-10
+ABS_TOL = 1e-13
+PANEL_ORDER = 24  # each panel's coarse rule; its fine rule has twice the points
+MAX_PANELS = 4000
 MEASURE_MIN_DEGREE = 8
 MEASURE_PANEL_WIDTH = 8.0
 PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of the cutoff
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the semi-infinite quadrature: the panel loop of the
-    shared measures and the budget of their integrals.
-
-    ``x_max=None`` chooses the cutoff automatically so that the analytic
-    tail bound (integrand <= C x^p e^{-decay*x}, C measured near the
-    cutoff) falls below the absolute tolerance.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    panel_order: int = 24
-    x_max: float | None = None
-    max_panels: int = 4000
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError(f"tolerances must be finite and positive, got rel_tol "
-                             f"{self.rel_tol}, abs_tol {self.abs_tol}")
-        if self.x_max is not None and not 0 < self.x_max < math.inf:
-            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
-        if self.max_panels < 1:
-            raise ValueError(f"max_panels must be at least 1, got {self.max_panels}")
-        if self.panel_order < 3:  # no family measure builds at order 2
-            raise ValueError(f"panel_order must be at least 3, got {self.panel_order}")
-
-
-_DEFAULT_CONFIG = QuadratureConfig()
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,31 +156,32 @@ def auto_cutoff(poly_degree_in_x: int) -> float:
     return max(15.0, (poly_degree_in_x + 6) * math.log(10.0) / TWO_PI + 5.0)
 
 
-def _cutoff(f, cfg: QuadratureConfig, decay_rate: float, growth_degree: int) -> float:
-    """X from the config, or the first of auto_cutoff, +5, +10, ... whose
-    tail bound beyond X is below abs_tol/4."""
-    x_max = auto_cutoff(growth_degree) if cfg.x_max is None else cfg.x_max
+def _cutoff(f, decay_rate: float, growth_degree: int) -> float:
+    """The first X of auto_cutoff, +5, +10, ... (or the first past 300)
+    whose tail bound beyond X (integrand <= C x^p e^{-decay*x}, C measured
+    at the probes) is below ABS_TOL/4."""
+    x_max = auto_cutoff(growth_degree)
     while True:
         probes = [k * x_max for k in PROBES]
         c = _growth_constant(probes, np.asarray(f(np.array(probes))), growth_degree, decay_rate)
         tail = tail_bound(c, growth_degree, decay_rate, x_max)
-        if cfg.x_max is not None or tail < 0.25 * cfg.abs_tol or x_max > 300.0:
+        if tail < 0.25 * ABS_TOL or x_max > 300.0:
             return x_max
         x_max += 5.0
 
 
-def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) -> list:
+def _adaptive_panels(f, x_max: float, edges: np.ndarray) -> list:
     """The adaptive panel loop of the measure build: starting from the
     panels between ``edges``, the panel with the largest |fine - coarse| is
     halved until the summed differences are within half the budget
-    max(abs_tol, roundoff floor).  Returns [err, lo, hi, value] per panel,
+    max(ABS_TOL, roundoff floor).  Returns [err, lo, hi, value] per panel,
     by lo.  Each round evaluates f in one call, on the coarse and fine
     nodes of all starting panels, then of both halves of the split panel;
     a non-finite value raises at once, naming the first one in panel
     order.  An f returning (integrand, *arrays), such as the measure
     build's (integrand, value rows, densities), has each panel's block of
     every array's last axis appended to its entry, in order."""
-    k = cfg.panel_order
+    k = PANEL_ORDER
     (xc, wc), (xf, wf) = _nodes(k), _nodes(2 * k)
     rule = np.concatenate((xc, xf))
 
@@ -230,14 +208,14 @@ def _adaptive_panels(f, cfg: QuadratureConfig, x_max: float, edges: np.ndarray) 
     panels = panels_on(edges[:-1], edges[1:])
     while True:
         err_sum = sum(p[0] for p in panels)
-        budget = max(cfg.abs_tol, ROUNDOFF * sum(abs(p[3]) for p in panels))
+        budget = max(ABS_TOL, ROUNDOFF * sum(abs(p[3]) for p in panels))
         if err_sum <= 0.5 * budget:
             break
         panels.sort(key=lambda p: (-p[0], p[1]))
-        if len(panels) >= cfg.max_panels:
+        if len(panels) >= MAX_PANELS:
             worst, lo, hi = panels[0][:3]
             raise NoConvergence(
-                f"adaptive quadrature exceeded {cfg.max_panels} panels: err_sum "
+                f"adaptive quadrature exceeded {MAX_PANELS} panels: err_sum "
                 f"{err_sum:.3e} against budget/2 {0.5 * budget:.3e} (budget "
                 f"{budget:.3e}, total {abs(sum(p[3] for p in panels)):.3e}); worst panel "
                 f"[{lo:.6g}, {hi:.6g}] with err {worst:.3e}, cutoff {x_max:.6g}")
@@ -340,8 +318,8 @@ class DiscreteMeasure:
     """A family measure discretized for polynomial integrands of degree up
     to 2 * ``degree`` in the squared variable.
 
-    The points ``x`` come in blocks of 3 * panel_order: per panel the
-    panel_order coarse nodes, then the 2 * panel_order fine nodes.  A last
+    The points ``x`` come in blocks of 3 * PANEL_ORDER: per panel the
+    PANEL_ORDER coarse nodes, then the 2 * PANEL_ORDER fine nodes.  A last
     block holds the tail-envelope probes 0.7, 0.85 and 1 times ``x_max``
     (padded with ``x_max``) and has zero weight.  ``weights`` (one row per
     block) are the Gauss-Legendre weights scaled to each panel, without
@@ -351,7 +329,6 @@ class DiscreteMeasure:
     """
 
     family: WilsonFamily
-    cfg: QuadratureConfig
     degree: int
     x_max: float
     x: np.ndarray
@@ -368,7 +345,7 @@ class DiscreteMeasure:
 
     def fine_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, weights times density) of the fine rule on all panels."""
-        k = self.cfg.panel_order
+        k = PANEL_ORDER
         blocks = slice(0, self.panels), slice(k, 3 * k)
         x = self.x.reshape(-1, 3 * k)[blocks]
         return x.ravel(), (self.weights[blocks] * self.density.reshape(-1, 3 * k)[blocks]).ravel()
@@ -382,7 +359,7 @@ class DiscreteMeasure:
         or (rows, masses), and mass j adds (mass_j * f_1[r, j]) * f_2[r, j]
         ... to row r in scalar arithmetic.  ``None`` leaves the masses out.
         Returns (values, error estimates) from ``_certify``."""
-        k = self.cfg.panel_order
+        k = PANEL_ORDER
         rows = np.atleast_2d(rows).reshape(-1, self.weights.shape[0], 3 * k)
         w = self.weights * factor.reshape(-1, 3 * k)
         coarse = np.einsum("rpk,pk->rp", rows[..., :k], w[:, :k])
@@ -416,17 +393,17 @@ class DiscreteMeasure:
         covers the recurrence values, whose relative error grows about
         linearly with the degree (EPSILON per unit of growth degree), plus
         1e-15 |term| per mass term.  The continuous part of every row must
-        meet its budget max(abs_tol, rel_tol |total|, roundoff floor): err at
-        most half of it and, with an automatic cutoff, the tail at most a
-        quarter; otherwise NoConvergence names the first row that misses it
-        and counts those that do."""
-        cfg, out, missed = self.cfg, [], []
+        meet its budget max(ABS_TOL, REL_TOL |total|, roundoff floor): err at
+        most half of it and the tail at most a quarter; otherwise
+        NoConvergence names the first row that misses it and counts those
+        that do."""
+        out, missed = [], []
         at = [k * self.x_max for k in PROBES]
         for r, (total, size, err, mag, probes, p, factors) in enumerate(rows):
-            budget = (max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
+            budget = (max(ABS_TOL, REL_TOL * size, ROUNDOFF * mag)
                       if size == size and mag == mag else math.nan)  # nan stays nan
             tail = tail_bound(_growth_constant(at, probes, p, TWO_PI), p, TWO_PI, self.x_max)
-            if not (err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget)):
+            if not (err <= 0.5 * budget and tail <= 0.25 * budget):
                 missed.append((r, p, budget, err, tail))
                 continue
             err = err + tail + mag * (1e-15 * math.sqrt(self.panels) + EPSILON * p)
@@ -441,13 +418,12 @@ class DiscreteMeasure:
             out.append((total, err))
         if missed:
             r, p, budget, err, tail = missed[0]
-            tail = (f", tail {tail:.3e} against budget/4 {0.25 * budget:.3e}"
-                    if cfg.x_max is None else "")
             raise NoConvergence(
                 f"{self.family.label()} measure at degree bound {self.degree}: row {r} (growth "
                 f"degree {p}) misses its budget {budget:.3e}, err {err:.3e} against budget/2 "
-                f"{0.5 * budget:.3e}{tail} ({len(missed)} of {len(out) + len(missed)} rows "
-                f"miss theirs); {self.panels} panels, x_max {self.x_max:.6g}")
+                f"{0.5 * budget:.3e}, tail {tail:.3e} against budget/4 {0.25 * budget:.3e} "
+                f"({len(missed)} of {len(out) + len(missed)} rows miss theirs); "
+                f"{self.panels} panels, x_max {self.x_max:.6g}")
         return out
 
     @functools.cached_property
@@ -457,7 +433,7 @@ class DiscreteMeasure:
         nodes, A[k, l] sums the absolute values of the two factors over all
         fine nodes.  The first product is folded in before the second:
         values[k] * values[l] overflows at high degree."""
-        k, n = self.cfg.panel_order, self.panels
+        k, n = PANEL_ORDER, self.panels
         v = self.values.reshape(self.values.shape[0], -1, 3 * k)[:, :n]
         vw = v * (self.weights[:n] * self.density.reshape(-1, 3 * k)[:n])
         gram = np.stack([v[..., rule].transpose(1, 0, 2) @ vw[..., rule].transpose(1, 2, 0)
@@ -481,7 +457,7 @@ def _graded_edges(x_max: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
+def _build_measure(family: WilsonFamily, degree: int):
     weight = family_weight(family)
     masses = weight.point_masses
     ends = []  # hardest at the probes and the masses, from the cutoff's last candidate
@@ -499,8 +475,8 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
         return ends[0]
 
     try:
-        x_max = _cutoff(probed, cfg, TWO_PI, 4 * degree)
-        panels = _adaptive_panels(hardest, cfg, x_max, _graded_edges(x_max))
+        x_max = _cutoff(probed, TWO_PI, 4 * degree)
+        panels = _adaptive_panels(hardest, x_max, _graded_edges(x_max))
         bad = np.argwhere(~np.isfinite(ends[1]))[:, 1]  # probes, masses: outside every panel
         if bad.size:
             j = bad[0]
@@ -509,35 +485,35 @@ def _build_measure(family: WilsonFamily, cfg: QuadratureConfig, degree: int):
             raise NoConvergence(f"non-finite value row at {at}, cutoff {x_max:.6g}")
     except NoConvergence as exc:
         raise NoConvergence(f"{family.label()} measure at degree bound {degree}: {exc}") from None
-    (xc, wc), (xf, wf) = _nodes(cfg.panel_order), _nodes(2 * cfg.panel_order)
+    (xc, wc), (xf, wf) = _nodes(PANEL_ORDER), _nodes(2 * PANEL_ORDER)
     lo = np.array([p[1] for p in panels])[:, None]
     hi = np.array([p[2] for p in panels])[:, None]
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.concatenate((xc, xf))
-    pad = np.minimum(np.arange(3 * cfg.panel_order), 2)  # the probes, padded with the cutoff
+    pad = np.minimum(np.arange(3 * PANEL_ORDER), 2)  # the probes, padded with the cutoff
     x = np.concatenate((nodes.ravel(), np.multiply(PROBES, x_max)[pad]))
-    weights = np.zeros((len(panels) + 1, 3 * cfg.panel_order))
+    weights = np.zeros((len(panels) + 1, 3 * PANEL_ORDER))
     weights[:-1] = 0.5 * (hi - lo) * np.concatenate((wc, wf))
     values = np.concatenate([p[4] for p in panels] + [ends[1][:, pad]], axis=1)
     density = np.concatenate([p[5] for p in panels] + [ends[2][pad]])
     mass_values = np.ascontiguousarray(ends[1][:, 3:])
     for array in (x, weights, density, values, mass_values):
         array.flags.writeable = False  # shared by every caller
-    return DiscreteMeasure(family=family, cfg=cfg, degree=degree, x_max=x_max, x=x,
+    return DiscreteMeasure(family=family, degree=degree, x_max=x_max, x=x,
                            weights=weights, density=density, values=values, masses=masses,
                            scale=_recurrence(family, degree)[2],
                            mass_values=mass_values)
 
 
-def discrete_measure(family: WilsonFamily, degree: int,
-                     cfg: QuadratureConfig | None = None) -> DiscreteMeasure:
+def discrete_measure(family: WilsonFamily, degree: int) -> DiscreteMeasure:
     """The shared measure serving polynomial degrees <= ``degree``: cached
-    per (family, cfg, bound), bound = the power of two >= max(degree, 8)
-    (the 32 most recently used; a rebuilt measure is identical).
-    Raises NoConvergence, naming the family and the bound, when its panel
-    loop exceeds max_panels or meets a non-finite integrand (past the
-    degree ceiling, where the value rows overflow)."""
+    per (family, bound), bound = the power of two >= max(degree, 8) (the 32
+    most recently used; a rebuilt measure is identical), its cutoff the
+    automatic one of ``_cutoff``.  Raises NoConvergence, naming the family
+    and the bound, when its panel loop exceeds MAX_PANELS or meets a
+    non-finite integrand (past the degree ceiling, where the value rows
+    overflow), or a probe or mass row is non-finite."""
     bound = max(MEASURE_MIN_DEGREE, 1 << max(degree - 1, 0).bit_length())
-    return _build_measure(family, cfg or _DEFAULT_CONFIG, bound)
+    return _build_measure(family, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -552,21 +528,20 @@ def _on(measure: DiscreteMeasure, f) -> tuple:
 
 
 @functools.lru_cache(maxsize=1024)
-def _reads(family: WilsonFamily, cfg: QuadratureConfig, bound: int, poly: RationalPolynomial):
+def _reads(family: WilsonFamily, bound: int, poly: RationalPolynomial):
     """|a|, then as tuples of Python floats a . values at the tail probes,
     that times the density, and a . mass_values, for the basis row a of
-    poly under the measure (family, cfg, bound), or its identical rebuild:
+    poly under the measure (family, bound), or its identical rebuild:
     what inner products read."""
-    a, measure = _basis_row(family, poly), _build_measure(family, cfg, bound)
-    probe = slice(-3 * cfg.panel_order, -3 * cfg.panel_order + 3)
+    a, measure = _basis_row(family, poly), _build_measure(family, bound)
+    probe = slice(-3 * PANEL_ORDER, -3 * PANEL_ORDER + 3)
     at_probes = a @ measure.values[:a.size, probe]
     return (np.abs(a), tuple(at_probes.tolist()),
             tuple((measure.density[probe] * at_probes).tolist()),
             tuple((a @ measure.mass_values[:a.size]).tolist()))
 
 
-def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial,
-                  cfg: QuadratureConfig | None = None):
+def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolynomial):
     """<p, q> under the family measure: continuous weighted integral plus
     the Case B point-mass terms, for polynomials in the squared variable.
     With a and b the coefficients of p and q in the scaled family basis
@@ -579,10 +554,10 @@ def inner_product(family: WilsonFamily, p: RationalPolynomial, q: RationalPolyno
             and p._w == q._w == 1):
         raise TypeError("inner_product takes polynomials over Q; project takes a callable")
     a, b = _basis_row(family, p), _basis_row(family, q)
-    measure = discrete_measure(family, max(a.size, b.size) - 1, cfg)
+    measure = discrete_measure(family, max(a.size, b.size) - 1)
     gram, absolute = measure._gram
-    abs_a, probe_a, _, mass_a = _reads(family, measure.cfg, measure.degree, p)
-    abs_b, _, probe_b, mass_b = _reads(family, measure.cfg, measure.degree, q)
+    abs_a, probe_a, _, mass_a = _reads(family, measure.degree, p)
+    abs_b, _, probe_b, mass_b = _reads(family, measure.degree, q)
     coarse, fine = gram[:, :, :a.size, :b.size] @ b @ a
     total = float(np.add.reduce(fine))
     [(val, err)] = measure._certify([(
@@ -629,8 +604,7 @@ def _basis_rows(measure: DiscreteMeasure, n_max: int, factor: np.ndarray,
                         factor, scale, at_masses)
 
 
-def project(f_target, family: WilsonFamily, n_max: int,
-            cfg: QuadratureConfig | None = None) -> CoefficientTable:
+def project(f_target, family: WilsonFamily, n_max: int) -> CoefficientTable:
     """Orthogonal-projection coefficients <F, P_n>/<P_n, P_n> for
     n = 0..n_max under the family measure, all numerators from one pass
     over the shared measure.  F is a callable of the abscissa, analytic
@@ -641,7 +615,7 @@ def project(f_target, family: WilsonFamily, n_max: int,
         raise ValueError("n_max must be nonnegative")
     if isinstance(f_target, RationalPolynomial):
         raise TypeError("project takes a callable; inner_product takes polynomials")
-    measure = discrete_measure(family, n_max, cfg)
+    measure = discrete_measure(family, n_max)
     at_x, at_masses = _on(measure, f_target)
     nums = _basis_rows(measure, n_max, measure.density * at_x, lambda n: 2 * n, at_masses)
     entries = []
@@ -668,7 +642,6 @@ def _case_a_moment(x):
 
 
 def parity_coefficients(family: WilsonFamily, n_max: int,
-                        cfg: QuadratureConfig | None = None,
                         route: str = "closed_form") -> CoefficientTable:
     """The reconstruction coefficients c_n.
 
@@ -692,7 +665,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
     offset = 1 if family.case == CASE_A else 0  # c_0 = -i; c_n pairs with P_{n-offset}
     entries = [(0, -1j, 0.0)] * offset
     if route == "projection":
-        proj = project(parity_target(family.case), family, max(n_max - offset, 0), cfg)
+        proj = project(parity_target(family.case), family, max(n_max - offset, 0))
         for k, a, e in proj.entries[: n_max + 1 - offset]:
             entries.append((k + offset, (-1) ** k * a, e))
         return CoefficientTable(family.case, family.b, route, tuple(entries))
@@ -701,7 +674,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
 
     if family.case == CASE_A:
         if n_max >= 1:
-            measure = discrete_measure(family, n_max - 1, cfg)
+            measure = discrete_measure(family, n_max - 1)
             integrals = _basis_rows(measure, n_max - 1, _case_a_moment(measure.x),
                                     lambda k: 2 * k + 3)
             norm = printed_norm_rhs if route == "printed" else norm_closed_form
@@ -709,7 +682,7 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
                 const = math.pi ** 2 * (-1) ** n / float(norm(family, n - 1))
                 entries.append((n, complex(const * integral), abs(const) * err))
     else:
-        measure = discrete_measure(family, n_max, cfg)
+        measure = discrete_measure(family, n_max)
         target = parity_target(CASE_B)  # read at the point masses only
         integrals = _basis_rows(measure, n_max, measure.density * np.exp(-np.pi * measure.x),
                                 lambda n: 2 * n + 1,
@@ -722,7 +695,6 @@ def parity_coefficients(family: WilsonFamily, n_max: int,
 
 
 def reconstruction_residual(family: WilsonFamily, n_trunc: int,
-                            cfg: QuadratureConfig | None = None,
                             table: CoefficientTable | None = None) -> tuple[float, ...]:
     """Weighted-L2 residuals ||F - S_N|| of the reconstruction series for
     every truncation N = 0..n_trunc, under the full family measure.
@@ -737,10 +709,10 @@ def reconstruction_residual(family: WilsonFamily, n_trunc: int,
         raise ValueError("n_trunc must be nonnegative")
     offset = 1 if family.case == CASE_A else 0
     if table is None:
-        table = parity_coefficients(family, n_trunc + offset, cfg)
+        table = parity_coefficients(family, n_trunc + offset)
     signed = np.array([(-1) ** n * table.coefficient(n + offset) for n in range(n_trunc + 1)],
                       dtype=complex)
-    measure = discrete_measure(family, n_trunc, cfg)
+    measure = discrete_measure(family, n_trunc)
     scale = measure.scale[: n_trunc + 1]
     partial = (signed * scale)[:, None] * measure.values[: n_trunc + 1]
     np.cumsum(partial, axis=0, out=partial)

@@ -182,12 +182,11 @@ def check_recurrence(results: list[CheckResult]) -> None:
            "exact" if ok else "mismatch", "exact")
 
 
-def check_quantization(results: list[CheckResult], n_max: int = 8,
-                       threshold_scale: float = 1.0) -> None:
+def check_quantization(results: list[CheckResult], n_max: int = 8) -> None:
     # |master residual| at M = 0 is |P(s)|/(2s) on the grid of s >= 1, with P
     # exact and odd: Q(s^2), Q the halved odd coefficients of P's grid, exact
     # at each point; ell1 -> ell1 + 1/1000 adds exactly ((ell1 + 1/1000)^2 - ell1^2) p(W)
-    tol = 1e-11 * threshold_scale
+    tol = 1e-11
     for case, b in ((CASE_A, None), (CASE_B, B_VALUES[0]),
                     (CASE_B, B_VALUES[1]), (CASE_B, B_VALUES[2])):
         ws = [Fraction(w) for w in spectral.default_w_grid(float(b or 0), count=10)]
@@ -254,9 +253,8 @@ def check_consistency_chain(results: list[CheckResult]) -> None:
     _check(results, "consistency-chain-b", "eq-50", worst <= 1e-12, worst, 1e-12)
 
 
-def check_orthogonality(results: list[CheckResult], n_max: int = 6,
-                        threshold_scale: float = 1.0) -> None:
-    tol = 1e-8 * threshold_scale
+def check_orthogonality(results: list[CheckResult], n_max: int = 6) -> None:
+    tol = 1e-8
     families = [(WilsonFamily.case_a(), "a", "eq-A2",
                  f"norms include the n=0 value 2/3; corrected closed form, n <= {n_max}")]
     families += [(WilsonFamily.case_b(b), f"b{float(b)}", "eq-B2",
@@ -411,8 +409,8 @@ def check_second_solution(results: list[CheckResult]) -> None:
                 "rational base solution")
 
 
-def check_lorentz(results: list[CheckResult], threshold_scale: float = 1.0) -> None:
-    tol = 1e-12 * threshold_scale
+def check_lorentz(results: list[CheckResult]) -> None:
+    tol = 1e-12
     reps = (lorentz.build_vector_rep(), lorentz.build_spin_rep(Fraction(1, 2), Fraction(1, 2)),
             lorentz.build_spin_rep(1, 0))
     worst = 0.0
@@ -476,10 +474,9 @@ SUITES = {
 }
 
 # by check name: the degree cap of the checks that have one, as (keyword,
-# standard, extended), and the checks that scale their tolerances
+# standard, extended)
 CAPS = {"check_quantization": ("n_max", 8, 40), "check_orthogonality": ("n_max", 6, 20),
         "check_reconstruction": ("n_trunc", 12, 24)}
-SCALED = {"check_quantization", "check_orthogonality", "check_lorentz"}
 
 # checks whose failure is the documented, expected outcome of a defective
 # stated threshold (see the ledger): reported as fail, listed here so the
@@ -496,19 +493,14 @@ def select_suites(names=None) -> list[str]:
     return selected
 
 
-def run_suites(names=None, extended: bool = False,
-               threshold_scale: float = 1.0) -> VerificationReport:
-    """Run the named suites (all by default) and collect the report.
-
-    ``extended`` lifts the standard caps (higher n everywhere);
-    ``threshold_scale`` scales tolerance-based thresholds, which exists so
-    the exit-code contract can be exercised (a tiny scale must fail).
-    """
+def run_suites(names=None, extended: bool = False) -> VerificationReport:
+    """Run the named suites (all by default) and collect the report;
+    ``extended`` lifts the standard caps (higher n everywhere)."""
     report = VerificationReport()
     for name in select_suites(names):
         start = time.perf_counter()
         for fn in SUITES[name]:
-            kwargs = {"threshold_scale": threshold_scale} if fn.__name__ in SCALED else {}
+            kwargs = {}
             if fn.__name__ in CAPS:
                 keyword, standard, lifted = CAPS[fn.__name__]
                 kwargs[keyword] = lifted if extended else standard

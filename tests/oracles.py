@@ -36,6 +36,7 @@ COARSE, FINE = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.legga
 PROBES = (0.7, 0.85, 1.0)  # tail-envelope probes, as fractions of X
 EPSILON = 2.3e-16  # the library's certification constants
 ROUNDOFF = 100.0 * EPSILON
+REL_TOL, ABS_TOL, PANEL_ORDER = 1e-10, 1e-13, 24
 TWO_PI = 2.0 * math.pi
 
 
@@ -195,25 +196,23 @@ def _growth_constant(probes, values, p: int, lam: float) -> float:
 def _certify(measure, coarse, fine, magnitude, probes, growth_degrees, at_masses, error):
     """(values, error estimates) of the rows of per-panel coarse and fine
     sums, all rows at once: numpy reductions, then lists."""
-    cfg = measure.cfg
     totals = fine.sum(axis=-1)
     errs, mags = np.abs(fine - coarse).sum(axis=-1).tolist(), magnitude.tolist()
-    budgets = [max(cfg.abs_tol, cfg.rel_tol * size, ROUNDOFF * mag)
+    budgets = [max(ABS_TOL, REL_TOL * size, ROUNDOFF * mag)
                if size == size and mag == mag else math.nan
                for size, mag in zip(np.abs(totals).tolist(), mags)]
-    at = measure.x[-3 * cfg.panel_order:][:3].tolist()
+    at = measure.x[-3 * PANEL_ORDER:][:3].tolist()
     tails = [log_tail_bound(_growth_constant(at, v, p, TWO_PI), p, TWO_PI, measure.x_max)
              for v, p in zip(probes.tolist(), growth_degrees)]
     missed = [r for r, (err, tail, budget) in enumerate(zip(errs, tails, budgets)) if not (
-        err <= 0.5 * budget and (cfg.x_max is not None or tail <= 0.25 * budget))]
+        err <= 0.5 * budget and tail <= 0.25 * budget)]
     if missed:
         i = missed[0]
-        tail = (f", tail {tails[i]:.3e} against budget/4 {0.25 * budgets[i]:.3e}"
-                if cfg.x_max is None else "")
         raise error(
             f"{measure.family.label()} measure at degree bound {measure.degree}: row {i} "
             f"(growth degree {growth_degrees[i]}) misses its budget {budgets[i]:.3e}, "
-            f"err {errs[i]:.3e} against budget/2 {0.5 * budgets[i]:.3e}{tail} "
+            f"err {errs[i]:.3e} against budget/2 {0.5 * budgets[i]:.3e}, tail "
+            f"{tails[i]:.3e} against budget/4 {0.25 * budgets[i]:.3e} "
             f"({len(missed)} of {len(errs)} rows miss theirs); {measure.panels} panels, "
             f"x_max {measure.x_max:.6g}")
     errs = [err + tail + mag * (1e-15 * math.sqrt(measure.panels) + EPSILON * p)
@@ -239,7 +238,7 @@ def inner_product_row(measure, a: np.ndarray, b: np.ndarray, error=ArithmeticErr
     Gram: the quadratic forms of the Gram under each rule, certified as one
     (1, panels) row of ``_certify``.  A row that misses its budget raises
     ``error`` with the library's text."""
-    k = measure.cfg.panel_order
+    k = PANEL_ORDER
     gram, absolute = measure._gram
     probe = slice(-3 * k, -3 * k + 3)
     probe_a = a @ measure.values[:a.size, probe]

@@ -21,7 +21,6 @@ import paritywilson
 from paritywilson import expand, verify, wilson
 from paritywilson.errors import DegenerateFamily, NoConvergence
 from paritywilson.expand import (
-    QuadratureConfig,
     auto_cutoff,
     discrete_measure,
     family_values,
@@ -49,6 +48,24 @@ FAMILIES = [CASE_A] + [WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2",
 MIXED = RationalPolynomial([Fraction(1, 3), -2, Fraction(5, 7), Fraction(-9, 4), 1])
 LARGE_DENOMINATORS = RationalPolynomial(
     [Fraction((-1) ** k * (7 ** k + 1), 3 ** k * 11 + 2 * k + 1) for k in range(41)])
+
+
+@pytest.fixture
+def quadrature(monkeypatch):
+    """Sets expand's quadrature constants for one test, as in
+    ``quadrature(PANEL_ORDER=3)``, with the measure caches emptied before
+    and after, so that no measure outlives the constants it was built
+    under."""
+    def clear():
+        expand._build_measure.cache_clear()
+        expand._reads.cache_clear()
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(expand, name, value)
+    clear()
+    yield patch
+    clear()
 
 
 class TestIntegrate:
@@ -96,18 +113,15 @@ class TestIntegrate:
         want = math.exp(-lam * x) * (x * x / lam + 2 * x / lam ** 2 + 2 / lam ** 3)
         assert abs(tail_bound(1.0, 2, lam, x) - want) < 1e-14
 
-    def test_explicit_cutoff_respected(self):
-        assert discrete_measure(CASE_A, 6, QuadratureConfig(x_max=20.0)).x_max == 20.0
-
-    def test_no_convergence_cap(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, panel_order=3, max_panels=20)
+    def test_no_convergence_cap(self, quadrature):
+        quadrature(ABS_TOL=1e-300, PANEL_ORDER=3, MAX_PANELS=20)
         with pytest.raises(NoConvergence):
-            discrete_measure(CASE_A, 6, cfg)
+            discrete_measure(CASE_A, 6)
 
-    def test_no_convergence_message_carries_the_state(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, max_panels=20)
+    def test_no_convergence_message_carries_the_state(self, quadrature):
+        quadrature(ABS_TOL=1e-300, MAX_PANELS=20)
         with pytest.raises(NoConvergence) as info:
-            discrete_measure(CASE_B_32, 6, cfg)
+            discrete_measure(CASE_B_32, 6)
         msg = str(info.value)
         assert "exceeded 20 panels" in msg
         assert "err_sum" in msg and "budget" in msg
@@ -137,27 +151,10 @@ def _hardest(family, degree):
 
 
 class TestPanelLoop:
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(x_max=0.0), "x_max must be finite and positive"),
-        (dict(x_max=-5.0), "x_max must be finite and positive"),
-        (dict(x_max=math.inf), "x_max must be finite and positive"),
-        (dict(x_max=math.nan), "x_max must be finite and positive"),
-        (dict(rel_tol=math.nan), "tolerances must be finite and positive"),
-        (dict(abs_tol=math.inf), "tolerances must be finite and positive"),
-        (dict(rel_tol=-1e-10), "tolerances must be finite and positive"),
-        (dict(max_panels=0), "max_panels must be at least 1"),
-    ], ids=["x_max_0", "x_max_neg", "x_max_inf", "x_max_nan", "rel_tol_nan",
-            "abs_tol_inf", "rel_tol_neg", "max_panels_0"])
-    def test_config_refuses_what_it_cannot_certify(self, kwargs, message):
-        # checked at construction, before any panel loop can start
-        with pytest.raises(ValueError, match=message):
-            QuadratureConfig(**kwargs)
-
     @pytest.mark.parametrize("case", ["A", "B(7.3)", "cos"])
     def test_batched_panels_equal_single_panel_rules(self, case):
         # the loop evaluates whole rounds at once; every panel must keep the
         # bits of its own two rules evaluated alone
-        cfg = QuadratureConfig()
         if case == "cos":
             f, x_max = lambda x: np.cos(37.0 * x * x) * np.exp(-x), 16.0
             edges = np.linspace(0.0, x_max, 17)
@@ -166,11 +163,11 @@ class TestPanelLoop:
             measure = discrete_measure(family, 64)
             f, x_max = _hardest(family, 64), measure.x_max
             edges = expand._graded_edges(x_max)
-        panels = expand._adaptive_panels(f, cfg, x_max, edges)
+        panels = expand._adaptive_panels(f, x_max, edges)
         if case != "cos":
             assert len(panels) == measure.panels
         assert len(panels) > len(edges) - 1  # some panels were split
-        rules = expand._nodes(cfg.panel_order), expand._nodes(2 * cfg.panel_order)
+        rules = expand._nodes(expand.PANEL_ORDER), expand._nodes(2 * expand.PANEL_ORDER)
         for err, lo, hi, value in panels:
             coarse, fine = (0.5 * (hi - lo) * np.sum(w * f(0.5 * (hi + lo) + 0.5 * (hi - lo) * x))
                             for x, w in rules)
@@ -192,23 +189,23 @@ class TestPanelLoop:
             sizes.append(x.size)
             return np.cos(37.0 * x * x) * np.exp(-x)
 
-        cfg = QuadratureConfig()
-        points = 3 * cfg.panel_order  # coarse and fine nodes of one panel
-        panels = expand._adaptive_panels(f, cfg, 16.0, np.linspace(0.0, 16.0, 17))
+        points = 3 * expand.PANEL_ORDER  # coarse and fine nodes of one panel
+        panels = expand._adaptive_panels(f, 16.0, np.linspace(0.0, 16.0, 17))
         splits = len(sizes) - 1
         # the 16 starting panels, then both halves of each split
         assert sizes == [16 * points] + [2 * points] * splits and splits > 0
         assert len(panels) == 16 + splits
 
-    def test_automatic_cutoff_probes_once_per_candidate(self):
+    def test_automatic_cutoff_probes_once_per_candidate(self, quadrature):
+        quadrature(ABS_TOL=1e-30)
         sizes = []
 
         def f(x):
             sizes.append(x.size)
             return np.exp(-math.pi * x)  # decays slower than the assumed 2 pi
 
-        x_max = expand._cutoff(f, QuadratureConfig(abs_tol=1e-30), TWO_PI, 0)
-        assert (x_max, sizes) == (25.0, [3, 3, 3])  # 15 and 20 miss abs_tol/4
+        x_max = expand._cutoff(f, TWO_PI, 0)
+        assert (x_max, sizes) == (25.0, [3, 3, 3])  # 15 and 20 miss ABS_TOL/4
         probes = np.array([k * x_max for k in expand.PROBES])
         c = expand._growth_constant(probes, np.exp(-math.pi * probes), 0, TWO_PI)
         assert 0.0 < tail_bound(c, 0, TWO_PI, x_max) < 0.25e-30
@@ -296,37 +293,28 @@ class TestCertification:
         assert msg.startswith("A measure at degree bound 8: row 2 (growth degree 5) misses "
                               "its budget ")
         assert "(2 of 5 rows miss theirs)" in msg
-        # an automatic cutoff is certified by its tail too
+        # every row is certified by its tail too
         assert ", tail " in msg and " against budget/4 " in msg
 
-    def test_a_fixed_cutoff_reports_no_tail(self):
-        measure = discrete_measure(CASE_A, 8, QuadratureConfig(x_max=20.0))
-        with pytest.raises(NoConvergence) as info:
-            measure.sums(self._rows(measure)[1:], [6, 5, 2, 4], measure.density)
-        msg = str(info.value)
-        assert "row 1 (growth degree 5) misses its budget" in msg
-        assert "(2 of 4 rows miss theirs)" in msg and "x_max 20" in msg
-        assert "tail" not in msg
-
-    @pytest.mark.parametrize("family, n, m, x_max, text", [
-        (CASE_A, 0, 8, None,
+    @pytest.mark.parametrize("family, n, m, text", [
+        (CASE_A, 0, 8,
          "A measure at degree bound 8: row 0 (growth degree 16) misses its budget 5.867e-09, "
          "err 3.328e-09 against budget/2 2.934e-09, tail 6.140e-24 against budget/4 "
          "1.467e-09 (1 of 1 rows miss theirs); 854 panels, x_max 18.9258"),
-        (FAMILIES[3], 5, 8, 12.0,
+        (FAMILIES[3], 5, 8,
          "B(7.3) measure at degree bound 8: row 0 (growth degree 26) misses its budget "
-         "1.097e-06, err 1.103e-06 against budget/2 5.485e-07 (1 of 1 rows miss theirs); "
-         "610 panels, x_max 12"),
-    ], ids=["A", "B(7.3)-fixed-cutoff"])
-    def test_an_inner_product_that_misses_its_own_budget_is_named(self, family, n, m, x_max,
-                                                                   text):
-        # the measure builds on its own integrand at panel_order 3, but the
+         "1.097e-06, err 1.105e-06 against budget/2 5.485e-07, tail 1.886e-16 against "
+         "budget/4 2.742e-07 (1 of 1 rows miss theirs); 639 panels, x_max 18.9258"),
+    ], ids=["A", "B(7.3)"])
+    def test_an_inner_product_that_misses_its_own_budget_is_named(self, family, n, m, text,
+                                                                   quadrature):
+        # the measure builds on its own integrand at panel order 3, but the
         # cross term, not the measure, misses its budget
-        cfg = QuadratureConfig(panel_order=3, x_max=x_max)
-        discrete_measure(family, 8, cfg)
+        quadrature(PANEL_ORDER=3)
+        discrete_measure(family, 8)
         table = monic_from_recurrence(family, 8)
         with pytest.raises(NoConvergence) as info:
-            inner_product(family, table[n], table[m], cfg)
+            inner_product(family, table[n], table[m])
         assert str(info.value) == text
 
 
@@ -693,30 +681,23 @@ class TestFamilyValues:
         # evaluated, and those of the cutoff's last probe call, which also
         # covers the masses: every entry must be what a fresh pass gives at
         # the same abscissa, a panel's density what its nodes alone give, and
-        # a mass read at a 0-d u as the oracle sums read it.  At panel_order 3
-        # bounds 32 and 64 take thousands of panels, each split its own round
-        # (about 30 s), so the hashes of the measure arrays cover them
-        weight = family_weight(family)
-        for cfg, bounds in ((QuadratureConfig(), (8, 16, 32, 64)),
-                            (QuadratureConfig(panel_order=20), (8, 16, 32, 64)),
-                            (QuadratureConfig(x_max=40.0), (8, 16, 32, 64)),
-                            (QuadratureConfig(panel_order=3), (8, 16))):
-            k = 3 * cfg.panel_order
-            for bound in bounds:
-                measure, at = discrete_measure(family, bound, cfg), (cfg, bound)
-                values, scale = family_values(family, bound, measure.x ** 2)
-                assert measure.values.tobytes() == values.tobytes(), at
-                assert measure.scale.tobytes() == scale.tobytes(), at
-                assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
-                assert not measure.scale.flags.writeable, at
-                for p, block in enumerate(measure.x.reshape(-1, k)):  # the probes come last
-                    density = weight.evaluate(block)
-                    assert measure.density[p * k:(p + 1) * k].tobytes() == density.tobytes(), at
-                x_max = measure.x_max
-                assert measure.x[-k:].tolist() == [0.7 * x_max, 0.85 * x_max] + [x_max] * (k - 2)
-                for j, pm in enumerate(measure.masses):
-                    at_mass, _ = family_values(family, bound, np.array(pm.y))
-                    assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (at, j)
+        # a mass read at a 0-d u as the oracle sums read it
+        weight, k = family_weight(family), 3 * expand.PANEL_ORDER
+        for bound in (8, 16, 32, 64):
+            measure = discrete_measure(family, bound)
+            values, scale = family_values(family, bound, measure.x ** 2)
+            assert measure.values.tobytes() == values.tobytes(), bound
+            assert measure.scale.tobytes() == scale.tobytes(), bound
+            assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
+            assert not measure.scale.flags.writeable, bound
+            for p, block in enumerate(measure.x.reshape(-1, k)):  # the probes come last
+                density = weight.evaluate(block)
+                assert measure.density[p * k:(p + 1) * k].tobytes() == density.tobytes(), bound
+            x_max = measure.x_max
+            assert measure.x[-k:].tolist() == [0.7 * x_max, 0.85 * x_max] + [x_max] * (k - 2)
+            for j, pm in enumerate(measure.masses):
+                at_mass, _ = family_values(family, bound, np.array(pm.y))
+                assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (bound, j)
 
 
 def _assert_orthogonal(family, n_max):
@@ -885,18 +866,19 @@ class TestDiscreteMeasure:
         assert "misses its budget" in msg and "against budget/2" in msg
 
     @pytest.mark.parametrize("call", [
-        lambda fam, cfg: discrete_measure(fam, 6, cfg),
-        lambda fam, cfg: inner_product(fam, *monic_from_recurrence(fam, 2)[1:], cfg),
-        lambda fam, cfg: project(lambda x: np.exp(-x), fam, 4, cfg),
-        lambda fam, cfg: parity_coefficients(fam, 6, cfg),
-        lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="printed"),
-        lambda fam, cfg: parity_coefficients(fam, 6, cfg, route="projection"),
-        lambda fam, cfg: reconstruction_residual(fam, 6, cfg),
+        lambda fam: discrete_measure(fam, 6),
+        lambda fam: inner_product(fam, *monic_from_recurrence(fam, 2)[1:]),
+        lambda fam: project(lambda x: np.exp(-x), fam, 4),
+        lambda fam: parity_coefficients(fam, 6),
+        lambda fam: parity_coefficients(fam, 6, route="printed"),
+        lambda fam: parity_coefficients(fam, 6, route="projection"),
+        lambda fam: reconstruction_residual(fam, 6),
     ], ids=["measure", "inner_product", "project", "closed_form", "printed", "projection",
             "residual"])
-    def test_unresolvable_measure_raises_in_every_consumer(self, call):
+    def test_unresolvable_measure_raises_in_every_consumer(self, call, quadrature):
+        quadrature(MAX_PANELS=5)
         with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 8"):
-            call(CASE_B_32, QuadratureConfig(max_panels=5))
+            call(CASE_B_32)
 
     def test_measure_past_the_degree_ceiling_fails_fast(self):
         # at bound 128 the value rows overflow near the cutoff; the panel loop
@@ -921,19 +903,23 @@ class TestDiscreteMeasure:
                                                 r"x = 1e\+150i, cutoff "):
             discrete_measure(CASE_B_32, 8)
 
-    def test_non_finite_probe_row_is_named(self, monkeypatch):
+    def test_non_finite_probe_row_is_named(self, monkeypatch, quadrature):
         # the probe at the cutoff lies past every node: a value row that is
-        # non-finite there only is named by its abscissa
+        # non-finite there only is named by its abscissa.  A nan integrand
+        # at a probe does not enter the tail's growth constant, so the
+        # automatic cutoff stays where it is
+        x_max = discrete_measure(CASE_A, 8).x_max
+
         def poisoned(family, n, u):
             values, scale = family_values(family, n, u)
-            values[:, np.asarray(u) == 40.0 ** 2] = np.inf
+            values[:, np.asarray(u) == x_max * x_max] = np.nan
             return values, scale
 
         monkeypatch.setattr(expand, "family_values", poisoned)
         expand._build_measure.cache_clear()
         with pytest.raises(NoConvergence, match=r"^A measure at degree bound 8: non-finite "
-                                                r"value row at x = 40, cutoff 40$"):
-            discrete_measure(CASE_A, 8, QuadratureConfig(x_max=40.0))
+                                                r"value row at x = 18\.9258, cutoff 18\.9258$"):
+            discrete_measure(CASE_A, 8)
 
     def test_basis_scale_overflow_is_named(self):
         # sqrt(gamma_2 ... gamma_{k+1}) leaves the float range at k = 115 in
@@ -946,10 +932,10 @@ class TestDiscreteMeasure:
         with pytest.raises(NoConvergence, match="overflows at degree 115"):
             inner_product(CASE_A, RationalPolynomial([1]), p)
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_panel_order_below_three_is_rejected(self, order):
-        with pytest.raises(ValueError, match="panel_order must be at least 3"):
-            QuadratureConfig(panel_order=order)
+    def test_there_is_one_quadrature_configuration(self):
+        # the four module constants are the only settings
+        for module in (paritywilson, expand):
+            assert not hasattr(module, "QuadratureConfig"), module.__name__
 
     def test_library_never_calls_the_oracle(self, monkeypatch):
         # the oracle lives in the tests only; with it disabled the extended
