@@ -5,7 +5,7 @@ Usage: python .github/identity.py BASE_SRC HEAD_SRC
 Runs a fixed list of ``paritywilson`` CLI commands from each ``src``
 directory in a fresh process and compares stdout, stderr, exit code and
 the ``--out`` files, with only the ``# suite <name>: <seconds>s`` timing
-lines masked.  Then hashes (sha256) every array of the shared measures of
+lines and the path of the working directory in stderr masked.  Then hashes (sha256) every array of the shared measures of
 four families at bounds 8-64 under the one quadrature configuration, the
 Gram included, the Gauss-Legendre node rules of orders 3-129, and the exact
 integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
@@ -61,10 +61,11 @@ for family in ("A", "B --b 3/2", "B --b 73/10"):
                  f"coeffs --case {family} --route printed"]
 COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --n-max 24"]
 # the coverage table, and the error paths: an unknown suite, case B without
-# --b, and a degenerate family (sqrt(B + 1) an integer)
+# --b, a degenerate family (sqrt(B + 1) an integer) and --out into a
+# directory that does not exist
 COMMANDS += ["verify --traceability", "verify --traceability --format csv",
              "verify --suite bogus", "coeffs --case B --n-max 2",
-             "reconstruct --case B --b 3 --n-max 4"]
+             "reconstruct --case B --b 3 --n-max 4", "eigen --case A --n 1 --out missing/rec.json"]
 
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
@@ -166,7 +167,8 @@ def _env(src: Path, out_dir: Path) -> dict:
 
 def run_commands(src: Path, work: Path) -> list[tuple[bytes, bytes, int]]:
     """(masked stdout, stderr, exit code) of each command, run in ``work``
-    with its --out files going to ``work/files``."""
+    with its --out files going to ``work/files``; the path of ``work`` in
+    stderr reads <work>."""
     files = work / "files"
     files.mkdir(parents=True)
     results = []
@@ -174,7 +176,7 @@ def run_commands(src: Path, work: Path) -> list[tuple[bytes, bytes, int]]:
         proc = subprocess.run([sys.executable, "-m", "paritywilson.cli", *cmd.split()],
                               cwd=work, env=_env(src, files), capture_output=True)
         results.append((SUITE_TIME.sub(rb"# suite \1: <masked>s", proc.stdout),
-                        proc.stderr, proc.returncode))
+                        proc.stderr.replace(bytes(work), b"<work>"), proc.returncode))
     return results
 
 

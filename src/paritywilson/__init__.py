@@ -5,7 +5,6 @@ and matrix-level audits of the underlying operator algebra."""
 
 from .errors import (
     DegenerateFamily,
-    DenominatorPole,
     DomainPole,
     IllConditioned,
     InvalidSpin,
@@ -17,13 +16,11 @@ from .numcore import (
     BParamPolynomial,
     RationalPolynomial,
     frac_to_str,
-    hyp_pfq_series,
     poly_eval,
 )
 from .wilson import (
     CASE_A,
     CASE_B,
-    GenFunReport,
     PointMass,
     WeightFunction,
     WilsonFamily,

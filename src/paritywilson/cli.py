@@ -37,49 +37,8 @@ OUT_DIR_ENV = "PARITYWILSON_OUT"
 _FORMATS = ("json", "csv")
 
 
-def _format(value: str) -> str:
-    if value not in _FORMATS:
-        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {value!r}")
-    return value
-
-
-_CONFIG_KEYS = {"format": _format, "out_dir": str}
-
-
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def load_config(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored.  Values are
-    converted and checked as their flags are; an error names the file and
-    the line."""
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](val.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
-def _resolve_config(args) -> None:
-    """Config-file options where no flag set them; out_dir defaults to $PARITYWILSON_OUT."""
-    values = load_config(args.config) if args.config else {}
-    args.out_dir = values.pop("out_dir", os.environ.get(OUT_DIR_ENV))
-    for key, val in values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
 
 
 def _value(v):
@@ -108,10 +67,10 @@ def _records(header: list[str], rows) -> list[dict]:
 def _emit(args, header: list[str], rows, obj=None, text=None) -> None:
     """The one output path: ``header`` and ``rows`` as CSV, or ``obj`` as
     JSON (default: the rows as records), to --out resolved against
-    ``args.out_dir``, else to stdout.  ``text`` is verify's report: it is
-    printed instead of the data when neither a format nor --out was asked
-    for, and beside a --out file."""
-    out = args.out and os.path.join(args.out_dir or "", args.out)  # an absolute --out stays
+    $PARITYWILSON_OUT (an absolute --out stays), else to stdout.  ``text`` is
+    verify's report: it is printed instead of the data when neither a format
+    nor --out was asked for, and beside a --out file."""
+    out = args.out and os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out)
     as_data = text is None or bool(out) or args.format is not None
     if as_data:
         if args.format == "csv":
@@ -355,7 +314,6 @@ def _cmd_verify(args) -> int:
 def _add_common(sp):
     sp.add_argument("--format", choices=_FORMATS, default=None)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--config", default=None, help="flat key=value config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +426,6 @@ def run_subcommand(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _resolve_config(args)
         return args.fn(args)
     except (ParityWilsonError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,6 @@ class ParityWilsonError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DenominatorPole(ParityWilsonError):
-    """A denominator Pochhammer factor vanished before series termination."""
-
-
 class NoConvergence(ParityWilsonError):
     """An iterative summation or quadrature exceeded its configured cap."""
 

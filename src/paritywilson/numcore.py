@@ -1,12 +1,8 @@
-"""Exact rational/polynomial arithmetic and hypergeometric series evaluation.
+"""Exact rational/polynomial arithmetic.
 
 Substrate for every other module: arbitrary-precision rationals (stdlib
-``fractions.Fraction``), dense polynomials in one (squared) variable whose
-coefficients may themselves be polynomials in a second symbol, and
-one convergent pFq partial sum in floats (Gauss 2F1 included) with
-reported error bounds.  Its pole rule: a nonpositive-integer numerator -m stops
-the sum after term m, and a nonpositive-integer denominator -q is refused
-unless q >= m, so no 0/0 ratio is formed.
+``fractions.Fraction``) and dense polynomials in one (squared) variable
+whose coefficients may themselves be polynomials in a second symbol.
 
 Polynomials are stored in the squared variable throughout (every printed
 table is even), so callers pass u = x*x or u = z*z already squared.
@@ -23,13 +19,10 @@ built on each read: reduced Fractions, or polynomials in B.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterable, Sequence
-
-from .errors import DenominatorPole, NoConvergence
+from typing import Iterable
 
 
 def frac_to_str(q: Fraction) -> str:
@@ -396,87 +389,3 @@ def poly_eval(p: RationalPolynomial, u):
     if not isinstance(u, float):
         raise TypeError(f"poly_eval takes a rational or a float, got {type(u).__name__}")
     return _horner(p.float_coeffs(), u) if p else 0.0 * u
-
-
-def _stop_index(num_params: Sequence, den_params: Sequence) -> int | None:
-    """The series' one pole rule.  Returns m when a numerator parameter is -m,
-    a nonpositive integer (the smallest such m: the series stops after term m),
-    else None.  Refuses a non-finite parameter with a ValueError, and a
-    denominator parameter -q that the series reaches (q < m, or any q when it
-    does not stop) with DenominatorPole."""
-    def nonpositive(p) -> int | None:
-        v = complex(p)
-        if not cmath.isfinite(v):
-            raise ValueError(f"hypergeometric parameter {p!r} is not finite")
-        return -int(v.real) if v.imag == 0 and v.real <= 0 and v.real.is_integer() else None
-
-    m = min((q for q in map(nonpositive, num_params) if q is not None), default=None)
-    for d in den_params:
-        q = nonpositive(d)
-        if q is not None and (m is None or q < m):
-            raise DenominatorPole(f"denominator parameter {d} vanishes at term {q + 1}, "
-                                  f"before the series stops")
-    return m
-
-
-def _series_sum(term_ratio: Callable[[int], complex], tol: float, max_terms: int,
-                stop: int | None):
-    """Sum 1 + t1 + t1*t2 + ... with ratio term_{k+1}/term_k = term_ratio(k).
-
-    Stops after term ``stop`` (see :func:`_stop_index`), so no ratio at or
-    past it is formed, or at a zero term, or after three consecutive terms
-    below tol; returns (value, bound) where bound is a geometric-tail
-    estimate plus a roundoff allowance (the allowance alone once it stopped).
-    """
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    abs_total = 1.0
-    small = 0
-    ratios: list[float] = []
-    for k in range(max_terms):
-        if k == stop:
-            return total, abs_total * 1e-15
-        r = term_ratio(k)
-        term = term * r
-        if term == 0:
-            return total, abs_total * 1e-15
-        total += term
-        abs_total += abs(term)
-        ratios.append(abs(r))
-        if abs(term) < tol:
-            small += 1
-            if small >= 3:
-                rho = max(ratios[-3:])
-                rho = min(max(rho * 1.5, 1e-6), 0.97)
-                tail = abs(term) * rho / (1.0 - rho)
-                bound = tail + abs_total * 1e-15
-                return total, bound
-        else:
-            small = 0
-    raise NoConvergence(f"series did not settle within {max_terms} terms")
-
-
-def hyp_pfq_series(num_params: Sequence, den_params: Sequence, t, tol: float = 1e-14,
-                   max_terms: int = 10000):
-    """Convergent pFq partial sum for |t| < 1 (with p = q+1), Gauss 2F1
-    included, by direct partial summation; no analytic continuation.
-
-    Returns (value, error_bound); the bound is the geometric tail estimate
-    after three consecutive sub-tolerance terms plus a roundoff allowance.
-    A numerator -m, m a nonnegative integer, stops the sum after term m; a
-    denominator -q is a DenominatorPole unless q >= m; a non-finite
-    parameter is a ValueError.
-    """
-    if abs(t) >= 1:
-        raise ValueError("hyp_pfq_series requires |t| < 1")
-    stop = _stop_index(num_params, den_params)
-
-    def ratio(k: int):
-        r = t / (1 + k)
-        for a in num_params:
-            r = r * (a + k)
-        for d in den_params:
-            r = r / (d + k)
-        return r
-
-    return _series_sum(ratio, tol, max_terms, stop)

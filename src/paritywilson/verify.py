@@ -275,35 +275,37 @@ def check_orthogonality(results: list[CheckResult], n_max: int = 6) -> None:
         _check(results, f"orthogonality-norms-{tag}", anchor, ok,
                max(worst_diag, worst_cross), tol, note=note)
         if fam.case == CASE_A:
-            printed_dev = min(
-                abs(float(wilson.printed_norm_rhs(fam, n)) - norms[n]) / norms[n]
-                for n in range(1, n_max + 1))
-            _check(results, "norm-printed-mismatch-a", "eq-A2", printed_dev >= 0.1,
-                   printed_dev, 0.1,
-                   note="printed norm table disagrees with quadrature/recurrence for n >= 1")
+            f = math.factorial
+            ratios = [Fraction(f(n + 2) ** 2, 2 * f(2 * n + 2)) for n in range(n_max + 1)]
+            ok = all(r != 1 and wilson.printed_norm_rhs(fam, n)
+                     == r * wilson.norm_closed_form(fam, n) for n, r in enumerate(ratios) if n)
+            _check(results, "norm-printed-mismatch-a", "eq-A2", ok,
+                   "exact" if ok else "mismatch", "exact",
+                   note=f"printed norm = true norm * (n+2)!^2 / (2 (2n+2)!) != true norm, "
+                        f"1 <= n <= {n_max}")
 
 
-def check_generating_functions(results: list[CheckResult]) -> None:
-    xs, ts = (0.3, 0.9), (0.05, 0.1, 0.2)
+def _first_failures(first: dict) -> str:
+    """"identity i at n = m" for each identity that fails, by its first degree."""
+    return ", ".join(f"identity {i} at n = {n}" for i, n in first.items() if n is not None)
+
+
+def check_generating_functions(results: list[CheckResult], n_max: int = 16) -> None:
+    # each coefficient [t^n] is an exact polynomial identity in y = ix
     fam_a = WilsonFamily.case_a()
     fam_b = WilsonFamily.case_b(Fraction(3, 2))
     for fam, tag in ((fam_a, "a"), (fam_b, "b")):
-        worst = 0.0
-        ok = True
-        for ident in (1, 2, 3):
-            for x in xs:
-                for t in ts:
-                    rep = wilson.generating_function_check(fam, ident, x, t, n_terms=25)
-                    ok = ok and rep.passed
-                    worst = max(worst, rep.abs_diff)
+        first = {ident: wilson.generating_function_check(fam, ident, n_max)
+                 for ident in (1, 2, 3)}
+        ok = not _first_failures(first)
         _check(results, f"genfun-{tag}", "eq-A4" if tag == "a" else "eq-B5",
-               ok, worst, "1e-10 + truncation bound",
-               note="all three identities on the (x,t) grid, N=25")
-    bad1 = wilson.generating_function_check(fam_a, 1, 0.5, 0.1, form="printed")
-    bad3 = wilson.generating_function_check(fam_a, 3, 0.5, 0.1, form="printed")
-    ok = (not bad1.passed) and (not bad3.passed)
+               ok, "exact" if ok else _first_failures(first), "exact",
+               note=f"all three identities, every coefficient t^n, n <= {n_max}")
+    first = {ident: wilson.generating_function_check(fam_a, ident, n_max, form="printed")
+             for ident in (1, 3)}
+    ok = None not in first.values()
     _check(results, "genfun-printed-mismatch", "eq-A4", ok,
-           f"{bad1.abs_diff:.3e}, {bad3.abs_diff:.3e}", "> 1e-10",
+           _first_failures(first) or "no mismatch", f"a mismatch at n <= {n_max}",
            note="printed first/third identities fail as printed "
                 "(denominator parameter, overall factor 2)")
 
@@ -455,7 +457,9 @@ def check_scan(results: list[CheckResult]) -> None:
     rep = spectral.conjecture_scan(1.0, 0.5, 1, 6)
     results.append(CheckResult(
         "scan-exploratory", "eq-23", "info",
-        f"ell1^2 = {rep.ell1_sq:.10g}, residual = {rep.residual:.3e}",
+        f"ell1^2 = {rep.ell1_sq:.10g}, residual = {rep.residual:.3e}, "
+        + (f"converged in {rep.iterations} iterations" if rep.converged
+           else f"not converged after {rep.iterations} iterations"),
         "report-only",
         note="M != 0 is unsolved; exploratory output for the eigenvalue "
              "persistence conjecture"))
@@ -476,6 +480,7 @@ SUITES = {
 # by check name: the degree cap of the checks that have one, as (keyword,
 # standard, extended)
 CAPS = {"check_quantization": ("n_max", 8, 40), "check_orthogonality": ("n_max", 6, 20),
+        "check_generating_functions": ("n_max", 16, 25),
         "check_reconstruction": ("n_trunc", 12, 24)}
 
 # checks whose failure is the documented, expected outcome of a defective

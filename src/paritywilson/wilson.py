@@ -5,6 +5,8 @@ Case A fixes the four parameters at (1/2, 1/2, 3/2, 3/2); Case B at
 symbolic indeterminate.  Each family is constructed by independent routes
 (terminating hypergeometric expansion, three-term recurrence) that must
 agree exactly, and carries its orthogonality measure and closed-form norms.
+Its generating functions are checked as exact identities, one power of t
+at a time, with the right sides built from the weight's parameters alone.
 
 The source text's printed recurrences, its Case A norm table, and two of
 its Case A generating identities are internally inconsistent with its own
@@ -18,9 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable
 
 import numpy as np
@@ -32,14 +36,12 @@ from .numcore import (
     _mul_add,
     _three_term,
     _widen,
-    hyp_pfq_series,
     poly_eval,
 )
 
 CASE_A = "A"
 CASE_B = "B"
 TWO_PI = 2.0 * math.pi
-_GENFUN_TOL = 1e-10  # absolute part of a generating-function check's budget
 
 _B_SYMBOL = RationalPolynomial([0, 1])  # the indeterminate B
 
@@ -490,118 +492,154 @@ def printed_norm_rhs(family: WilsonFamily, n: int):
 # generating functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenFunReport:
-    family: str
-    identity_id: int
-    form: str
-    x: float
-    t: float
-    n_terms: int
-    lhs: complex
-    rhs: complex
-    abs_diff: float
-    truncation_bound: float
-    tol: float
-    passed: bool
+def _genfun_rhs(family: WilsonFamily, identity_id: int, form: str, n_max: int):
+    """Identity ``identity_id`` from the weight's parameters alone: yields,
+    for n = 0..n_max, (c_n, d, sums) such that the identity at degree n reads
+    c_n P_n(-y^2) = [t^n] RHS(y) = a / d for every (a, b) in sums[j]: the
+    values at the node y = ix = -(j + 1/2) and, for identity 1 only, at
+    y = j + 1/2, j = 0..n.  A pair (a, b) of ints stands for a + b t, with
+    t = q sqrt(B+1) at B = p/q (t^2 = q (p + q)); b can be nonzero only in
+    Case B identity 2, where it must vanish.
 
+    Both sides have degree at most 2n in y, and the left side is even.  So
+    is the right side of identities 2 and 3: it reads y only through
+    (1/2 + y)_k (1/2 - y)_k, or y -> -y swaps its two 2F1 factors (in Case B
+    identity 2 together with s -> -s, so that a is even in y and b odd).
+    Their n + 1 nodes have distinct y^2, and identity 1 has 2n + 2 distinct
+    y, so agreement certifies degree n for every x.
 
-@functools.lru_cache(maxsize=1024)
-def _lhs_coefficient(family: WilsonFamily, identity_id: int, n: int) -> float:
+    Write v = 1/2 + y, an integer at the nodes: every Pochhammer (h +- y)_k
+    of the paper's parameters is then a product of integers.  The 2F1
+    products (identities 1, 2) give [t^n] = (-1)^n sum_k alpha_k beta_{n-k}; identity 3 expands
+    (4t/(1+t)^2)^k / (1+t)^e by [t^n] = 4^k (-1)^(n-k) C(n+k+e-1, n-k).
+    Each alpha_k (beta_k) is a weight in k, hoisted over one denominator,
+    times the product over i < k of factor(i, v).  Case B reads 1/(1 -+ s)_k
+    as (1 +- s)_k / pi_k, with pi_k = (1-s)_k (1+s)_k rational in B.
+    form="printed" keeps the two Case A misprints: denominator parameter 1
+    for 3 in identity 1, and identity 3 without its overall factor 2.
+    """
     f = math.factorial
+    mul, lift, beta, e, t2 = operator.mul, int, None, None, 0
     if family.case == CASE_A:
         if identity_id == 1:
-            return float(Fraction(2 * f(2 * n + 2), f(n) ** 2 * f(n + 2) ** 2))
-        if identity_id == 2:
-            return float(Fraction(f(2 * n + 2), f(n) * f(n + 1) ** 2 * f(n + 2)))
-        return float(Fraction(f(2 * n + 2), f(n) ** 2 * f(n + 1) ** 2))
-    if identity_id == 1:
-        return float(Fraction(f(2 * n), f(n) ** 4))
-    # identities 2 and 3 share the left side; Gamma(n+1±s) rewritten via
-    # Pochhammer pairs (exact polynomial in B) and the reflection identity
-    s = family.s_value()
-    prod = _pochhammer_pairs(family, n)
-    return float(Fraction(f(2 * n), f(n) ** 2) / prod) * math.sin(math.pi * s) / (math.pi * s)
-
-
-def _rhs_value(family: WilsonFamily, identity_id: int, x: float, t: float,
-               form: str, tol: float):
-    if family.case == CASE_A:
-        ix = 1j * x
+            d = 1 if form == "printed" else 3
+            c = lambda n: Fraction(2 * f(2 * n + 2), f(n) ** 2 * f(n + 2) ** 2)
+            alpha = lambda k: Fraction(1, f(k) ** 2), lambda i, v: (v + i) ** 2
+            beta = lambda k: Fraction(f(d - 1), f(k) * f(k + d - 1)), lambda i, v: (2 - v + i) ** 2
+        elif identity_id == 2:
+            c = lambda n: Fraction(f(2 * n + 2), f(n) * f(n + 1) ** 2 * f(n + 2))
+            alpha = lambda k: Fraction(1, f(k) * f(k + 1)), lambda i, v: (v + i) * (v + 1 + i)
+            beta = lambda k: Fraction(1, f(k) * f(k + 1)), lambda i, v: (1 - v + i) * (2 - v + i)
+        else:
+            scale, e = (1 if form == "printed" else 2), 3
+            c = lambda n: Fraction(f(2 * n + 2), f(n) ** 2 * f(n + 1) ** 2)
+            alpha = (lambda k: Fraction(scale * f(2 * k + 1), 4 ** k * f(k) ** 3 * f(k + 1)),
+                     lambda i, v: (v + i) * (1 - v + i))
+    else:
+        p, q = family.b.numerator, family.b.denominator
+        pi = functools.partial(_pochhammer_pairs, family)
+        c = lambda n: Fraction(f(2 * n), f(n) ** 2) / (f(n) ** 2 if identity_id == 1 else pi(n))
         if identity_id == 1:
-            c2 = 1.0 if form == "printed" else 3.0
-            v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 + ix], [1.0], -t, tol)
-            v2, e2 = hyp_pfq_series([1.5 - ix, 1.5 - ix], [c2], -t, tol)
-            return v1 * v2, abs(v1) * e2 + abs(v2) * e1
-        if identity_id == 2:
-            v1, e1 = hyp_pfq_series([0.5 + ix, 1.5 + ix], [2.0], -t, tol)
-            v2, e2 = hyp_pfq_series([0.5 - ix, 1.5 - ix], [2.0], -t, tol)
-            return v1 * v2, abs(v1) * e2 + abs(v2) * e1
-        scale = 1.0 if form == "printed" else 2.0
-        arg = 4 * t / (1 + t) ** 2
-        v, e = hyp_pfq_series([1.5, 2.0, 0.5 + ix, 0.5 - ix], [1.0, 2.0, 2.0], arg, tol)
-        pref = scale / (1 + t) ** 3
-        return pref * v, abs(pref) * e
-    s = family.s_value()
-    ix = 1j * x
-    if identity_id == 1:
-        v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 + ix], [1.0], -t, tol)
-        v2, e2 = hyp_pfq_series([0.5 - s - ix, 0.5 + s - ix], [1.0], -t, tol)
-        return v1 * v2, abs(v1) * e2 + abs(v2) * e1
-    if identity_id == 2:
-        pref = math.sin(math.pi * s) / (math.pi * s)
-        v1, e1 = hyp_pfq_series([0.5 + ix, 0.5 - s + ix], [1.0 - s], -t, tol)
-        v2, e2 = hyp_pfq_series([0.5 - ix, 0.5 + s - ix], [1.0 + s], -t, tol)
-        return pref * v1 * v2, abs(pref) * (abs(v1) * e2 + abs(v2) * e1)
-    pref = math.sin(math.pi * s) / (math.pi * (1 + t) * s)
-    arg = 4 * t / (1 + t) ** 2
-    v, e = hyp_pfq_series([0.5, 1.0, 0.5 + ix, 0.5 - ix], [1.0, 1.0 - s, 1.0 + s], arg, tol)
-    return pref * v, abs(pref) * e
+            alpha = lambda k: Fraction(1, f(k) ** 2), lambda i, v: (v + i) ** 2
+            beta = (lambda k: Fraction(1, f(k) ** 2 * q ** k),
+                    lambda i, v: q * ((1 - v + i) ** 2 - 1) - p)
+        elif identity_id == 2:
+            t2 = q * (p + q)
+
+            def mul(x, y):
+                (x0, x1), (y0, y1) = x, y
+                return x0 * y0 + t2 * x1 * y1, x0 * y1 + x1 * y0
+
+            def lift(w):
+                return w, 0
+            # (v)_k (v-s)_k (1+s)_k and (1-v)_k (1-v+s)_k (1-s)_k, each s-factor
+            # times q: the factors w (q w - t) (q (1+i) + t), w = v + i, and
+            # w (q w + t) (q (1+i) - t), w = 1 - v + i, multiplied out
+            weight = lambda k: 1 / (f(k) * pi(k) * q ** (2 * k))
+            alpha = weight, lambda i, v: ((v + i) * (q * q * (v + i) * (1 + i) - t2),
+                                          q * (v + i) * (v - 1))
+            beta = weight, lambda i, v: ((1 - v + i) * (q * q * (1 - v + i) * (1 + i) - t2),
+                                         q * (1 - v + i) * v)
+        else:
+            e = 1
+            alpha = (lambda k: Fraction(f(2 * k), 4 ** k * f(k) ** 2) / pi(k),
+                     lambda i, v: (v + i) * (1 - v + i))
+
+    def hoisted(weight):  # (w_k * den for k <= n_max, den)
+        ws = [weight(k) for k in range(n_max + 1)]
+        den = math.lcm(*(w.denominator for w in ws))
+        return [lift(w.numerator * (den // w.denominator)) for w in ws], den
+
+    def weighted(w, factor, v: int):
+        """w_k prod_{i<k} factor(i, v) for k <= n_max: a list of ints, or two
+        lists (the parts a and b of a + b t)."""
+        out = list(map(mul, w, accumulate(map(factor, range(n_max), repeat(v)), mul,
+                                          initial=lift(1))))
+        return out if lift is int else ([a for a, _ in out], [b for _, b in out])
+
+    def dot(x, z) -> int:
+        return sum(map(operator.mul, x, z))
+
+    width = 2 if identity_id == 1 else 1  # nodes per j: v = -j, then j + 1
+    vs = [v for j in range(n_max + 1) for v in (-j, j + 1)[:width]]
+    wa, den = hoisted(alpha[0])
+    xs = [weighted(wa, alpha[1], v) for v in vs]
+    if beta is not None:
+        wb, den_b = hoisted(beta[0])
+        den *= den_b
+        zs = [weighted(wb, beta[1], v) for v in vs]
+    for n in range(n_max + 1):  # sum_k x_k z_{n-k} is dot(x, z[n::-1])
+        at_nodes = xs[:(n + 1) * width]
+        if beta is None:
+            g = [4 ** k * (-1) ** (n - k) * math.comb(n + k + e - 1, n - k) for k in range(n + 1)]
+            sums = [(dot(x, g), 0) for x in at_nodes]
+        elif lift is int:
+            sums = [(dot(x, z[n::-1]), 0) for x, z in zip(at_nodes, zs)]
+        else:
+            sums = [(dot(xa, za[n::-1]) + t2 * dot(xb, zb[n::-1]),
+                     dot(xa, zb[n::-1]) + dot(xb, za[n::-1]))
+                    for (xa, xb), (za, zb) in zip(at_nodes, zs)]
+        yield (c(n), den if beta is None else (-1) ** n * den,
+               [sums[i:i + width] for i in range(0, len(sums), width)])
 
 
-def generating_function_check(family: WilsonFamily, identity_id: int, x: float, t: float,
-                              n_terms: int = 25, form: str = "corrected") -> GenFunReport:
-    """Compare the truncated polynomial generating sum against its closed
-    hypergeometric right-hand side.
+def generating_function_check(family: WilsonFamily, identity_id: int, n_max: int,
+                              form: str = "corrected") -> int | None:
+    """The first degree n <= n_max at which generating identity
+    ``identity_id`` fails, or None when it holds at every degree.
+
+    Each identity reads sum_n c_n P_n(x^2) t^n = RHS(x, t).  With y = ix,
+    c_n P_n(-y^2) and [t^n] RHS(y) are polynomials of degree at most 2n in y,
+    compared at the nodes y = -+(j + 1/2), j <= n, that certify degree n for
+    every x (see :func:`_genfun_rhs`, which reads only the weight's
+    parameters).  The left side reads the cached exact table, once per
+    y^2; both sides run on integers.
 
     identity_id is 1..3 per family (Case A: the two 2F1-product identities
     and the quadratic-argument 4F3 identity; Case B: the 2F1 product, the
     split-parameter 2F1 product, and the 4F3 form).  form="printed" keeps
     the two Case A misprints (wrong denominator parameter in identity 1,
-    missing factor 2 in identity 3) for the discrepancy detector.  Needs
-    |t| <= 0.3, and for identity 3 t > -(3 - 2*sqrt(2)) so that its 4F3
-    argument 4t/(1+t)^2 stays in the unit disk; other t raise ValueError.
+    missing factor 2 in identity 3) for the discrepancy detector.
     """
     if identity_id not in (1, 2, 3):
         raise ValueError("identity_id must be 1, 2, or 3")
-    if abs(t) > 0.3:
-        raise ValueError("generating-function check is restricted to |t| <= 0.3")
-    if identity_id == 3 and abs(4 * t / (1 + t) ** 2) >= 1:
-        raise ValueError(f"identity 3 needs t > -(3 - 2*sqrt(2)): at t = {t} its 4F3 "
-                         f"argument 4t/(1+t)^2 = {4 * t / (1 + t) ** 2} leaves the unit disk")
     if form not in ("corrected", "printed"):
         raise ValueError(f"unknown recurrence form {form!r}")
     if family.case == CASE_B:
         if family.b is None:
             raise ValueError("generating functions need a numeric B")
         family.require_nondegenerate()
-    table = monic_from_recurrence(family, n_terms, form="corrected")
-    lhs = 0.0 + 0.0j
-    mags: list[float] = []
-    u = float(x * x)
-    for n in range(n_terms + 1):
-        term = complex(_lhs_coefficient(family, identity_id, n)
-                       * poly_eval(table[n], u) * t ** n)
-        lhs += term
-        mags.append(abs(term))
-    ratios = [mags[i + 1] / mags[i] for i in range(len(mags) - 1) if mags[i] > 0 and mags[i + 1] > 0]
-    rho = min(0.95, max(max(ratios[-3:], default=abs(t)), abs(t)) * 1.5) if ratios else 0.5
-    trunc = (mags[-1] if mags[-1] > 0 else max(mags[-3:])) * rho / (1.0 - rho)
-    rhs, rhs_err = _rhs_value(family, identity_id, x, t, form, _GENFUN_TOL * 1e-3)
-    diff = abs(lhs - rhs)
-    budget = _GENFUN_TOL + trunc + rhs_err
-    return GenFunReport(family.case, identity_id, form, x, t, n_terms,
-                        lhs, rhs, diff, trunc, _GENFUN_TOL, diff <= budget)
+    table = monic_from_recurrence(family, n_max)
+    nodes = [Fraction(-(2 * j + 1) ** 2, 4) for j in range(n_max + 1)]  # -y^2
+    for n, (c, d, sums) in enumerate(_genfun_rhs(family, identity_id, form, n_max)):
+        left, right = c.numerator * d, c.denominator
+        for u, values in zip(nodes, sums):
+            v = poly_eval(table[n], u)
+            lhs, scale = left * v.numerator, right * v.denominator
+            for a, b in values:
+                if b or a * scale != lhs:
+                    return n
+    return None
 
 
 # ---------------------------------------------------------------------------

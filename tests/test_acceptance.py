@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import paritywilson
-from paritywilson import expand, spectral, verify
+from paritywilson import expand, spectral, verify, wilson
 from paritywilson.numcore import RationalPolynomial
 from paritywilson.wilson import CASE_A, WilsonFamily
 
@@ -222,6 +222,20 @@ def test_extended_orthogonality_cap():
     assert "n <= 20" in report.results[0].note
 
 
+def test_the_printed_norm_row_states_its_misprint_exactly(monkeypatch):
+    def row():
+        [r] = [r for r in _run_checks(verify.check_orthogonality)
+               if r.check_id == "norm-printed-mismatch-a"]
+        return r.status, r.measured, r.threshold
+    assert row() == ("pass", "exact", "exact")
+    # printed = true (n+2)!^2 / (2 (2n+2)!) must hold exactly, and a factor
+    # 1 + 1e-30 on one printed norm breaks it
+    printed = wilson.printed_norm_rhs
+    monkeypatch.setattr(wilson, "printed_norm_rhs", lambda family, n: (
+        printed(family, n) * (1 + Fraction(1, 10 ** 30)) if n == 4 else printed(family, n)))
+    assert row() == ("fail", "mismatch", "exact")
+
+
 def test_criterion_5_generating_functions():
     t0 = time.perf_counter()
     results = _run_checks(verify.check_generating_functions)
@@ -229,6 +243,22 @@ def test_criterion_5_generating_functions():
     print(f"  generating functions elapsed: {elapsed:.2f}s (budget 5s)")
     assert elapsed < 5.0
     _report("5 generating functions", results)
+
+
+def test_generating_functions_fail_on_a_table_entry_perturbed_below_any_float(monkeypatch):
+    # a factor 1 + 1e-30 on one coefficient of the Case A P_7 fails all three
+    # identities at n = 7, and nothing else
+    table = list(wilson.monic_from_recurrence(WilsonFamily.case_a(), 16))
+    coeffs = list(table[7].coeffs)
+    coeffs[3] *= 1 + Fraction(1, 10 ** 30)
+    table[7] = RationalPolynomial(coeffs)
+    exact = wilson.monic_from_recurrence
+    monkeypatch.setattr(wilson, "monic_from_recurrence", lambda family, n_max: (
+        tuple(table[:n_max + 1]) if family.case == CASE_A else exact(family, n_max)))
+    rows = {r.check_id: r for r in _run_checks(verify.check_generating_functions)}
+    assert (rows["genfun-a"].status, rows["genfun-a"].measured) == (
+        "fail", "identity 1 at n = 7, identity 2 at n = 7, identity 3 at n = 7")
+    assert rows["genfun-b"].status == rows["genfun-printed-mismatch"].status == "pass"
 
 
 def test_criterion_6_reconstruction():
@@ -284,6 +314,22 @@ def test_criterion_9_conjecture_scan():
     print(f"  scan elapsed: {elapsed:.2f}s (budget 10s)")
     assert elapsed < 10.0
     _report("9 conjecture scan", results)
+
+
+@pytest.mark.parametrize("converged, text", [
+    (True, "converged in 7 iterations"), (False, "not converged after 200 iterations")])
+def test_the_exploratory_scan_says_whether_it_converged(monkeypatch, converged, text):
+    scan = spectral.conjecture_scan
+
+    def reported(b, m, n, degree, grid=None):  # only the M != 0 scan is exploratory
+        rep = scan(b, m, n, degree, grid)
+        return dataclasses.replace(rep, iterations=7 if converged else 200,
+                                   converged=converged) if m else rep
+    monkeypatch.setattr(spectral, "conjecture_scan", reported)
+    rows = {r.check_id: r for r in _run_checks(verify.check_scan)}
+    assert rows["scan-exploratory"].status == "info"
+    assert rows["scan-exploratory"].measured.endswith(", " + text)
+    assert rows["scan-recovery"].status == "pass"
 
 
 def test_consistency_chain_supplement():

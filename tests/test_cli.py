@@ -165,47 +165,15 @@ def test_out_file_and_env_dir(tmp_path, capsys, monkeypatch):
     code = run_subcommand(["eigen", "--case", "A", "--n", "1", "--out", "rec.json"])
     assert code == 0
     assert json.loads((tmp_path / "rec.json").read_text())["ell1"] == 3
-
-
-def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=csv\n")
-    code, out = run(["eigen", "--case", "A", "--n", "1", "--config", str(cfg)], capsys)
-    assert out.startswith("power,coeff")
-    code, out = run(["eigen", "--case", "A", "--n", "1", "--config", str(cfg),
-                     "--format", "json"], capsys)
-    assert json.loads(out)["ell1"] == 3
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("not_a_key=1\n")
-    code, _ = run(["eigen", "--case", "A", "--n", "1", "--config", str(cfg)], capsys)
-    assert code == 1
-
-
-@pytest.mark.parametrize("text, message", [
-    ("format=xml\n", "format must be one of json, csv, got 'xml'"),
-    # a quadrature setting is not a config key
-    ("# quadrature\n\npanel_order=abc\n", "unknown key 'panel_order'"),
-    ("format=csv\nrel_tol=1e-9\n", "unknown key 'rel_tol'"),
-], ids=["format", "panel_order", "rel_tol"])
-def test_config_value_errors_name_the_file_and_line(tmp_path, capsys, text, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "1", "--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {cfg}:{text.count(chr(10))}: {message}\n"
-
-
-def test_bad_config_value_is_refused_under_an_overriding_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=xml\n")
-    assert run_subcommand(["coeffs", "--case", "A", "--n-max", "1", "--config", str(cfg),
-                           "--format", "csv"]) == 1
-    assert capsys.readouterr().err == (f"error: {cfg}:1: format must be one of json, csv, "
-                                       f"got 'xml'\n")
+    # --format sets the format under the directory, and an absolute --out stays
+    assert run_subcommand(["poly", "--case", "A", "--n", "1", "--format", "csv",
+                           "--out", "p1.csv"]) == 0
+    assert (tmp_path / "p1.csv").read_text() == "n,power,coeff\n0,0,1\n1,0,-3/4\n1,1,1\n"
+    elsewhere = tmp_path / "sub"
+    elsewhere.mkdir()
+    assert run_subcommand(["eigen", "--case", "A", "--n", "1",
+                           "--out", str(elsewhere / "rec.json")]) == 0
+    assert json.loads((elsewhere / "rec.json").read_text())["ell1"] == 3
 
 
 def test_usage_error_exit_code(capsys):
@@ -382,10 +350,12 @@ def test_negative_n_max_is_one_error_line(argv, capsys):
     [command, "--case", "A", "--n-max", "3", option, "24"]
     for command in ("coeffs", "reconstruct")
     for option in ("--rel-tol", "--abs-tol", "--panel-order", "--x-max", "--max-panels")
-] + [["verify", "--suite", "lorentz", "--threshold-scale", "24"]],
+] + [["verify", "--suite", "lorentz", "--threshold-scale", "24"],
+      ["eigen", "--case", "A", "--n", "1", "--config", "24"]],
     ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_settings_are_usage_errors(argv, capsys):
-    # the quadrature settings and the verify thresholds are constants
+    # the quadrature settings and the verify thresholds are constants, and
+    # --format and $PARITYWILSON_OUT are the one way to set each output setting
     assert run_subcommand(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"unrecognized arguments: {argv[-2]} 24" in captured.err

@@ -1,6 +1,7 @@
 """Every name bound by a top-level import of a library module is used
 there, only numcore names the Horner loop beneath ``poly_eval``, the
-hypergeometric route and the recurrence tables share no step, no library
+hypergeometric route and the recurrence tables share no step, the right
+sides of the generating identities do not read the recurrence, no library
 module names mpmath, the tests' high-precision oracle, and none names
 numpy's ``polynomial`` package, whose Gauss-Legendre rule the library
 computes itself."""
@@ -84,6 +85,20 @@ def test_the_hypergeometric_route_does_not_name_the_fused_step():
     assert naming["_three_term"] == {"_recurrence_table"}  # the step's one caller
     assert "_hypergeometric" in naming["_mul_add"]
     assert not naming["_mul_add"] & {"_recurrence_table", "_three_term"}
+
+
+def test_the_generating_function_right_sides_do_not_name_the_recurrence():
+    # the right sides of the generating identities are built from the weight's
+    # parameters alone; the left side reads the recurrence table they verify
+    source = (Path(paritywilson.__file__).parent / "wilson.py").read_text(encoding="utf-8")
+    helpers = {node.name: names_in(ast.unparse(node)) for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_genfun_rhs", "_pochhammer_pairs")}
+    assert len(helpers) == 2
+    assert "_pochhammer_pairs" in helpers["_genfun_rhs"]
+    for name, names in helpers.items():
+        assert not names & {"standard_recurrence_terms", "_three_term", "_recurrence_table",
+                            "monic_from_recurrence"}, name
 
 
 def module_mentions(source: str, module: str) -> list[str]:

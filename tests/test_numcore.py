@@ -1,6 +1,5 @@
-"""Exactness, terminating/convergent hypergeometric sums."""
+"""Exactness of the integer grids, and terminating hypergeometric sums."""
 
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import hyp_pfq_terminating
 
-from paritywilson.errors import DenominatorPole, NoConvergence
 from paritywilson.numcore import (
     BParamPolynomial,
     RationalPolynomial,
@@ -18,7 +16,6 @@ from paritywilson.numcore import (
     _three_term,
     _unit_shift,
     frac_to_str,
-    hyp_pfq_series,
     poly_eval,
 )
 
@@ -53,108 +50,11 @@ class TestTerminatingPFQ:
             [-2, 5, Fraction(1, 2) - z, Fraction(1, 2) + z], [1, 2, 2], 1, 2)
         assert Fraction(12, 5) * val == 1 + Fraction(7, 2) + Fraction(117, 80)
 
-    def test_denominator_pole(self):
-        # the library's one pole rule, in the series: (-1)_k vanishes at k = 2,
-        # before the numerator -3 stops the sum after term 3
-        with pytest.raises(DenominatorPole):
-            hyp_pfq_series([-3, 2], [-1], 0.5)
-
     def test_termination_required(self):
         with pytest.raises(ValueError):
             hyp_pfq_terminating([Fraction(1, 2), 2], [1], 1, 10)
         with pytest.raises(ValueError):
             hyp_pfq_terminating([-5, 2], [1], 1, 3)
-
-
-class TestGauss2F1:
-    # Gauss 2F1 as the pFq series with p = 2, q = 1
-    def test_t_zero(self):
-        val, err = hyp_pfq_series([0.3, 1.7], [2.2], 0.0)
-        assert val == 1.0 and err < 1e-12
-
-    def test_geometric(self):
-        val, err = hyp_pfq_series([1.0, 1.0], [1.0], 0.5)
-        assert abs(val - 2.0) <= err + 1e-12
-
-    def test_radius_enforced(self):
-        with pytest.raises(ValueError):
-            hyp_pfq_series([1.0, 1.0], [2.0], 1.0)
-
-    def test_denominator_pole(self):
-        with pytest.raises(DenominatorPole):
-            hyp_pfq_series([0.5, 0.7], [-2.0], 0.1)
-
-    def test_no_convergence_cap(self):
-        with pytest.raises(NoConvergence):
-            hyp_pfq_series([1.0, 1.0], [1.0], 0.9, tol=1e-15, max_terms=5)
-
-    def test_error_bound_honest_against_high_precision_oracle(self):
-        # oracle: 200-term direct summation at 32 digits
-        import random
-        rng = random.Random(20240817)
-        mp.mp.dps = 32
-        for _ in range(100):
-            a = rng.uniform(0.1, 3.0)
-            b = rng.uniform(0.1, 3.0)
-            c = rng.uniform(0.5, 3.5)
-            t = rng.uniform(-0.3, 0.3)
-            val, bound = hyp_pfq_series([a, b], [c], t, tol=1e-13)
-            term = mp.mpf(1)
-            total = mp.mpf(0)
-            for k in range(200):
-                total += term
-                term *= mp.mpf(a + k) * (b + k) / ((c + k) * (k + 1)) * t
-            assert abs(val - complex(total)) <= bound + 1e-16
-
-    def test_specific_value_against_oracle(self):
-        val, bound = hyp_pfq_series([0.5, 1.5], [2.0], -0.1)
-        ref = complex(mp.hyp2f1(0.5, 1.5, 2.0, -0.1))
-        assert abs(val - ref) <= bound + 1e-15
-
-    def test_terminating_numerator_stops_before_denominator_pole(self):
-        val, _ = hyp_pfq_series([-2.0, 1.0], [-3.0], 0.2)
-        want = 1 + (2 / 3) * 0.2 + (1 / 3) * 0.04
-        assert abs(val - want) < 1e-14
-
-
-def test_hyp_pfq_series_denominator_pole():
-    with pytest.raises(DenominatorPole):
-        hyp_pfq_series([0.5, 1.0], [-1.0, 2.0], 0.2)
-
-
-def test_hyp_pfq_series_stops_before_a_denominator_pole():
-    # the numerator -2 stops the sum after term 2, before (-3)_k vanishes at k = 4
-    val, _ = hyp_pfq_series([-2.0, 1.0], [-3.0], 0.2)
-    assert val == 1.1466666666666667
-    assert abs(val - 86 / 75) < 1e-15
-
-
-@pytest.mark.parametrize("series", [
-    lambda: hyp_pfq_series([1.0, -2.0], [-2.0], 0.2),
-    lambda: hyp_pfq_series([-2.0, 1.0], [-2.0], 0.2),
-], ids=["2f1", "pfq"])
-def test_pole_at_the_last_term_is_never_formed(series):
-    # (-2)_k vanishes from k = 3 on, past the last term k = 2: no 0/0 ratio
-    val, bound = series()
-    assert abs(val - 31 / 25) < 1e-15 and bound < 1e-14
-
-
-@pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
-@pytest.mark.parametrize("series", [
-    lambda p: hyp_pfq_series([p, 1.0], [2.0], 0.2),
-    lambda p: hyp_pfq_series([0.5, 1.0], [p], 0.2),
-    lambda p: hyp_pfq_series([0.5, p], [2.0], 0.2),
-    lambda p: hyp_pfq_series([0.5, 1.0], [complex(2.0, p)], 0.2),
-], ids=["2f1-numerator", "2f1-denominator", "pfq-numerator", "pfq-denominator"])
-def test_non_finite_parameter_is_refused_by_name(series, value):
-    with pytest.raises(ValueError, match=r"^hypergeometric parameter .*(inf|nan).* is not finite$"):
-        series(value)
-
-
-def test_hyp_pfq_series_matches_2f1():
-    v1, _ = hyp_pfq_series([0.5, 1.5], [2.0], -0.2)
-    v2 = complex(mp.hyp2f1(0.5, 1.5, 2.0, -0.2))
-    assert abs(v1 - v2) < 1e-14
 
 
 class TestPolyEval:

@@ -603,71 +603,96 @@ class TestThreeRouteAgreement:
 
 
 class TestGeneratingFunctions:
+    FAMILIES = [CASE_A] + [WilsonFamily.case_b(fr(b)) for b in ("-1/2", "3/2", "73/10")]
+
     def test_t_zero_reduces_to_leading_prefactor(self):
-        for ident in (1, 2, 3):
-            rep = generating_function_check(CASE_A, ident, 0.5, 0.0, n_terms=5)
-            assert rep.passed and abs(rep.lhs - rep.rhs) < 1e-13
+        # at t = 0 each identity is its degree-0 coefficient: c_0 P_0 = RHS(x, 0)
+        for family in (CASE_A, CASE_B_32):
+            for ident in (1, 2, 3):
+                assert generating_function_check(family, ident, 0) is None
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_every_identity_holds_to_degree_twenty_five(self, family):
+        assert [generating_function_check(family, ident, 25) for ident in (1, 2, 3)] == [None] * 3
 
     def test_case_a_first_identity(self):
-        rep = generating_function_check(CASE_A, 1, 0.5, 0.1, n_terms=25)
-        assert rep.passed and rep.abs_diff <= 1e-10 + rep.truncation_bound
-
-    def test_doubled_truncation_cross_check(self):
-        r25 = generating_function_check(CASE_A, 2, 0.9, 0.2, n_terms=25)
-        r50 = generating_function_check(CASE_A, 2, 0.9, 0.2, n_terms=50)
-        assert abs(r25.lhs - r50.lhs) <= r25.truncation_bound + 1e-13
-
-    def test_printed_forms_fail(self):
-        assert not generating_function_check(CASE_A, 1, 0.5, 0.1, form="printed").passed
-        assert not generating_function_check(CASE_A, 3, 0.5, 0.1, form="printed").passed
-        # identity 2 is correct as printed
-        assert generating_function_check(CASE_A, 2, 0.5, 0.1, form="printed").passed
+        # well past the extended cap of verify
+        assert generating_function_check(CASE_A, 1, 40) is None
 
     def test_case_b_identities(self):
-        for ident in (1, 2, 3):
-            rep = generating_function_check(CASE_B_32, ident, 0.9, 0.2, n_terms=30)
-            assert rep.passed, (ident, rep.abs_diff)
+        # one, five and ten point masses
+        for b in ("1/100", "20", "100"):
+            family = WilsonFamily.case_b(fr(b))
+            assert [generating_function_check(family, ident, 12) for ident in (1, 2, 3)] \
+                == [None] * 3, b
 
-    @pytest.mark.parametrize("family,ident", [(CASE_A, 1), (CASE_A, 3), (CASE_B_32, 2)])
-    def test_lhs_bits_equal_fraction_horner(self, family, ident):
-        # the generating sum as a Horner scheme with Fraction coefficients
-        # against a float u, each coefficient rebuilt from scratch
-        x, t, n_terms = 0.7, 0.2, 25
-        table = monic_from_recurrence(family, n_terms)
-        lhs = 0.0 + 0.0j
-        for n in range(n_terms + 1):
-            acc = None
-            for c in reversed(table[n].coeffs):
-                acc = c if acc is None else acc * (x * x) + c
-            coefficient = wilson._lhs_coefficient.__wrapped__(family, ident, n)
-            lhs += complex(coefficient * acc * t ** n)
-        for _ in range(2):  # cold, then from the caches
-            assert generating_function_check(family, ident, x, t, n_terms).lhs == lhs
+    def test_printed_forms_fail(self):
+        assert generating_function_check(CASE_A, 1, 25, form="printed") == 1
+        assert generating_function_check(CASE_A, 3, 25, form="printed") == 0
+        # identity 2 is correct as printed
+        assert generating_function_check(CASE_A, 2, 25, form="printed") is None
 
     def test_degenerate_b_rejected(self):
         with pytest.raises(DegenerateFamily):
-            generating_function_check(WilsonFamily.case_b(3), 1, 0.5, 0.1)
+            generating_function_check(WilsonFamily.case_b(3), 1, 5)
 
-    def test_t_domain_enforced(self):
-        with pytest.raises(ValueError):
-            generating_function_check(CASE_A, 1, 0.5, 0.4)
-
-    @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
-    @pytest.mark.parametrize("t,refused", [(-0.3, True), (-0.2, True), (-0.17, False)])
-    def test_identity_3_needs_its_4f3_argument_in_the_unit_disk(self, family, t, refused):
-        # 4t/(1+t)^2 leaves the unit disk below t = -(3 - 2 sqrt 2) ~ -0.1716
-        if refused:
-            message = re.escape(f"identity 3 needs t > -(3 - 2*sqrt(2)): at t = {t} its 4F3 "
-                                f"argument 4t/(1+t)^2 = {4 * t / (1 + t) ** 2} leaves")
-            with pytest.raises(ValueError, match="^" + message):
-                generating_function_check(family, 3, 0.5, t)
-        else:
-            assert generating_function_check(family, 3, 0.5, t).passed
+    def test_symbolic_b_and_unknown_identities_are_refused(self):
+        with pytest.raises(ValueError, match="^generating functions need a numeric B$"):
+            generating_function_check(CASE_B_SYM, 1, 5)
+        with pytest.raises(ValueError, match="^identity_id must be 1, 2, or 3$"):
+            generating_function_check(CASE_A, 4, 5)
 
     @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
     def test_unknown_form_is_refused(self, family):
         with pytest.raises(ValueError, match="^unknown recurrence form 'bogus'$"):
-            generating_function_check(family, 1, 0.5, 0.1, form="bogus")
+            generating_function_check(family, 1, 5, form="bogus")
+
+
+def _closed_form(family, ident, form, x):
+    """The paper's right side RHS(x, t) as a function of t, in mpmath: the
+    products of two 2F1 in -t, or the 3F2 in 4t/(1+t)^2 (a 4F3 with one
+    parameter cancelled).  The factor sin(pi s)/(pi s) of Case B identities 2
+    and 3 multiplies both sides and is left out, as the library leaves it."""
+    y = 1j * x
+    hyp2f1, hyp3f2 = mpmath.hyp2f1, mpmath.hyp3f2
+    if family.case == "A":
+        if ident == 1:
+            c = 1 if form == "printed" else 3
+            return lambda t: hyp2f1(0.5 + y, 0.5 + y, 1, -t) * hyp2f1(1.5 - y, 1.5 - y, c, -t)
+        if ident == 2:
+            return lambda t: hyp2f1(0.5 + y, 1.5 + y, 2, -t) * hyp2f1(0.5 - y, 1.5 - y, 2, -t)
+        scale = 1 if form == "printed" else 2
+        return lambda t: scale / (1 + t) ** 3 * hyp3f2(1.5, 0.5 + y, 0.5 - y, 1, 2,
+                                                      4 * t / (1 + t) ** 2)
+    s = mpmath.sqrt(mpmath.mpf(family.b.numerator) / family.b.denominator + 1)
+    if ident == 1:
+        return lambda t: hyp2f1(0.5 + y, 0.5 + y, 1, -t) * hyp2f1(0.5 - s - y, 0.5 + s - y, 1, -t)
+    if ident == 2:
+        return lambda t: (hyp2f1(0.5 + y, 0.5 - s + y, 1 - s, -t)
+                          * hyp2f1(0.5 - y, 0.5 + s - y, 1 + s, -t))
+    return lambda t: hyp3f2(0.5, 0.5 + y, 0.5 - y, 1 - s, 1 + s, 4 * t / (1 + t) ** 2) / (1 + t)
+
+
+@pytest.mark.parametrize("family, ident, form", [
+    (CASE_A, 1, "corrected"), (CASE_A, 2, "corrected"), (CASE_A, 3, "corrected"),
+    (CASE_A, 1, "printed"), (CASE_A, 3, "printed"),
+    *[(WilsonFamily.case_b(fr(b)), ident, "corrected")
+      for b in ("3/2", "73/10") for ident in (1, 2, 3)],
+], ids=lambda v: v.label() if isinstance(v, WilsonFamily) else str(v))
+def test_right_sides_match_the_taylor_coefficients_of_the_closed_forms(family, ident, form):
+    # [t^n] of each closed form by mpmath.taylor at 40 digits, against the
+    # library's value at the node y = ix = -(n + 1/2) (identity 1: also
+    # n + 1/2), where no Pochhammer of the first factor vanishes; the library's
+    # a + b t reads t = q sqrt(B+1).  This pins the transcription of the right
+    # sides, independently of the tables.
+    with mpmath.workdps(40):
+        t_unit = 1 if family.case == "A" else family.b.denominator * mpmath.sqrt(
+            mpmath.mpf(family.b.numerator) / family.b.denominator + 1)
+        for n, (_, d, sums) in enumerate(wilson._genfun_rhs(family, ident, form, 12)):
+            for (a, b), y in zip(sums[n], (-(n + 0.5), n + 0.5)):
+                want = mpmath.taylor(_closed_form(family, ident, form, -1j * y), 0, n)[n]
+                got = (a + b * t_unit) / mpmath.mpf(d)
+                assert abs(got - want) <= mpmath.mpf(10) ** -30 * max(1, abs(want)), (n, y)
 
 
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=8))
