@@ -16,7 +16,12 @@ ell1 + 1/1000), from each tree.  Last come library reprs of the same four
 families: ``inner_product`` (value, error and their numpy types) for every
 pair of members n <= m <= 40, ``norm_closed_form`` for n <= 70, and
 ``parity_coefficients`` on its three routes and ``reconstruction_residual``
-at n = 5, 12, 24 and 40, each line holding the result or the error raised.  Prints each command or file
+at n = 5, 12, 24 and 40, each line holding the result or the error raised.
+The operator algebra closes it: for the vector representation, the
+corrupted one of ``verify``'s lorentz suite and every (j1, j2) with j1, j2
+in {0, 1/2, ..., 5/2}, the hash of every generator, parity, invariant and
+n0 array, and the reprs of ``algebra_audit`` (keys in order) and of the
+three ``n0_extraction`` residuals.  Prints each command or file
 that differs, by name, and the first hash or repr line that differs, in
 the base tree's order, with both sides and the count of those that do;
 exits 1 if any does.  Both trees run on one machine, so there are no
@@ -66,20 +71,33 @@ COMMANDS += ["reconstruct --case A --n-max 24", "reconstruct --case B --b 3/2 --
 COMMANDS += ["verify --traceability", "verify --traceability --format csv",
              "verify --suite bogus", "coeffs --case B --n-max 2",
              "reconstruct --case B --b 3 --n-max 4", "eigen --case A --n 1 --out missing/rec.json"]
+# the operator-algebra report, the exploratory scan, the master-equation
+# residuals and the second solutions, with their error paths: a spin that is
+# not a half-integer, a --rep without its comma, a pole of the n = 0
+# eigenfunction and a vanishing lattice denominator
+COMMANDS += ["lorentz --rep vector", "lorentz --rep 1/2,1/2 --format csv", "lorentz --rep 1,0",
+             "lorentz --rep 2,1 --format json", "lorentz --rep 0.3,0", "lorentz --rep 1",
+             "scan --b 3/2 --n 1 --degree 3", "scan --b 1 --m 0.5 --n 1 --degree 6 --format csv",
+             "scan --b 0 --n 2 --degree 2 --grid-start 1 --grid-count 8",
+             "residual --case A --n 2", "residual --case B --b 3/2 --n 2 --space w --format csv",
+             "residual --case B --b 73/10 --n 3 --ell1 7.37",
+             "residual --case A --n 0 --start 0.5 --count 1",
+             "second-solution --n 1 --z0 9/4", "second-solution --n 0 --z0 -21/2 --format csv",
+             "second-solution --n 0 --z0 1/2"]
 
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
 # one line per array or result, its name and its value split by a tab:
 # "<family> <bound> <array>", "nodes <order>",
-# "grid <table> <family> <n>" or "repr <function> <family> [<route>] <n> [<m>]",
-# then a hash or a repr
+# "grid <table> <family> <n>", "lorentz <rep> <array> [<i>]" or
+# "repr <function> <family or rep> [<route>] [<n>] [<m>]", then a hash or a repr
 HASHES = '''
 import hashlib
 from fractions import Fraction
 
 import numpy as np
 
-from paritywilson import expand, spectral, wilson
+from paritywilson import expand, lorentz, spectral, wilson
 
 
 def out(*key):
@@ -158,6 +176,28 @@ for family in families:
                 result(lambda: expand.parity_coefficients(family, n, route=route)))
         out("repr reconstruction_residual", family.label(), n,
             result(lambda: expand.reconstruction_residual(family, n)))
+# the operator algebra: the vector rep, the corrupted vector rep of
+# verify's lorentz suite and every (j1, j2) with j1, j2 <= 5/2
+vector = lorentz.build_vector_rep()
+bad_k = [m.copy() for m in vector.boosts]
+bad_k[0][0, 1] += 1e-3
+reps = [("vector", vector), ("vector-corrupted", lorentz.LorentzRep(
+    vector.label, vector.dim, tuple(bad_k), vector.rotations, vector.parity))]
+reps += [(f"({a}/2,{b}/2)", lorentz.build_spin_rep(Fraction(a, 2), Fraction(b, 2)))
+         for a in range(6) for b in range(6)]
+for name, rep in reps:
+    for field in ("boosts", "rotations"):
+        for i, m in enumerate(getattr(rep, field)):
+            out("lorentz", name, field, i, sha(m))
+    out("lorentz", name, "parity", sha(rep.parity))
+    ops = lorentz.derived_operators(rep)
+    for field in ("w", "a", "m", "b", "m_sq"):
+        out("lorentz", name, field, sha(getattr(ops, field)))
+    out("repr algebra_audit", name, repr(list(lorentz.algebra_audit(rep).items())))
+    ext = lorentz.n0_extraction(rep)
+    out("lorentz", name, "n0", sha(ext.n0))
+    out("repr n0_extraction", name, repr((ext.residual_consistent, ext.residual_printed_sign,
+                                          ext.traceless_residual)))
 '''
 
 

@@ -4,7 +4,10 @@ Builds the defining 4x4 representation and the standard (j1, j2) ladder
 representations (doubled to (j1,j2)+(j2,j1) when j1 != j2 so that parity
 acts), then machine-verifies the commutation relations among the boosts
 K^i, rotations L^i, the invariants W = K.K, A = L.L, m = K.L, B = A - W,
-M = m^2, and the parity matrix.
+M = m^2, and the parity matrix.  The audits hold the boosts and rotations
+as (3, d, d) stacks and write each relation as one array expression:
+commutators by broadcast ``@``, eps^{ijk} contracted by ``np.einsum``.
+``LorentzRep`` publishes the generators as tuples of (d, d) arrays.
 
 Conventions are back-solved from the commutator contract
     [L^i, L^j] = i eps^{ijk} L^k,   [K^i, L^j] = i eps^{ijk} K^k,
@@ -55,52 +58,37 @@ class DerivedOperators:
 
 
 def derived_operators(rep: LorentzRep) -> DerivedOperators:
-    w = sum(k @ k for k in rep.boosts)
-    a = sum(l @ l for l in rep.rotations)
-    m = sum(k @ l for k, l in zip(rep.boosts, rep.rotations))
+    """W, A and M as stacked products summed over the generator index."""
+    k, l = np.stack(rep.boosts), np.stack(rep.rotations)
+    w, a, m = (np.sum(x @ y, axis=0) for x, y in ((k, k), (l, l), (k, l)))
     return DerivedOperators(w=w, a=a, m=m, b=a - w, m_sq=m @ m)
 
 
 def build_vector_rep() -> LorentzRep:
     """The 4x4 defining representation with metric (+,-,-,-), parity
     diag(1,-1,-1,-1), K^i the boost block and L^i the rotation block."""
-    def gen(mu, nu):
-        out = np.zeros((4, 4), dtype=complex)
-        for alpha in range(4):
-            for beta in range(4):
-                out[alpha, beta] = 1j * (METRIC[mu, alpha] * (nu == beta)
-                                         - METRIC[nu, alpha] * (mu == beta))
-        return out
-
-    boosts = tuple(gen(0, i) for i in (1, 2, 3))
-    rotations = tuple(
-        0.5 * sum(EPS[i, j, k] * gen(j + 1, k + 1) for j in range(3) for k in range(3))
-        for i in range(3))
+    # gen[mu, nu] = i (g^{mu alpha} delta^{nu beta} - g^{nu alpha} delta^{mu beta})
+    outer = np.einsum("ma,nb->mnab", METRIC, np.eye(4))
+    gen = 1j * (outer - outer.transpose(1, 0, 2, 3))
+    rotations = 0.5 * np.einsum("ijk,jkab->iab", EPS, gen[1:, 1:])
     parity = np.diag([1.0, -1.0, -1.0, -1.0]).astype(complex)
-    return LorentzRep("vector", 4, boosts, rotations, parity)
+    return LorentzRep("vector", 4, tuple(gen[0, 1:]), tuple(rotations), parity)
 
 
-def _spin_matrices(j: Fraction):
-    """Standard angular-momentum matrices for one su(2) factor, Hermitian,
-    with the third component diagonal (j, j-1, ..., -j)."""
-    d = int(2 * j) + 1
-    ms = [j - k for k in range(d)]
+def _spin_matrices(j: Fraction) -> np.ndarray:
+    """The (3, d, d) stack of standard angular-momentum matrices for one su(2)
+    factor, Hermitian, with the third component diagonal (j, j-1, ..., -j)."""
+    ms = [j - k for k in range(int(2 * j) + 1)]
     s3 = np.diag([float(m) for m in ms]).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        m = ms[k]
-        sp[k - 1, k] = math.sqrt(float((j - m) * (j + m + 1)))
+    sp = np.diag([math.sqrt(float((j - m) * (j + m + 1))) for m in ms[1:]], 1).astype(complex)
     sm = sp.conj().T
-    return ((sp + sm) / 2, (sp - sm) / (2j), s3)
+    return np.stack(((sp + sm) / 2, (sp - sm) / (2j), s3))
 
 
 def _swap_matrix(d1: int, d2: int) -> np.ndarray:
-    """Matrix of v (x) w -> w (x) v from C^{d1} (x) C^{d2} to C^{d2} (x) C^{d1}."""
-    out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for a in range(d1):
-        for b in range(d2):
-            out[b * d1 + a, a * d2 + b] = 1.0
-    return out
+    """Matrix of v (x) w -> w (x) v from C^{d1} (x) C^{d2} to C^{d2} (x) C^{d1}:
+    its row b d1 + a is the identity's row a d2 + b."""
+    return np.eye(d1 * d2, dtype=complex)[np.arange(d1 * d2).reshape(d1, d2).T.ravel()]
 
 
 def _check_half_integer(j) -> Fraction:
@@ -110,14 +98,13 @@ def _check_half_integer(j) -> Fraction:
     return jq
 
 
-def _generators(j1: Fraction, j2: Fraction):
-    """(boosts, rotations) on C^{2j1+1} (x) C^{2j2+1}: L = A + B and
-    K = -i(A - B) from the su(2) triples A of j1 and B of j2."""
+def _generators(j1: Fraction, j2: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """(boosts, rotations) on C^{2j1+1} (x) C^{2j2+1} as (3, d, d) stacks:
+    L = A + B and K = -i(A - B) from the su(2) triples A of j1 and B of j2."""
     d1, d2 = int(2 * j1) + 1, int(2 * j2) + 1
-    a_ops = [np.kron(s, np.eye(d2, dtype=complex)) for s in _spin_matrices(j1)]
-    b_ops = [np.kron(np.eye(d1, dtype=complex), s) for s in _spin_matrices(j2)]
-    return ([-1j * (a - b) for a, b in zip(a_ops, b_ops)],
-            [a + b for a, b in zip(a_ops, b_ops)])
+    a = np.kron(_spin_matrices(j1), np.eye(d2, dtype=complex))
+    b = np.kron(np.eye(d1, dtype=complex), _spin_matrices(j2))
+    return -1j * (a - b), a + b
 
 
 def build_spin_rep(j1, j2) -> LorentzRep:
@@ -137,13 +124,12 @@ def build_spin_rep(j1, j2) -> LorentzRep:
         parity = (-1) ** int(2 * j1) * _swap_matrix(d1, d2)
         return LorentzRep(f"({j1},{j2})", d1 * d2, tuple(boost), tuple(rot), parity)
     # doubled space: block-diagonal generators, off-diagonal parity
-    boost2, rot2 = _generators(j2, j1)
-    z = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    rot_full = tuple(np.block([[r1, z], [z, r2]]) for r1, r2 in zip(rot, rot2))
-    boost_full = tuple(np.block([[k1, z], [z, k2]]) for k1, k2 in zip(boost, boost2))
+    z = np.zeros((2, 3, d1 * d2, d1 * d2), dtype=complex)
+    boost, rot = np.block([[np.stack((boost, rot)), z], [z, np.stack(_generators(j2, j1))]])
     tau = _swap_matrix(d1, d2)
-    parity = np.block([[z, tau.conj().T], [tau, z]])
-    return LorentzRep(f"({j1},{j2})+({j2},{j1})", 2 * d1 * d2, boost_full, rot_full, parity)
+    parity = np.block([[z[0, 0], tau.conj().T], [tau, z[0, 0]]])
+    return LorentzRep(f"({j1},{j2})+({j2},{j1})", 2 * d1 * d2, tuple(boost), tuple(rot),
+                      parity)
 
 
 def _comm(x, y):
@@ -157,47 +143,37 @@ def _maxabs(x) -> float:
 def algebra_audit(rep: LorentzRep) -> dict[str, float]:
     """Max-entry residual of every verified operator relation.
 
-    Report-only: all residuals should sit at rounding level (<= 1e-12 for
-    dimensions up to 16) in a correctly built representation.
+    One array expression per relation: [X^i, Y^j] broadcast to a (3, 3, d, d)
+    array, eps^{ijt} contracted by einsum.  Report-only: all residuals should
+    sit at rounding level (<= 1e-12 for dimensions up to 16) in a correctly
+    built representation.
     """
-    k, l, p = rep.boosts, rep.rotations, rep.parity
+    k, l, p = np.stack(rep.boosts), np.stack(rep.rotations), rep.parity
     ops = derived_operators(rep)
+    eps_k, eps_l = (np.einsum("ijt,tab->ijab", EPS, x) for x in (k, l))
+    eps_lk = np.einsum("ijt,jtab->iab", EPS, l[:, None] @ k)  # eps^{ijt} L^j K^t
+    invariants = np.stack((ops.w, ops.a, ops.m))
+    commuting = np.stack((ops.b, ops.m_sq, ops.w, p))
+    x, y = np.triu_indices(len(commuting), 1)
     res: dict[str, float] = {}
-    res["rot-rot"] = max(
-        _maxabs(_comm(l[i], l[j]) - 1j * sum(EPS[i, j, t] * l[t] for t in range(3)))
-        for i in range(3) for j in range(3))
-    res["boost-rot"] = max(
-        _maxabs(_comm(k[i], l[j]) - 1j * sum(EPS[i, j, t] * k[t] for t in range(3)))
-        for i in range(3) for j in range(3))
-    res["boost-boost"] = max(
-        _maxabs(_comm(k[i], k[j]) + 1j * sum(EPS[i, j, t] * l[t] for t in range(3)))
-        for i in range(3) for j in range(3))
-    res["invariants-commute"] = max(_maxabs(_comm(ops.w, ops.a)),
-                                    _maxabs(_comm(ops.a, ops.m)),
-                                    _maxabs(_comm(ops.m, ops.w)))
-    for name, inv in (("w", ops.w), ("a", ops.a)):
-        res[f"{name}-boost"] = max(
-            _maxabs(_comm(inv, k[i])
-                    + 2j * sum(EPS[i, j, t] * l[j] @ k[t] for j in range(3) for t in range(3))
-                    + 2 * k[i])
-            for i in range(3))
-    res["w-rot"] = max(_maxabs(_comm(ops.w, l[i])) for i in range(3))
-    res["a-rot"] = max(_maxabs(_comm(ops.a, l[i])) for i in range(3))
-    res["m-boost"] = max(_maxabs(_comm(ops.m, k[i])) for i in range(3))
-    res["m-rot"] = max(_maxabs(_comm(ops.m, l[i])) for i in range(3))
-    res["b-boost"] = max(_maxabs(_comm(ops.b, k[i])) for i in range(3))
-    res["b-rot"] = max(_maxabs(_comm(ops.b, l[i])) for i in range(3))
+    res["rot-rot"] = _maxabs(_comm(l[:, None], l) - 1j * eps_l)
+    res["boost-rot"] = _maxabs(_comm(k[:, None], l) - 1j * eps_k)
+    res["boost-boost"] = _maxabs(_comm(k[:, None], k) + 1j * eps_l)
+    res["invariants-commute"] = _maxabs(_comm(invariants, np.roll(invariants, -1, axis=0)))
+    res["w-boost"] = _maxabs(_comm(ops.w, k) + 2j * eps_lk + 2 * k)
+    res["a-boost"] = _maxabs(_comm(ops.a, k) + 2j * eps_lk + 2 * k)
+    res["w-rot"] = _maxabs(_comm(ops.w, l))
+    res["a-rot"] = _maxabs(_comm(ops.a, l))
+    res["m-boost"] = _maxabs(_comm(ops.m, k))
+    res["m-rot"] = _maxabs(_comm(ops.m, l))
+    res["b-boost"] = _maxabs(_comm(ops.b, k))
+    res["b-rot"] = _maxabs(_comm(ops.b, l))
     res["b-parity"] = _maxabs(_comm(ops.b, p))
     res["m-pseudoscalar"] = _maxabs(p @ ops.m @ p + ops.m)
-    res["parity-boost-anticommute"] = max(_maxabs(_comm(p, k[i]) + 2 * k[i] @ p)
-                                          for i in range(3))
-    res["parity-rot-commute"] = max(_maxabs(_comm(p, l[i])) for i in range(3))
+    res["parity-boost-anticommute"] = _maxabs(_comm(p, k) + 2 * k @ p)
+    res["parity-rot-commute"] = _maxabs(_comm(p, l))
     res["parity-squared"] = _maxabs(p @ p - np.eye(rep.dim))
-    pairs = {"b": ops.b, "m2": ops.m_sq, "w": ops.w, "parity": p}
-    names = list(pairs)
-    res["commuting-set"] = max(
-        _maxabs(_comm(pairs[x], pairs[y]))
-        for idx, x in enumerate(names) for y in names[idx + 1:])
+    res["commuting-set"] = _maxabs(_comm(commuting[x], commuting[y]))
     return res
 
 
@@ -224,17 +200,16 @@ def n0_extraction(rep: LorentzRep) -> SpinZeroExtraction:
 
     N1^j = 2i K^j P; the tensor -i[N1^j, K^i] splits into a traceless
     spin-2 part plus delta^{ij} times the new spin-0 component N0, so N0
-    is one third of the trace.
+    is one third of the trace: only the diagonal -i[N1^i, K^i] is formed.
     """
-    k, p = rep.boosts, rep.parity
-    n1 = [2j * kj @ p for kj in k]
-    tensor = [[-1j * _comm(n1[j], k[i]) for j in range(3)] for i in range(3)]
-    n0 = (tensor[0][0] + tensor[1][1] + tensor[2][2]) / 3.0
+    k, p = np.stack(rep.boosts), rep.parity
+    diagonal = -1j * _comm(2j * k @ p, k)
+    trace = diagonal[0] + diagonal[1] + diagonal[2]  # np.sum would turn -0.0 into 0.0
+    n0 = trace / 3.0
     target = (4.0 / 3.0) * derived_operators(rep).w @ p
-    spin2_trace = sum(tensor[i][i] for i in range(3)) - 3.0 * n0
     return SpinZeroExtraction(
         n0=n0,
         residual_consistent=_maxabs(n0 + target),
         residual_printed_sign=_maxabs(n0 - target),
-        traceless_residual=_maxabs(spin2_trace),
+        traceless_residual=_maxabs(trace - 3.0 * n0),
     )

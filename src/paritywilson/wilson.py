@@ -603,26 +603,26 @@ def _genfun_rhs(family: WilsonFamily, identity_id: int, form: str, n_max: int):
                [sums[i:i + width] for i in range(0, len(sums), width)])
 
 
-def generating_function_check(family: WilsonFamily, identity_id: int, n_max: int,
-                              form: str = "corrected") -> int | None:
-    """The first degree n <= n_max at which generating identity
-    ``identity_id`` fails, or None when it holds at every degree.
+def generating_function_check(family: WilsonFamily, n_max: int, form: str = "corrected"
+                              ) -> tuple[int | None, int | None, int | None]:
+    """The first degree n <= n_max at which each of the family's generating
+    identities 1, 2 and 3 fails, with None for an identity that holds at
+    every degree.
 
     Each identity reads sum_n c_n P_n(x^2) t^n = RHS(x, t).  With y = ix,
     c_n P_n(-y^2) and [t^n] RHS(y) are polynomials of degree at most 2n in y,
     compared at the nodes y = -+(j + 1/2), j <= n, that certify degree n for
     every x (see :func:`_genfun_rhs`, which reads only the weight's
-    parameters).  The left side reads the cached exact table, once per
-    y^2; both sides run on integers.
+    parameters).  The left side reads the cached exact table once per degree
+    and y^2, and the three identities share those values; both sides run on
+    integers.
 
-    identity_id is 1..3 per family (Case A: the two 2F1-product identities
+    The identities per family are, Case A: the two 2F1-product identities
     and the quadratic-argument 4F3 identity; Case B: the 2F1 product, the
-    split-parameter 2F1 product, and the 4F3 form).  form="printed" keeps
+    split-parameter 2F1 product, and the 4F3 form.  form="printed" keeps
     the two Case A misprints (wrong denominator parameter in identity 1,
     missing factor 2 in identity 3) for the discrepancy detector.
     """
-    if identity_id not in (1, 2, 3):
-        raise ValueError("identity_id must be 1, 2, or 3")
     if form not in ("corrected", "printed"):
         raise ValueError(f"unknown recurrence form {form!r}")
     if family.case == CASE_B:
@@ -631,15 +631,20 @@ def generating_function_check(family: WilsonFamily, identity_id: int, n_max: int
         family.require_nondegenerate()
     table = monic_from_recurrence(family, n_max)
     nodes = [Fraction(-(2 * j + 1) ** 2, 4) for j in range(n_max + 1)]  # -y^2
-    for n, (c, d, sums) in enumerate(_genfun_rhs(family, identity_id, form, n_max)):
-        left, right = c.numerator * d, c.denominator
-        for u, values in zip(nodes, sums):
-            v = poly_eval(table[n], u)
-            lhs, scale = left * v.numerator, right * v.denominator
-            for a, b in values:
-                if b or a * scale != lhs:
-                    return n
-    return None
+    # P_n(-y^2) at the nodes j <= n, read by all three identities
+    p_at_nodes = [[poly_eval(table[n], u) for u in nodes[:n + 1]] for n in range(n_max + 1)]
+
+    def first_failure(identity_id: int) -> int | None:
+        for n, (c, d, sums) in enumerate(_genfun_rhs(family, identity_id, form, n_max)):
+            left, right = c.numerator * d, c.denominator
+            for v, values in zip(p_at_nodes[n], sums):
+                lhs, scale = left * v.numerator, right * v.denominator
+                for a, b in values:
+                    if b or a * scale != lhs:
+                        return n
+        return None
+
+    return tuple(map(first_failure, (1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ library's terms built from integers.  The panel rules are numpy's
 on one (1, panels) row, as the library's inner products once ran it, on
 the arrays of a library measure: the bit-for-bit reference of their
 per-row rule in Python floats; ``log_tail_bound`` is the tail bound it
-reads, one lgamma call per term.
+reads, one lgamma call per term.  ``vector_generators``,
+``spin_generators``, ``invariants``, ``algebra_audit`` and
+``n0_extraction`` build and audit the Lorentz generators entry by entry and
+one generator index at a time: the bit-for-bit reference of the library's
+stacked forms.
 """
 
 import math
@@ -250,3 +254,123 @@ def inner_product_row(measure, a: np.ndarray, b: np.ndarray, error=ArithmeticErr
         [2 * (a.size + b.size - 2)],
         (a @ measure.mass_values[:a.size], b @ measure.mass_values[:b.size]), error)
     return val, err
+
+
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    LEVI_CIVITA[_i, _j, _k] = 1.0
+    LEVI_CIVITA[_j, _i, _k] = -1.0
+
+
+def vector_generators():
+    """(boosts, rotations, parity) of the 4x4 vector representation, entry by
+    entry and one generator index at a time."""
+    metric = np.diag([1.0, -1.0, -1.0, -1.0])
+
+    def gen(mu, nu):
+        out = np.zeros((4, 4), dtype=complex)
+        for alpha in range(4):
+            for beta in range(4):
+                out[alpha, beta] = 1j * (metric[mu, alpha] * (nu == beta)
+                                         - metric[nu, alpha] * (mu == beta))
+        return out
+
+    rotations = [0.5 * sum(LEVI_CIVITA[i, j, k] * gen(j + 1, k + 1)
+                           for j in range(3) for k in range(3)) for i in range(3)]
+    return [gen(0, i) for i in (1, 2, 3)], rotations, metric.astype(complex)
+
+
+def spin_generators(j1: Fraction, j2: Fraction):
+    """(boosts, rotations, parity) of (j1, j2), doubled to (j1,j2)+(j2,j1)
+    when j1 != j2, entry by entry and one generator index at a time."""
+    def spin(j):
+        d = int(2 * j) + 1
+        ms = [j - k for k in range(d)]
+        sp = np.zeros((d, d), dtype=complex)
+        for k in range(1, d):
+            sp[k - 1, k] = math.sqrt(float((j - ms[k]) * (j + ms[k] + 1)))
+        sm = sp.conj().T
+        return (sp + sm) / 2, (sp - sm) / (2j), np.diag([float(m) for m in ms]).astype(complex)
+
+    def generators(j1, j2):
+        d1, d2 = int(2 * j1) + 1, int(2 * j2) + 1
+        a_ops = [np.kron(s, np.eye(d2, dtype=complex)) for s in spin(j1)]
+        b_ops = [np.kron(np.eye(d1, dtype=complex), s) for s in spin(j2)]
+        return [-1j * (a - b) for a, b in zip(a_ops, b_ops)], [a + b for a, b in zip(a_ops, b_ops)]
+
+    d1, d2 = int(2 * j1) + 1, int(2 * j2) + 1
+    swap = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for a in range(d1):
+        for b in range(d2):
+            swap[b * d1 + a, a * d2 + b] = 1.0
+    boosts, rotations = generators(j1, j2)
+    if j1 == j2:
+        return boosts, rotations, (-1) ** int(2 * j1) * swap
+    boosts2, rotations2 = generators(j2, j1)
+    z = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    return ([np.block([[x, z], [z, y]]) for x, y in zip(boosts, boosts2)],
+            [np.block([[x, z], [z, y]]) for x, y in zip(rotations, rotations2)],
+            np.block([[z, swap.conj().T], [swap, z]]))
+
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def _maxabs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def invariants(k, l):
+    """(W, A, M) = (K.K, L.L, K.L), summed one generator at a time."""
+    return (sum(x @ x for x in k), sum(x @ x for x in l),
+            sum(x @ y for x, y in zip(k, l)))
+
+
+def algebra_audit(k, l, p) -> dict[str, float]:
+    """The max-entry residual of each audited relation, keyed and ordered
+    as the library's, one index pair (i, j) and one t at a time."""
+    eps = LEVI_CIVITA
+    w, a, m = invariants(k, l)
+    b, m_sq = a - w, m @ m
+    res = {}
+    res["rot-rot"] = max(
+        _maxabs(_comm(l[i], l[j]) - 1j * sum(eps[i, j, t] * l[t] for t in range(3)))
+        for i in range(3) for j in range(3))
+    res["boost-rot"] = max(
+        _maxabs(_comm(k[i], l[j]) - 1j * sum(eps[i, j, t] * k[t] for t in range(3)))
+        for i in range(3) for j in range(3))
+    res["boost-boost"] = max(
+        _maxabs(_comm(k[i], k[j]) + 1j * sum(eps[i, j, t] * l[t] for t in range(3)))
+        for i in range(3) for j in range(3))
+    res["invariants-commute"] = max(_maxabs(_comm(w, a)), _maxabs(_comm(a, m)),
+                                    _maxabs(_comm(m, w)))
+    for name, inv in (("w", w), ("a", a)):
+        res[f"{name}-boost"] = max(
+            _maxabs(_comm(inv, k[i])
+                    + 2j * sum(eps[i, j, t] * l[j] @ k[t] for j in range(3) for t in range(3))
+                    + 2 * k[i])
+            for i in range(3))
+    for name, inv, gens in (("w-rot", w, l), ("a-rot", a, l), ("m-boost", m, k),
+                            ("m-rot", m, l), ("b-boost", b, k), ("b-rot", b, l)):
+        res[name] = max(_maxabs(_comm(inv, g)) for g in gens)
+    res["b-parity"] = _maxabs(_comm(b, p))
+    res["m-pseudoscalar"] = _maxabs(p @ m @ p + m)
+    res["parity-boost-anticommute"] = max(_maxabs(_comm(p, x) + 2 * x @ p) for x in k)
+    res["parity-rot-commute"] = max(_maxabs(_comm(p, x)) for x in l)
+    res["parity-squared"] = _maxabs(p @ p - np.eye(len(p)))
+    ops = [b, m_sq, w, p]
+    res["commuting-set"] = max(_maxabs(_comm(ops[i], ops[j]))
+                               for i in range(4) for j in range(i + 1, 4))
+    return res
+
+
+def n0_extraction(k, p):
+    """(n0, residual against -(4/3) W P, against +(4/3) W P, traceless
+    residual) from all nine commutators -i[N1^j, K^i], N1^j = 2i K^j P."""
+    n1 = [2j * x @ p for x in k]
+    tensor = [[-1j * _comm(n1[j], k[i]) for j in range(3)] for i in range(3)]
+    n0 = (tensor[0][0] + tensor[1][1] + tensor[2][2]) / 3.0
+    target = (4.0 / 3.0) * invariants(k, k)[0] @ p
+    return (n0, _maxabs(n0 + target), _maxabs(n0 - target),
+            _maxabs(sum(tensor[i][i] for i in range(3)) - 3.0 * n0))

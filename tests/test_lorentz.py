@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from paritywilson.errors import InvalidSpin
 from paritywilson.lorentz import (
     LorentzRep,
@@ -26,6 +27,51 @@ def reps_under_audit():
         build_spin_rep(1, 1),
         build_spin_rep(Fraction(3, 2), 0),
     ]
+
+
+# the audit relations reading >= 1e-4 after 1e-3 is added to entry (0, 1) of
+# one boost, rotation or the parity, keyed by (field, index)
+_BOOST_VEC = "b-boost b-rot boost-boost boost-rot w-boost w-rot"
+_ROT_VEC = ("a-boost a-rot b-boost b-parity b-rot boost-boost boost-rot commuting-set "
+            "invariants-commute m-boost m-pseudoscalar m-rot parity-rot-commute rot-rot "
+            "w-boost w-rot")
+_BOOST_10 = ("a-boost b-boost b-parity b-rot boost-boost boost-rot commuting-set "
+             "parity-boost-anticommute w-boost w-rot")
+_ROT_10 = ("a-boost a-rot b-boost b-parity b-rot boost-boost boost-rot commuting-set "
+           "m-boost m-pseudoscalar m-rot parity-rot-commute rot-rot w-boost")
+CORRUPTED_FLAGS = {
+    "vector": {
+        ("boosts", 0): _BOOST_VEC,
+        ("boosts", 1): _BOOST_VEC + " invariants-commute m-boost m-rot",
+        ("boosts", 2): _BOOST_VEC + " invariants-commute m-boost m-rot",
+        ("rotations", 0): ("a-rot boost-boost boost-rot m-boost m-pseudoscalar m-rot "
+                           "parity-rot-commute rot-rot w-rot"),
+        ("rotations", 1): _ROT_VEC,
+        ("rotations", 2): _ROT_VEC,
+        ("parity", 0): "commuting-set parity-boost-anticommute parity-rot-commute",
+    },
+    "(1,0)+(0,1)": {
+        ("boosts", 0): _BOOST_10 + " m-boost m-pseudoscalar m-rot",
+        ("boosts", 1): _BOOST_10 + " m-boost m-pseudoscalar m-rot",
+        ("boosts", 2): _BOOST_10,
+        ("rotations", 0): _ROT_10,
+        ("rotations", 1): _ROT_10,
+        ("rotations", 2): _ROT_10,
+        ("parity", 0): ("m-pseudoscalar parity-boost-anticommute parity-rot-commute "
+                        "parity-squared"),
+    },
+}
+
+
+def corrupted(rep, field, i):
+    """``rep`` with 1e-3 added to entry (0, 1) of generator ``field``[i]
+    (the parity for field "parity", i = 0)."""
+    parts = {"boosts": list(rep.boosts), "rotations": list(rep.rotations),
+             "parity": [rep.parity]}
+    parts[field][i] = parts[field][i].copy()
+    parts[field][i][0, 1] += 1e-3
+    return LorentzRep(f"{rep.label} {field}[{i}]+1e-3", rep.dim, tuple(parts["boosts"]),
+                      tuple(parts["rotations"]), parts["parity"][0])
 
 
 def comm(a, b):
@@ -64,6 +110,21 @@ class TestAudit:
         bad = LorentzRep(rep.label, rep.dim, tuple(bad_k), rep.rotations, rep.parity)
         assert max(algebra_audit(bad).values()) >= 1e-4
 
+    @pytest.mark.parametrize("label, field, i", [
+        (label, field, i) for label, flags in CORRUPTED_FLAGS.items() for field, i in flags])
+    def test_each_relation_flags_its_corruptions(self, label, field, i):
+        # a relation that reads zero for the wrong reason (x commuted with
+        # itself, a dropped index) changes which relations a corruption flags
+        rep = {"vector": build_vector_rep(), "(1,0)+(0,1)": build_spin_rep(1, 0)}[label]
+        bad = corrupted(rep, field, i)
+        flagged = {name for name, value in algebra_audit(bad).items() if value >= 1e-4}
+        assert flagged == set(CORRUPTED_FLAGS[label][field, i].split())
+
+    def test_every_relation_is_flagged_by_some_corruption(self):
+        flagged = {name for flags in CORRUPTED_FLAGS.values() for names in flags.values()
+                   for name in names.split()}
+        assert flagged == set(algebra_audit(build_vector_rep()))
+
     def test_rotations_hermitian(self):
         for rep in reps_under_audit():
             for l in rep.rotations:
@@ -72,6 +133,44 @@ class TestAudit:
     def test_parity_squares_to_identity(self):
         for rep in reps_under_audit():
             assert np.max(np.abs(rep.parity @ rep.parity - np.eye(rep.dim))) < TOL
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestIndexLoopReference:
+    SPINS = [(Fraction(a, 2), Fraction(b, 2)) for a in range(4) for b in range(4)]
+
+    @pytest.mark.parametrize("j1, j2", SPINS, ids=str)
+    def test_spin_rep_generators(self, j1, j2):
+        rep = build_spin_rep(j1, j2)
+        boosts, rotations, parity = oracles.spin_generators(j1, j2)
+        assert _bits(rep.boosts + rep.rotations + (rep.parity,)) \
+            == _bits(boosts + rotations + [parity])
+        assert type(rep.boosts) is tuple and type(rep.rotations) is tuple
+
+    def test_vector_rep_generators(self):
+        rep = build_vector_rep()
+        boosts, rotations, parity = oracles.vector_generators()
+        assert _bits(rep.boosts + rep.rotations + (rep.parity,)) \
+            == _bits(boosts + rotations + [parity])
+
+    @pytest.mark.parametrize("rep", [
+        build_vector_rep(), corrupted(build_vector_rep(), "boosts", 0),
+        *(build_spin_rep(j1, j2) for j1, j2 in SPINS)], ids=lambda r: r.label)
+    def test_invariants_audit_and_extraction(self, rep):
+        k, l, p = list(rep.boosts), list(rep.rotations), rep.parity
+        ops = derived_operators(rep)
+        w, a, m = oracles.invariants(k, l)
+        assert _bits([ops.w, ops.a, ops.m, ops.b, ops.m_sq]) \
+            == _bits([w, a, m, a - w, m @ m])
+        assert list(algebra_audit(rep).items()) == list(oracles.algebra_audit(k, l, p).items())
+        ext = n0_extraction(rep)
+        n0, *residuals = oracles.n0_extraction(k, p)
+        assert _bits([ext.n0]) == _bits([n0])
+        assert [ext.residual_consistent, ext.residual_printed_sign,
+                ext.traceless_residual] == residuals
 
 
 class TestSpinContent:

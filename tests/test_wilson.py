@@ -608,44 +608,38 @@ class TestGeneratingFunctions:
     def test_t_zero_reduces_to_leading_prefactor(self):
         # at t = 0 each identity is its degree-0 coefficient: c_0 P_0 = RHS(x, 0)
         for family in (CASE_A, CASE_B_32):
-            for ident in (1, 2, 3):
-                assert generating_function_check(family, ident, 0) is None
+            assert generating_function_check(family, 0) == (None, None, None)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
     def test_every_identity_holds_to_degree_twenty_five(self, family):
-        assert [generating_function_check(family, ident, 25) for ident in (1, 2, 3)] == [None] * 3
+        assert generating_function_check(family, 25) == (None, None, None)
 
     def test_case_a_first_identity(self):
         # well past the extended cap of verify
-        assert generating_function_check(CASE_A, 1, 40) is None
+        assert generating_function_check(CASE_A, 40)[0] is None
 
     def test_case_b_identities(self):
         # one, five and ten point masses
         for b in ("1/100", "20", "100"):
             family = WilsonFamily.case_b(fr(b))
-            assert [generating_function_check(family, ident, 12) for ident in (1, 2, 3)] \
-                == [None] * 3, b
+            assert generating_function_check(family, 12) == (None, None, None), b
 
     def test_printed_forms_fail(self):
-        assert generating_function_check(CASE_A, 1, 25, form="printed") == 1
-        assert generating_function_check(CASE_A, 3, 25, form="printed") == 0
         # identity 2 is correct as printed
-        assert generating_function_check(CASE_A, 2, 25, form="printed") is None
+        assert generating_function_check(CASE_A, 25, form="printed") == (1, None, 0)
 
     def test_degenerate_b_rejected(self):
         with pytest.raises(DegenerateFamily):
-            generating_function_check(WilsonFamily.case_b(3), 1, 5)
+            generating_function_check(WilsonFamily.case_b(3), 5)
 
-    def test_symbolic_b_and_unknown_identities_are_refused(self):
+    def test_symbolic_b_is_refused(self):
         with pytest.raises(ValueError, match="^generating functions need a numeric B$"):
-            generating_function_check(CASE_B_SYM, 1, 5)
-        with pytest.raises(ValueError, match="^identity_id must be 1, 2, or 3$"):
-            generating_function_check(CASE_A, 4, 5)
+            generating_function_check(CASE_B_SYM, 5)
 
     @pytest.mark.parametrize("family", [CASE_A, CASE_B_32], ids=lambda f: f.label())
     def test_unknown_form_is_refused(self, family):
         with pytest.raises(ValueError, match="^unknown recurrence form 'bogus'$"):
-            generating_function_check(family, 1, 5, form="bogus")
+            generating_function_check(family, 5, form="bogus")
 
 
 def _closed_form(family, ident, form, x):
