@@ -6,9 +6,9 @@ Runs a fixed list of ``paritywilson`` CLI commands from each ``src``
 directory in a fresh process and compares stdout, stderr, exit code and
 the ``--out`` files, with only the ``# suite <name>: <seconds>s`` timing
 lines and the path of the working directory in stderr masked.  Then hashes (sha256) every array of the shared measures of
-four families at bounds 8-64 under the one quadrature configuration, the
-Gram included, the Gauss-Legendre node rules of orders 3-129, and the exact
-integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
+four families serving degrees 8-64 under the one quadrature configuration,
+the Gram included, the Gauss-Legendre node rules of orders 3-129, and the
+exact integer grids (class, ``_w``, ``_den``, ``_c``) of the corrected, printed
 and reflected recurrence tables (Case A to n = 100, symbolic B and the
 three numeric B of ``verify`` to n = 40) and of the quantization
 certificates P at n <= 40 (at ell1 = 2n + 1, where P is zero, and at
@@ -23,10 +23,10 @@ in {0, 1/2, ..., 5/2}, the hash of every generator, parity, invariant and
 n0 array, and the reprs of ``algebra_audit`` (keys in order) and of the
 three ``n0_extraction`` residuals.  Prints each command or file
 that differs, by name, and the first hash or repr line that differs, in
-the base tree's order, with both sides and the count of those that do;
-exits 1 if any does.  Both trees run on one machine, so there are no
-golden files: BLAS rounding may differ between machines, not between the
-trees.
+the base tree's order, with both sides and the count of those that do,
+then the name of every further line that differs; exits 1 if any does.
+Both trees run on one machine, so there are no golden files: BLAS
+rounding may differ between machines, not between the trees.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ COMMANDS += ["lorentz --rep vector", "lorentz --rep 1/2,1/2 --format csv", "lore
 SUITE_TIME = re.compile(rb"^# suite ([^:\n]*): [0-9.]+s$", re.MULTILINE)
 
 # one line per array or result, its name and its value split by a tab:
-# "<family> <bound> <array>", "nodes <order>",
+# "<family> <degree> <array>", "nodes <order>",
 # "grid <table> <family> <n>", "lorentz <rep> <array> [<i>]" or
 # "repr <function> <family or rep> [<route>] [<n>] [<m>]", then a hash or a repr
 HASHES = '''
@@ -116,12 +116,12 @@ def sha(*arrays):
 families = [wilson.WilsonFamily.case_a()] + [
     wilson.WilsonFamily.case_b(Fraction(b)) for b in ("-1/2", "3/2", "73/10")]
 for family in families:
-    for bound in (8, 16, 32, 64):
-        m = expand.discrete_measure(family, bound)
+    for degree in (8, 16, 32, 64):
+        m = expand.discrete_measure(family, degree)
         for field in ("x", "weights", "density", "values", "scale", "mass_values"):
-            out(family.label(), bound, field, sha(getattr(m, field)))
-        out(family.label(), bound, "x_max", float(m.x_max).hex())
-        out(family.label(), bound, "gram", sha(*m._gram))
+            out(family.label(), degree, field, sha(getattr(m, field)))
+        out(family.label(), degree, "x_max", float(m.x_max).hex())
+        out(family.label(), degree, "gram", sha(*m._gram))
 for k in range(3, 130):
     out("nodes", k, sha(*expand._nodes(k)))
 
@@ -267,6 +267,7 @@ def main(argv: list[str]) -> int:
             differs.append(f"differs: {changed[0]} (the first of {len(changed)} lines)\n"
                            + "".join(f"  {side}: {hashes[side].get(changed[0], '<missing>')}\n"
                                      for side in sides).rstrip())
+            differs += [f"differs: {key}" for key in changed[1:]]
     for line in differs:
         print(line)
     reprs = sum(key.startswith("repr ") for key in hashes["head"])

@@ -206,7 +206,7 @@ def n0_extraction(rep: LorentzRep) -> SpinZeroExtraction:
     diagonal = -1j * _comm(2j * k @ p, k)
     trace = diagonal[0] + diagonal[1] + diagonal[2]  # np.sum would turn -0.0 into 0.0
     n0 = trace / 3.0
-    target = (4.0 / 3.0) * derived_operators(rep).w @ p
+    target = (4.0 / 3.0) * np.sum(k @ k, axis=0) @ p  # W, as derived_operators forms it
     return SpinZeroExtraction(
         n0=n0,
         residual_consistent=_maxabs(n0 + target),

@@ -459,8 +459,8 @@ def check_scan(results: list[CheckResult]) -> None:
         + (f"converged in {rep.iterations} iterations" if rep.converged
            else f"not converged after {rep.iterations} iterations"),
         "report-only",
-        note="M != 0 is unsolved; exploratory output for the eigenvalue "
-             "persistence conjecture"))
+        note="M != 0 is unsolved; ell1^2 is a fit artifact of the W grid and the ansatz degree, "
+             "not an eigenvalue (the minimizer drifts from 8.80 at d = 2 to 4.79 at d = 12)"))
 
 
 SUITES = {

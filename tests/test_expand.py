@@ -286,33 +286,33 @@ class TestCertification:
                          np.cos(30.0 * x), measure.values[2]])
 
     def test_a_later_row_that_misses_is_named_with_the_count(self):
-        measure = discrete_measure(CASE_A, 8)
+        measure = discrete_measure(CASE_A, 16)
         with pytest.raises(NoConvergence) as info:
             measure.sums(self._rows(measure), [0, 6, 5, 2, 4], measure.density)
         msg = str(info.value)
-        assert msg.startswith("A measure at degree bound 8: row 2 (growth degree 5) misses "
+        assert msg.startswith("A measure at degree bound 16: row 2 (growth degree 5) misses "
                               "its budget ")
         assert "(2 of 5 rows miss theirs)" in msg
         # every row is certified by its tail too
         assert ", tail " in msg and " against budget/4 " in msg
 
     @pytest.mark.parametrize("family, n, m, text", [
-        (CASE_A, 0, 8,
-         "A measure at degree bound 8: row 0 (growth degree 16) misses its budget 5.867e-09, "
-         "err 3.328e-09 against budget/2 2.934e-09, tail 6.140e-24 against budget/4 "
-         "1.467e-09 (1 of 1 rows miss theirs); 854 panels, x_max 18.9258"),
-        (FAMILIES[3], 5, 8,
-         "B(7.3) measure at degree bound 8: row 0 (growth degree 26) misses its budget "
-         "1.097e-06, err 1.105e-06 against budget/2 5.485e-07, tail 1.886e-16 against "
-         "budget/4 2.742e-07 (1 of 1 rows miss theirs); 639 panels, x_max 18.9258"),
+        (CASE_A, 0, 16,
+         "A measure at degree bound 16: row 0 (growth degree 32) misses its budget 6.037e+04, "
+         "err 4.085e+04 against budget/2 3.019e+04, tail 5.398e-28 against budget/4 "
+         "1.509e+04 (1 of 1 rows miss theirs); 1366 panels, x_max 30.6527"),
+        (FAMILIES[3], 6, 16,
+         "B(7.3) measure at degree bound 16: row 0 (growth degree 44) misses its budget "
+         "6.264e+06, err 3.189e+06 against budget/2 3.132e+06, tail 2.820e-16 against "
+         "budget/4 1.566e+06 (1 of 1 rows miss theirs); 1162 panels, x_max 30.6527"),
     ], ids=["A", "B(7.3)"])
     def test_an_inner_product_that_misses_its_own_budget_is_named(self, family, n, m, text,
                                                                    quadrature):
         # the measure builds on its own integrand at panel order 3, but the
         # cross term, not the measure, misses its budget
         quadrature(PANEL_ORDER=3)
-        discrete_measure(family, 8)
-        table = monic_from_recurrence(family, 8)
+        discrete_measure(family, 16)
+        table = monic_from_recurrence(family, 16)
         with pytest.raises(NoConvergence) as info:
             inner_product(family, table[n], table[m])
         assert str(info.value) == text
@@ -685,7 +685,7 @@ class TestFamilyValues:
         weight, k = family_weight(family), 3 * expand.PANEL_ORDER
         for bound in (8, 16, 32, 64):
             measure = discrete_measure(family, bound)
-            values, scale = family_values(family, bound, measure.x ** 2)
+            values, scale = family_values(family, measure.degree, measure.x ** 2)
             assert measure.values.tobytes() == values.tobytes(), bound
             assert measure.scale.tobytes() == scale.tobytes(), bound
             assert measure.values.flags.c_contiguous and not measure.values.flags.writeable
@@ -696,7 +696,7 @@ class TestFamilyValues:
             x_max = measure.x_max
             assert measure.x[-k:].tolist() == [0.7 * x_max, 0.85 * x_max] + [x_max] * (k - 2)
             for j, pm in enumerate(measure.masses):
-                at_mass, _ = family_values(family, bound, np.array(pm.y))
+                at_mass, _ = family_values(family, measure.degree, np.array(pm.y))
                 assert measure.mass_values[:, j].tobytes() == at_mass.tobytes(), (bound, j)
 
 
@@ -877,7 +877,7 @@ class TestDiscreteMeasure:
             "residual"])
     def test_unresolvable_measure_raises_in_every_consumer(self, call, quadrature):
         quadrature(MAX_PANELS=5)
-        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 8"):
+        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 16"):
             call(CASE_B_32)
 
     def test_measure_past_the_degree_ceiling_fails_fast(self):
@@ -898,17 +898,17 @@ class TestDiscreteMeasure:
 
         monkeypatch.setattr(expand, "family_weight", with_far_mass)
         expand._build_measure.cache_clear()
-        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 8: "
+        with pytest.raises(NoConvergence, match=r"B\(1\.5\) measure at degree bound 16: "
                                                 r"non-finite value row at the point mass "
                                                 r"x = 1e\+150i, cutoff "):
-            discrete_measure(CASE_B_32, 8)
+            discrete_measure(CASE_B_32, 16)
 
     def test_non_finite_probe_row_is_named(self, monkeypatch, quadrature):
         # the probe at the cutoff lies past every node: a value row that is
         # non-finite there only is named by its abscissa.  A nan integrand
         # at a probe does not enter the tail's growth constant, so the
         # automatic cutoff stays where it is
-        x_max = discrete_measure(CASE_A, 8).x_max
+        x_max = discrete_measure(CASE_A, 16).x_max
 
         def poisoned(family, n, u):
             values, scale = family_values(family, n, u)
@@ -917,9 +917,9 @@ class TestDiscreteMeasure:
 
         monkeypatch.setattr(expand, "family_values", poisoned)
         expand._build_measure.cache_clear()
-        with pytest.raises(NoConvergence, match=r"^A measure at degree bound 8: non-finite "
-                                                r"value row at x = 18\.9258, cutoff 18\.9258$"):
-            discrete_measure(CASE_A, 8)
+        with pytest.raises(NoConvergence, match=r"^A measure at degree bound 16: non-finite "
+                                                r"value row at x = 30\.6527, cutoff 30\.6527$"):
+            discrete_measure(CASE_A, 16)
 
     def test_basis_scale_overflow_is_named(self):
         # sqrt(gamma_2 ... gamma_{k+1}) leaves the float range at k = 115 in
@@ -952,24 +952,55 @@ class TestDiscreteMeasure:
         assert {r.check_id for r in report.failed} == set(verify.EXPECTED_FAILURES)
 
     def test_results_do_not_depend_on_earlier_measures(self):
+        # the degree-3 requests come first: on cleared caches they build the
+        # measures, the second time they find them built by larger requests
         def run():
             table = monic_from_recurrence(CASE_B_32, 12)
-            return (inner_product(CASE_B_32, table[5], table[12]),
+            return (inner_product(CASE_B_32, table[1], table[3]),
+                    parity_coefficients(CASE_A, 3).entries,
+                    reconstruction_residual(CASE_B_32, 3),
+                    inner_product(CASE_B_32, table[5], table[12]),
                     parity_coefficients(CASE_B_32, 12).entries,
                     parity_coefficients(CASE_A, 12, route="projection").entries,
                     reconstruction_residual(CASE_A, 12))
 
         expand._build_measure.cache_clear()
+        expand._reads.cache_clear()
         fresh = run()
         expand._build_measure.cache_clear()
+        expand._reads.cache_clear()
         for family in (CASE_A, CASE_B_32):
             discrete_measure(family, 64)
             parity_coefficients(family, 40)
-        assert run() == fresh
+            parity_coefficients(family, 16)
+        again = run()
+        assert again == fresh and repr(again) == repr(fresh)  # repr: signed zeros too
 
     def test_degree_bound_is_a_power_of_two(self):
-        assert discrete_measure(CASE_A, 0).degree == 8
-        assert discrete_measure(CASE_A, 8).degree == 8
-        assert discrete_measure(CASE_A, 9).degree == 16
+        assert discrete_measure(CASE_A, 0).degree == 16
+        assert discrete_measure(CASE_A, 8).degree == 16
+        assert discrete_measure(CASE_A, 16).degree == 16
+        assert discrete_measure(CASE_A, 17).degree == 32
         assert discrete_measure(CASE_A, 40).degree == 64
         assert discrete_measure(CASE_A, 9) is discrete_measure(CASE_A, 16)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_every_degree_to_sixteen_shares_one_measure(self, family):
+        for degree in range(17):
+            assert discrete_measure(family, degree) is discrete_measure(family, 16), degree
+
+    def test_orthogonality_beside_reconstruction_builds_one_measure_per_family(self):
+        # verify's orthogonality rows (n <= 6, four families) and its
+        # reconstruction rows (N <= 12, A and B(3/2)) read the same measures
+        expand._build_measure.cache_clear()
+        expand._reads.cache_clear()
+        verify.run_suites(["orthogonality", "reconstruction"])
+        assert expand._build_measure.cache_info().misses == 4
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label())
+    def test_all_pairs_gram_to_twelve_builds_one_measure(self, family):
+        expand._build_measure.cache_clear()
+        expand._reads.cache_clear()
+        _assert_orthogonal(family, 12)
+        info = expand._build_measure.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from paritywilson import lorentz, verify
 from paritywilson.errors import InvalidSpin
 from paritywilson.lorentz import (
     LorentzRep,
@@ -216,3 +217,16 @@ class TestSpinZeroExtraction:
         # the opposite-signed target from the source text differs by
         # (8/3) K.K P, an O(1) matrix in every representation here
         assert n0_extraction(rep).residual_printed_sign >= 1.0
+
+    def test_lorentz_suite_forms_the_derived_operators_once_per_rep(self, monkeypatch):
+        # the extraction reads W alone and forms it itself; only the audits of
+        # the three representations and the corrupted one call derived_operators
+        calls = []
+
+        def counted(rep):
+            calls.append(rep.label)
+            return derived_operators(rep)
+
+        monkeypatch.setattr(lorentz, "derived_operators", counted)
+        verify.check_lorentz([])
+        assert len(calls) == 4, calls
